@@ -67,6 +67,13 @@ class FlatHashMap {
   }
   const Value* Find(const Key& key) const { return const_cast<FlatHashMap*>(this)->Find(key); }
 
+  // Pulls the first slot `key` probes into the cache ahead of a lookup.
+  void Prefetch(const Key& key) const {
+    if (!slots_.empty()) {
+      __builtin_prefetch(&slots_[Hash{}(key) & (slots_.size() - 1)]);
+    }
+  }
+
   // Inserts or overwrites. Returns true if the key was newly inserted.
   bool Insert(const Key& key, Value value) {
     if (slots_.empty() || size_ + 1 > slots_.size() * 3 / 4) {

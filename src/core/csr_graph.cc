@@ -60,13 +60,26 @@ CsrGraph CsrGraph::FromLocalView(const LocalGraphView& view) {
 
 void CsrGraph::RebuildFromEdgeList(const std::vector<CsrEdge>& edges) {
   // Vertex set: sources plus every referenced destination, sorted and
-  // deduplicated (ascending ids == ascending dense indices, as always).
+  // deduplicated (ascending ids == ascending dense indices, as always). The
+  // sources arrive sorted, so only the destinations need ordering before the
+  // two runs merge.
   ids_.clear();
+  scratch_ids_.clear();
   for (const CsrEdge& e : edges) {
-    ids_.push_back(e.src);
-    ids_.push_back(e.dst);
+    if (ids_.empty() || ids_.back() != e.src) {
+      ids_.push_back(e.src);
+    }
+    scratch_ids_.push_back(e.dst);
   }
-  std::sort(ids_.begin(), ids_.end());
+  std::sort(scratch_ids_.begin(), scratch_ids_.end());
+  const size_t num_sources = ids_.size();
+  ids_.insert(ids_.end(), scratch_ids_.begin(),
+              std::unique(scratch_ids_.begin(), scratch_ids_.end()));
+  scratch_ids_.resize(ids_.size());
+  std::merge(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(num_sources),
+             ids_.begin() + static_cast<std::ptrdiff_t>(num_sources), ids_.end(),
+             scratch_ids_.begin());
+  ids_.swap(scratch_ids_);
   ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
   const size_t n = ids_.size();
   index_.Clear();

@@ -94,6 +94,7 @@ class CsrGraph {
   std::vector<size_t> offsets_;    // n + 1 entries
   std::vector<int32_t> nbr_;       // neighbor dense index per edge slot
   std::vector<double> weight_;     // weight per edge slot
+  std::vector<VertexId> scratch_ids_;  // RebuildFromEdgeList's merge buffer
 };
 
 }  // namespace actop

@@ -10,16 +10,23 @@
 // every key with true count > N/m is present, and every reported count
 // over-estimates the true count by at most its recorded `error` <= N/m.
 //
-// Structure: counter nodes live in an index-stable slab (`nodes_`), a
-// FlatHashMap maps key -> slab slot, and nodes with equal count are chained
-// into per-count buckets that themselves form an intrusive doubly-linked
-// list ordered by ascending count (`min_bucket_` is the head). A unit
-// increment moves a node at most one bucket forward and min-eviction pops
-// the tail of the head bucket, so Observe is O(1) for unit increments
-// (O(#distinct-counts-skipped) for weighted ones) and allocation-free once
-// the slabs are warm. Decay() halves counts with a single in-place relink
-// pass — monotone halving keeps the bucket chain sorted — instead of the
-// seed's full std::map rebuild.
+// Structure: each tracked key owns an index-stable slot. A FlatHashMap maps
+// key -> slot; the slot's 16-byte chain node (`nodes_`) links it into the
+// per-count bucket holding its count, and its key and error sit in parallel
+// arrays that Observe reads only on eviction. The buckets form an intrusive
+// doubly-linked list ordered by ascending count (`min_bucket_` is the head),
+// and a key's count is its bucket's. A unit increment moves a node at most
+// one bucket forward and min-eviction pops the tail of the head bucket, so
+// Observe is O(1) for unit increments (O(#distinct-counts-skipped) for
+// weighted ones) and allocation-free once the slabs are warm. Decay() halves
+// counts in one pass over the bucket chain — monotone halving keeps it
+// sorted — instead of the seed's full std::map rebuild.
+//
+// Callers that keep their own index over the tracked keys (the partition
+// agent's sorted plan-graph input) use the slot view: Observe returns the
+// slot a key was newly placed in, and SlotLive/SlotKey/SlotCount read a slot.
+// A slot changes key only through such a return, or is freed by Decay, so a
+// caller can track what changed without rescanning the sketch.
 //
 // Decision compatibility with the seed implementation is load-bearing for
 // deterministic replay: the seed kept each bucket as a vector, attached with
@@ -53,31 +60,35 @@ class SpaceSaving {
     uint64_t error = 0;  // max over-estimation carried from the evicted key
   };
 
+  // Returned by Observe when the key was already tracked.
+  static constexpr int32_t kNoSlot = -1;
+
   explicit SpaceSaving(size_t capacity) : capacity_(capacity) { ACTOP_CHECK(capacity >= 1); }
 
   // Observes `key` with the given increment (e.g. message count or bytes).
-  void Observe(const Key& key, uint64_t increment = 1) {
+  // Returns the slot the key was newly placed in (a fresh slot or an evicted
+  // key's), or kNoSlot if the key was already tracked.
+  int32_t Observe(const Key& key, uint64_t increment = 1) {
     total_ += increment;
     if (const int32_t* slot = index_.Find(key)) {
       const int32_t n = *slot;
       const int32_t bucket = nodes_[n].bucket;
+      const uint64_t target = buckets_[bucket].count + increment;
       // Detach may free the node's bucket; remember its predecessor so the
       // relink search can still start from the node's old position.
       const int32_t bucket_prev = buckets_[bucket].prev;
       const bool emptied = Detach(n);
-      nodes_[n].count += increment;
-      Place(n, emptied ? bucket_prev : bucket);
-      return;
+      Place(n, target, emptied ? bucket_prev : bucket);
+      return kNoSlot;
     }
     if (size_ < capacity_) {
       const int32_t n = AllocNode();
-      nodes_[n].key = key;
-      nodes_[n].count = increment;
-      nodes_[n].error = 0;
-      Place(n, kNil);
+      keys_[n] = key;
+      errors_[n] = 0;
+      Place(n, increment, kNil);
       index_.Insert(key, n);
       size_++;
-      return;
+      return n;
     }
     // Evict the minimum-count key and inherit its count as error. The victim
     // is the tail of the minimum bucket (the seed's min_bucket->second.back()).
@@ -86,12 +97,38 @@ class SpaceSaving {
     const uint64_t min_count = buckets_[mb].count;
     const int32_t victim = buckets_[mb].tail;
     const bool emptied = Detach(victim);
-    index_.Erase(nodes_[victim].key);
-    nodes_[victim].key = key;
-    nodes_[victim].count = min_count + increment;
-    nodes_[victim].error = min_count;
-    Place(victim, emptied ? kNil : mb);
+    index_.Erase(keys_[victim]);
+    keys_[victim] = key;
+    errors_[victim] = min_count;
+    Place(victim, min_count + increment, emptied ? kNil : mb);
     index_.Insert(key, victim);
+    return victim;
+  }
+
+  // Warm the cache for a coming Observe(key), in two steps issued a few
+  // observations apart: PrefetchIndex pulls in the key's hash slot, and
+  // PrefetchNode, once that slot has landed, the chain node it names.
+  // Neither changes any state.
+  void PrefetchIndex(const Key& key) const { index_.Prefetch(key); }
+  void PrefetchNode(const Key& key) const {
+    if (const int32_t* slot = index_.Find(key)) {
+      __builtin_prefetch(&nodes_[static_cast<size_t>(*slot)]);
+    }
+  }
+
+  // Slot-level view for callers that keep their own index over the tracked
+  // keys. A key keeps its slot for as long as it stays tracked. A slot
+  // changes key only through Observe, which returns it, and loses its key
+  // without a successor only to Decay or Clear, after which SlotLive is
+  // false.
+  bool SlotLive(int32_t slot) const {
+    return static_cast<size_t>(slot) < nodes_.size() &&
+           nodes_[static_cast<size_t>(slot)].bucket != kNil;
+  }
+  // Key and estimated count of a live slot.
+  const Key& SlotKey(int32_t slot) const { return keys_[static_cast<size_t>(slot)]; }
+  uint64_t SlotCount(int32_t slot) const {
+    return buckets_[static_cast<size_t>(nodes_[static_cast<size_t>(slot)].bucket)].count;
   }
 
   // All tracked entries. Size <= capacity. Order is unspecified (currently
@@ -102,7 +139,7 @@ class SpaceSaving {
     out.reserve(size_);
     for (int32_t b = min_bucket_; b != kNil; b = buckets_[b].next) {
       for (int32_t n = buckets_[b].head; n != kNil; n = nodes_[n].next) {
-        out.push_back(Entry{nodes_[n].key, nodes_[n].count, nodes_[n].error});
+        out.push_back(Entry{keys_[n], buckets_[b].count, errors_[n]});
       }
     }
     return out;
@@ -122,7 +159,7 @@ class SpaceSaving {
   // Estimated count for a key (0 if not tracked).
   uint64_t EstimateCount(const Key& key) const {
     const int32_t* slot = index_.Find(key);
-    return slot == nullptr ? 0 : nodes_[*slot].count;
+    return slot == nullptr ? 0 : SlotCount(*slot);
   }
 
   bool Contains(const Key& key) const { return index_.Find(key) != nullptr; }
@@ -134,43 +171,56 @@ class SpaceSaving {
 
   // Halves every counter (and error), dropping keys that reach zero. Called
   // periodically so that stale edges of a changing communication graph decay
-  // instead of occupying capacity forever. One relink pass: nodes are walked
-  // in ascending-count order, and since halving is monotone the rebuilt
-  // chain is produced by appending to its tail — no searching, no tree.
+  // instead of occupying capacity forever. One pass over the bucket chain in
+  // ascending-count order: since halving is monotone, each bucket either
+  // keeps its place with half the count, or joins the bucket before it when
+  // both halve to the same count (its nodes appended in order), or empties
+  // when its count halves to zero — no searching, no tree.
   void Decay() {
     total_ /= 2;
-    if (size_ == 0) {
-      return;
-    }
-    decay_scratch_.clear();
-    for (int32_t b = min_bucket_; b != kNil; b = buckets_[b].next) {
-      for (int32_t n = buckets_[b].head; n != kNil; n = nodes_[n].next) {
-        decay_scratch_.push_back(n);
-      }
-      free_buckets_.push_back(b);  // links stay valid until reused below
-    }
+    int32_t b = min_bucket_;
     min_bucket_ = kNil;
-    int32_t tail_bucket = kNil;
-    for (const int32_t n : decay_scratch_) {
-      Node& node = nodes_[n];
-      node.count /= 2;
-      node.error /= 2;
-      if (node.count == 0) {
-        index_.Erase(node.key);
-        free_nodes_.push_back(n);
-        size_--;
-        continue;
+    int32_t tail_bucket = kNil;  // last bucket of the rebuilt chain
+    while (b != kNil) {
+      const int32_t next_bucket = buckets_[b].next;
+      const uint64_t half = buckets_[b].count / 2;
+      const bool merge = tail_bucket != kNil && buckets_[tail_bucket].count == half;
+      for (int32_t n = buckets_[b].head; n != kNil;) {
+        const int32_t next = nodes_[n].next;
+        errors_[n] /= 2;
+        if (half == 0) {
+          index_.Erase(keys_[n]);
+          nodes_[n].bucket = kNil;  // marks the slot free for SlotLive
+          free_nodes_.push_back(n);
+          size_--;
+        } else if (merge) {
+          Append(tail_bucket, n);
+        }
+        n = next;
       }
-      if (tail_bucket == kNil || buckets_[tail_bucket].count != node.count) {
-        ACTOP_DCHECK(tail_bucket == kNil || buckets_[tail_bucket].count < node.count);
-        tail_bucket = AllocBucket(node.count, tail_bucket, kNil);
+      if (half == 0 || merge) {
+        free_buckets_.push_back(b);
+      } else {
+        ACTOP_DCHECK(tail_bucket == kNil || buckets_[tail_bucket].count < half);
+        Bucket& bk = buckets_[b];
+        bk.count = half;
+        bk.prev = tail_bucket;
+        bk.next = kNil;
+        if (tail_bucket == kNil) {
+          min_bucket_ = b;
+        } else {
+          buckets_[tail_bucket].next = b;
+        }
+        tail_bucket = b;
       }
-      Append(tail_bucket, n);
+      b = next_bucket;
     }
   }
 
   void Clear() {
     nodes_.clear();
+    keys_.clear();
+    errors_.clear();
     free_nodes_.clear();
     buckets_.clear();
     free_buckets_.clear();
@@ -183,10 +233,10 @@ class SpaceSaving {
  private:
   static constexpr int32_t kNil = -1;
 
-  struct Node {
-    Key key{};
-    uint64_t count = 0;
-    uint64_t error = 0;
+  // A slot's chain links, the only per-key state Observe touches besides the
+  // hash index; its key and error sit in parallel cold arrays, and its count
+  // is its bucket's. 16 bytes, so a node never straddles a cache line.
+  struct alignas(16) Node {
     int32_t prev = kNil;  // within-bucket chain; head..tail mirrors the
     int32_t next = kNil;  // seed's bucket vector order (tail == back()).
     int32_t bucket = kNil;
@@ -207,6 +257,8 @@ class SpaceSaving {
       return n;
     }
     nodes_.emplace_back();
+    keys_.emplace_back();
+    errors_.emplace_back();
     return static_cast<int32_t>(nodes_.size()) - 1;
   }
 
@@ -300,12 +352,16 @@ class SpaceSaving {
     return false;
   }
 
-  // Appends node `n` (already detached, count updated) to the bucket holding
-  // its count, creating the bucket if missing. The search walks the chain
+  // Appends node `n` (already detached) to the bucket holding count
+  // `target`, creating the bucket if missing. The search walks the chain
   // forward from `pred` (kNil = from min_bucket_); for unit increments from
-  // the node's old bucket this is at most one step.
-  void Place(int32_t n, int32_t pred) {
-    const uint64_t target = nodes_[n].count;
+  // the node's old bucket this is at most one step. `pred` itself holds the
+  // target count after a zero increment, and then takes the node back.
+  void Place(int32_t n, uint64_t target, int32_t pred) {
+    if (pred != kNil && buckets_[pred].count == target) {
+      Append(pred, n);
+      return;
+    }
     int32_t succ = pred == kNil ? min_bucket_ : buckets_[pred].next;
     while (succ != kNil && buckets_[succ].count < target) {
       pred = succ;
@@ -321,10 +377,11 @@ class SpaceSaving {
   size_t size_ = 0;
   uint64_t total_ = 0;
   std::vector<Node> nodes_;          // slab; grows lazily up to capacity_
+  std::vector<Key> keys_;            // per slot, parallel to nodes_
+  std::vector<uint64_t> errors_;     // per slot, parallel to nodes_
   std::vector<int32_t> free_nodes_;  // slots freed by Decay
   std::vector<Bucket> buckets_;
   std::vector<int32_t> free_buckets_;
-  std::vector<int32_t> decay_scratch_;
   int32_t min_bucket_ = kNil;
   FlatHashMap<Key, int32_t, Hash> index_;
 };

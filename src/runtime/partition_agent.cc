@@ -17,7 +17,8 @@ PartitionAgent::PartitionAgent(Simulation* sim, Cluster* cluster, Server* server
       cluster_(cluster),
       server_(server),
       config_(config),
-      edges_(config.edge_sample_capacity) {
+      edges_(config.edge_sample_capacity),
+      slot_fresh_(config.edge_sample_capacity, false) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(server != nullptr);
@@ -39,6 +40,7 @@ void PartitionAgent::Start() {
     // Idle servers (nothing sampled) skip the decay pass entirely. The only
     // state this leaves un-halved is the sketch's total-observed counter,
     // which nothing downstream reads when the sketch is empty.
+    FlushObservations();
     if (edges_.size() != 0) {
       edges_.Decay();
     }
@@ -57,15 +59,45 @@ void PartitionAgent::Stop() {
 }
 
 void PartitionAgent::ObserveEdge(ActorId local, ActorId peer, ServerId dest) {
-  edges_.Observe(EdgeKey{local, peer});
-  if (dest != kNoServer && dest != server_->id()) {
-    last_seen_.Insert(peer, dest);
-  } else if (dest == server_->id()) {
-    last_seen_.Erase(peer);
+  pending_[num_pending_++] = PendingEdge{local, peer, dest};
+  if (num_pending_ == kObserveBatch) {
+    FlushObservations();
   }
 }
 
-LocalGraphView PartitionAgent::BuildView() const {
+void PartitionAgent::FlushObservations() {
+  // Two-stage prefetch: the hash slot 2 * kAhead entries out, then the
+  // chain node it names kAhead entries out, by which time the slot is cached.
+  constexpr size_t kAhead = 4;
+  const ServerId self = server_->id();
+  const size_t n = num_pending_;
+  for (size_t i = 0; i < n; i++) {
+    if (i + 2 * kAhead < n) {
+      const PendingEdge& ahead = pending_[i + 2 * kAhead];
+      edges_.PrefetchIndex(EdgeKey{ahead.local, ahead.peer});
+      last_seen_.Prefetch(ahead.peer);
+    }
+    if (i + kAhead < n) {
+      const PendingEdge& ahead = pending_[i + kAhead];
+      edges_.PrefetchNode(EdgeKey{ahead.local, ahead.peer});
+    }
+    const PendingEdge& e = pending_[i];
+    const int32_t slot = edges_.Observe(EdgeKey{e.local, e.peer});
+    if (slot != SpaceSaving<EdgeKey, EdgeKeyHash>::kNoSlot && !slot_fresh_[slot]) {
+      slot_fresh_[slot] = true;
+      fresh_slots_.push_back(slot);
+    }
+    if (e.dest != kNoServer && e.dest != self) {
+      last_seen_.Insert(e.peer, e.dest);
+    } else if (e.dest == self) {
+      last_seen_.Erase(e.peer);
+    }
+  }
+  num_pending_ = 0;
+}
+
+LocalGraphView PartitionAgent::BuildView() {
+  FlushObservations();
   LocalGraphView view;
   view.self = server_->id();
   view.num_local_vertices = server_->num_activations();
@@ -110,6 +142,33 @@ std::vector<VertexId> PartitionAgent::SampledOrder(const LocalGraphView& view) {
   return order;
 }
 
+void PartitionAgent::SyncPlanSlots() {
+  auto before = [this](int32_t a, int32_t b) {
+    const EdgeKey& ka = edges_.SlotKey(a);
+    const EdgeKey& kb = edges_.SlotKey(b);
+    return ka.local != kb.local ? ka.local < kb.local : ka.peer < kb.peer;
+  };
+  // A slot changes key only through Observe, which hands it back fresh, or
+  // loses it to Decay, which frees it. Dropping fresh and freed slots in
+  // place therefore leaves exactly the slots still holding their key, still
+  // sorted.
+  std::erase_if(plan_slots_,
+                [this](int32_t slot) { return slot_fresh_[slot] || !edges_.SlotLive(slot); });
+  for (const int32_t slot : fresh_slots_) {
+    slot_fresh_[slot] = false;
+  }
+  std::erase_if(fresh_slots_, [this](int32_t slot) { return !edges_.SlotLive(slot); });
+  if (fresh_slots_.empty()) {
+    return;
+  }
+  std::sort(fresh_slots_.begin(), fresh_slots_.end(), before);
+  plan_merge_.resize(plan_slots_.size() + fresh_slots_.size());
+  std::merge(plan_slots_.begin(), plan_slots_.end(), fresh_slots_.begin(), fresh_slots_.end(),
+             plan_merge_.begin(), before);
+  plan_slots_.swap(plan_merge_);
+  fresh_slots_.clear();
+}
+
 void PartitionAgent::RefreshPlanGraph() {
   // Freeze the samples straight into the CSR, skipping the LocalGraphView
   // hash maps whose per-round construction dominated the control plane's
@@ -117,19 +176,25 @@ void PartitionAgent::RefreshPlanGraph() {
   // assignment mirrors its location resolution (active -> here, else cache,
   // else last-seen, else unknown), so the frozen graph is the same view the
   // reference planner would have materialized.
+  FlushObservations();
+  SyncPlanSlots();
+  // plan_slots_ is sorted by (local, peer) with unique pairs, so the edges
+  // arrive in the strictly increasing order RebuildFromEdgeList requires.
   plan_edges_.clear();
-  for (const auto& entry : edges_.Entries()) {
-    if (!server_->IsActive(entry.key.local)) {
-      continue;  // migrated away or deactivated; decay will reclaim it
+  ActorId local = kNoActor;  // never a sampled sender (Server::NoteAppSend)
+  bool local_active = false;
+  for (const int32_t slot : plan_slots_) {
+    const EdgeKey& key = edges_.SlotKey(slot);
+    if (key.local != local) {
+      local = key.local;
+      local_active = server_->IsActive(local);
     }
-    plan_edges_.push_back(
-        CsrEdge{entry.key.local, entry.key.peer, static_cast<double>(entry.count)});
+    // Locals migrated away or deactivated are skipped; decay reclaims them.
+    if (local_active) {
+      plan_edges_.push_back(
+          CsrEdge{local, key.peer, static_cast<double>(edges_.SlotCount(slot))});
+    }
   }
-  // Space-Saving keys are unique (local, peer) pairs, so sorting yields the
-  // strictly-increasing sequence RebuildFromEdgeList requires.
-  std::sort(plan_edges_.begin(), plan_edges_.end(), [](const CsrEdge& a, const CsrEdge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
   plan_graph_.RebuildFromEdgeList(plan_edges_);
 
   const auto unknown = static_cast<ServerId>(cluster_->num_servers());
@@ -170,6 +235,7 @@ void PartitionAgent::RunRound() {
     }
     exchange_in_flight_ = false;
   }
+  FlushObservations();
   rounds_initiated_++;
   if (edges_.size() == 0) {
     // Nothing sampled: the view would be empty and the plan set with it, so

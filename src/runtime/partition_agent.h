@@ -1,14 +1,27 @@
 // Per-server driver of the distributed partitioning algorithm (§4.2–§4.3).
 //
 // Each agent samples its server's outgoing actor-to-actor traffic with a
-// Space-Saving summary, periodically builds a LocalGraphView from the
-// sampled heavy edges, ranks peers by expected cost reduction, and runs the
-// pairwise coordination protocol over control messages. Accepted moves are
-// applied through the server's opportunistic migration mechanism.
+// Space-Saving summary, periodically freezes the sampled heavy edges into a
+// plan graph (or a LocalGraphView on the reference planner), ranks peers by
+// expected cost reduction, and runs the pairwise coordination protocol over
+// control messages. Accepted moves are applied through the server's
+// opportunistic migration mechanism.
+//
+// The control plane stays off the message hot path without approximating
+// anything. ObserveEdge only appends to a fixed-size buffer; the buffer is
+// applied to the sketch in arrival order (with prefetching) when it fills and
+// before anything reads the sketch — a round, an exchange request, a decay
+// tick, BuildView — so every count, error and eviction is the one per-message
+// sampling would have produced. The arena planner's plan graph is refreshed
+// incrementally: the agent keeps the sketch's slots sorted by (local, peer)
+// across refreshes, drops slots that lost their key and merges in only the
+// keys inserted since, so a refresh never re-sorts the whole sample.
 
 #ifndef SRC_RUNTIME_PARTITION_AGENT_H_
 #define SRC_RUNTIME_PARTITION_AGENT_H_
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -79,13 +92,20 @@ class PartitionAgent {
   void OnExchangeResponse(ServerId from, const PartitionExchangeResponse& response);
 
   // Builds the current sampled view (exposed for tests).
-  LocalGraphView BuildView() const;
+  LocalGraphView BuildView();
+
+  // Most observations ObserveEdge holds before applying them to the sketch.
+  static constexpr size_t kObserveBatch = 256;
+  // Observations buffered and not yet applied (never above kObserveBatch).
+  size_t pending_observations() const { return num_pending_; }
 
   uint64_t rounds_initiated() const { return rounds_initiated_; }
   uint64_t exchanges_accepted() const { return exchanges_accepted_; }
   uint64_t exchanges_rejected() const { return exchanges_rejected_; }
 
  private:
+  friend class PartitionAgentTestPeer;
+
   struct EdgeKey {
     ActorId local;
     ActorId peer;
@@ -97,6 +117,9 @@ class PartitionAgent {
     }
   };
 
+  // Applies the buffered observations to edges_ and last_seen_ in arrival
+  // order. Called when the buffer fills and before every read of either.
+  void FlushObservations();
   void RunRound();
   void TryNextPeer();
   void MigrateAccepted(ServerId dest, const std::vector<VertexId>& vertices);
@@ -109,11 +132,21 @@ class PartitionAgent {
   // exactly as BuildView does, with the stand-in server one past the
   // cluster's real ids for unknown locations.
   void RefreshPlanGraph();
+  // Brings plan_slots_ up to date with the sketch (see the member comment).
+  void SyncPlanSlots();
 
   Simulation* sim_;
   Cluster* cluster_;
   Server* server_;
   PartitionAgentConfig config_;
+
+  struct PendingEdge {
+    ActorId local;
+    ActorId peer;
+    ServerId dest;
+  };
+  std::array<PendingEdge, kObserveBatch> pending_;
+  size_t num_pending_ = 0;
 
   SpaceSaving<EdgeKey, EdgeKeyHash> edges_;
   // Last observed destination for peers we send to (fallback when the
@@ -131,6 +164,14 @@ class PartitionAgent {
   // warmup neither planning nor deciding allocates beyond wire payloads.
   CsrGraph plan_graph_;
   std::unique_ptr<RepartitionArena> plan_arena_;
+  // The sketch's tracked slots, sorted by their (local, peer) keys and kept
+  // so across refreshes. A refresh drops the slots that lost their key and
+  // merges in the slots Observe handed a new key since (fresh_slots_,
+  // deduplicated by slot_fresh_), so only what changed is sorted.
+  std::vector<int32_t> plan_slots_;
+  std::vector<int32_t> plan_merge_;  // merge output, swapped into plan_slots_
+  std::vector<int32_t> fresh_slots_;
+  std::vector<bool> slot_fresh_;  // indexed by sketch slot
   std::vector<CsrEdge> plan_edges_;
   std::vector<ServerId> plan_assignment_;
   std::vector<VertexId> accepted_scratch_;

@@ -81,6 +81,39 @@ TEST(SpaceSavingFuzzTest, DecayInterleavingsMatchReference) {
   }
 }
 
+TEST(SpaceSavingFuzzTest, ZeroIncrementInterleavingsMatchReference) {
+  for (uint64_t seed = 1; seed <= 100; seed++) {
+    for (const bool with_decay : {false, true}) {
+      EXPECT_EQ(SpaceSavingStreamDigest<SpaceSaving<uint64_t>>(seed, with_decay, /*with_zero=*/true),
+                SpaceSavingStreamDigest<SpaceSavingReference<uint64_t>>(seed, with_decay,
+                                                                        /*with_zero=*/true))
+          << "seed " << seed << " decay " << with_decay;
+    }
+  }
+}
+
+TEST(SpaceSavingFuzzTest, ZeroIncrementKeepsEvictionOrder) {
+  // A zero increment on a tracked key is a detach and re-attach at the same
+  // count: the key moves to the tail of its own bucket (the seed's
+  // swap-remove then push_back), so it is the next eviction victim.
+  SpaceSaving<uint64_t> ss(3);
+  SpaceSavingReference<uint64_t> ref(3);
+  for (const uint64_t key : {1, 2, 3}) {
+    ss.Observe(key);
+    ref.Observe(key);
+  }
+  ss.Observe(1, 0);
+  ref.Observe(1, 0);
+  ss.Observe(4);
+  ref.Observe(4);
+  EXPECT_FALSE(ref.Contains(1));
+  EXPECT_TRUE(ref.Contains(2));
+  EXPECT_FALSE(ss.Contains(1));
+  EXPECT_TRUE(ss.Contains(2));
+  EXPECT_TRUE(ss.Contains(3));
+  EXPECT_EQ(ss.EstimateCount(4), 2u);
+}
+
 TEST(SpaceSavingFuzzTest, SortedEntriesRanksCountDescThenKeyAsc) {
   SpaceSaving<uint64_t> ss(8);
   ss.Observe(5, 3);

@@ -23,9 +23,10 @@
 namespace actop {
 
 // Scripted stream: mildly skewed observes (occasionally weighted) with rare
-// Clear, and — when `with_decay` — interleaved Decay. Capacity and key space
-// vary per seed so both the under-capacity and steady-state-eviction regimes
-// are exercised.
+// Clear, and — when `with_decay` — interleaved Decay. When `with_zero`, some
+// observes carry a zero increment (drawn from bits of the same random word,
+// so the stream is otherwise unchanged). Capacity and key space vary per seed
+// so both the under-capacity and steady-state-eviction regimes are exercised.
 //
 // The two modes exist because the seed implementation's *post-Decay* bucket
 // order (which breaks eviction-victim ties among equal-count keys) was an
@@ -34,7 +35,7 @@ namespace actop {
 // decay-heavy streams are compared against SpaceSavingReference, whose Decay
 // rebuild order is canonicalized (see space_saving_reference.h).
 template <typename Sketch>
-uint64_t SpaceSavingStreamDigest(uint64_t seed, bool with_decay) {
+uint64_t SpaceSavingStreamDigest(uint64_t seed, bool with_decay, bool with_zero = false) {
   Rng rng(seed);
   const size_t capacity = 2 + rng.NextBounded(48);
   const uint64_t key_space = 4 + rng.NextBounded(400);
@@ -50,7 +51,10 @@ uint64_t SpaceSavingStreamDigest(uint64_t seed, bool with_decay) {
     } else {
       const uint64_t raw = rng.NextBounded(key_space);
       const uint64_t key = raw * raw / key_space;  // skew toward small keys
-      const uint64_t inc = (r >> 8) % 4 == 0 ? 1 + rng.NextBounded(8) : 1;
+      uint64_t inc = (r >> 8) % 4 == 0 ? 1 + rng.NextBounded(8) : 1;
+      if (with_zero && (r >> 16) % 5 == 0) {
+        inc = 0;
+      }
       ss.Observe(key, inc);
     }
     d.U64(ss.size());

@@ -13,10 +13,17 @@
 // double regardless of summation order and scores compare with ==.
 //
 // End to end: two clusters differing only in the flag must land every actor
-// on the same server with the same migration count.
+// on the same server with the same migration count, pinned to the placements
+// the agent made when it sampled per message and fully re-sorted its samples
+// every refresh.
+//
+// Refresh level: the agent's incrementally maintained plan graph must equal,
+// after every refresh, the graph frozen from scratch out of the sketch's
+// entries, on a sketch small enough to evict and decaying fast.
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -30,10 +37,67 @@
 #include "src/core/repartition_arena.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/partition_agent.h"
+#include "src/runtime/server.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/test_actors.h"
 
 namespace actop {
+
+// Reaches into a PartitionAgent to refresh its plan graph on demand and to
+// rebuild the same graph from scratch: every sketch entry whose local is
+// still active, sorted by (local, peer), with locations resolved as the
+// agent resolves them.
+class PartitionAgentTestPeer {
+ public:
+  static void Refresh(PartitionAgent* agent) { agent->RefreshPlanGraph(); }
+  static const CsrGraph& PlanGraph(const PartitionAgent& agent) { return agent.plan_graph_; }
+  static const std::vector<ServerId>& PlanAssignment(const PartitionAgent& agent) {
+    return agent.plan_assignment_;
+  }
+  static size_t SketchSize(const PartitionAgent& agent) { return agent.edges_.size(); }
+  static uint64_t SketchTotal(const PartitionAgent& agent) { return agent.edges_.total_observed(); }
+
+  // The expected plan graph as (id, adjacency) rows in id order, and the
+  // expected location of each id.
+  struct Expected {
+    std::vector<VertexId> ids;
+    std::vector<std::vector<std::pair<VertexId, double>>> rows;
+    std::vector<ServerId> assignment;
+  };
+  static Expected FromScratch(PartitionAgent* agent, int cluster_servers) {
+    agent->FlushObservations();
+    std::vector<CsrEdge> edges;
+    for (const auto& entry : agent->edges_.Entries()) {
+      if (agent->server_->IsActive(entry.key.local)) {
+        edges.push_back(
+            CsrEdge{entry.key.local, entry.key.peer, static_cast<double>(entry.count)});
+      }
+    }
+    std::sort(edges.begin(), edges.end(), [](const CsrEdge& a, const CsrEdge& b) {
+      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+    });
+    std::map<VertexId, std::vector<std::pair<VertexId, double>>> rows;
+    for (const CsrEdge& e : edges) {
+      rows[e.src].emplace_back(e.dst, e.weight);
+      rows[e.dst];
+    }
+    Expected out;
+    Server& server = *agent->server_;
+    for (const auto& [v, row] : rows) {
+      out.ids.push_back(v);
+      out.rows.push_back(row);
+      ServerId loc = server.IsActive(v) ? server.id() : server.location_cache().Peek(v);
+      if (loc == kNoServer) {
+        const ServerId* seen = agent->last_seen_.Find(v);
+        loc = seen != nullptr ? *seen : static_cast<ServerId>(cluster_servers);
+      }
+      out.assignment.push_back(loc);
+    }
+    return out;
+  }
+};
+
 namespace {
 
 // Mirrors PartitionAgent::PlanRound's arena path exactly.
@@ -271,7 +335,8 @@ TEST(ArenaPlannerTest, ExchangeDecisionsWithUnknownLocationsAndForeignVertices) 
   }
 }
 
-uint64_t PlacementDigest(bool use_arena) {
+uint64_t PlacementDigest(bool use_arena, size_t edge_sample_capacity = 8192,
+                         SimDuration edge_decay_period = Seconds(30)) {
   Simulation sim;
   ClusterConfig cfg;
   cfg.num_servers = 4;
@@ -282,6 +347,8 @@ uint64_t PlacementDigest(bool use_arena) {
   cfg.partition.pairwise.candidate_set_size = 64;
   cfg.partition.pairwise.balance_delta = 64;
   cfg.partition.use_arena_planner = use_arena;
+  cfg.partition.edge_sample_capacity = edge_sample_capacity;
+  cfg.partition.edge_decay_period = edge_decay_period;
   Cluster cluster(&sim, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
@@ -319,6 +386,85 @@ TEST(ArenaPlannerTest, EndToEndDecisionsIdenticalAcrossBackends) {
   // The strongest form of the differential: any plan divergence in any round
   // on any server would desynchronize migrations and the final placement.
   EXPECT_EQ(PlacementDigest(false), PlacementDigest(true));
+}
+
+TEST(ArenaPlannerTest, PlacementDigestsPinned) {
+  // Recorded when the agent applied every observation to its sketch as the
+  // message was sent and re-sorted all samples on every refresh. Capacity 8
+  // evicts on almost every observation; the 2 s decay period adds decay.
+  constexpr uint64_t kDefault = 0x43124ea7050de23aULL;
+  constexpr uint64_t kEvicting = 0xb382f3e08031acbeULL;
+  constexpr uint64_t kEvictingDecaying = 0xc959967121a17892ULL;
+  for (const bool use_arena : {false, true}) {
+    EXPECT_EQ(PlacementDigest(use_arena), kDefault) << "arena " << use_arena;
+    EXPECT_EQ(PlacementDigest(use_arena, 8), kEvicting) << "arena " << use_arena;
+    EXPECT_EQ(PlacementDigest(use_arena, 8, Seconds(2)), kEvictingDecaying)
+        << "arena " << use_arena;
+  }
+}
+
+TEST(ArenaPlannerTest, IncrementalPlanGraphMatchesFromScratch) {
+  Simulation sim;
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.seed = 5;
+  cfg.enable_partitioning = true;
+  cfg.partition.exchange_period = Seconds(1);
+  cfg.partition.exchange_min_gap = Seconds(1);
+  cfg.partition.edge_sample_capacity = 24;
+  cfg.partition.edge_decay_period = Millis(700);
+  cfg.partition.use_arena_planner = true;
+  Cluster cluster(&sim, cfg);
+  RegisterTestActors(&cluster);
+  cluster.StartOptimizers();
+  DirectClient client(&sim, &cluster, 5);
+  Rng rng(17);
+  sim.SchedulePeriodic(Millis(20), [&client, &rng] {
+    // Skewed pairs, so a few edges stay heavy while the tail churns
+    // through the sketch.
+    for (int i = 0; i < 12; i++) {
+      const uint64_t raw = rng.NextBounded(200);
+      const uint64_t k = 1 + raw * raw / 200;
+      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+    }
+  });
+
+  int checks = 0;
+  bool saw_full = false;
+  bool saw_decay = false;
+  std::vector<uint64_t> last_total(static_cast<size_t>(cfg.num_servers), 0);
+  sim.SchedulePeriodic(Millis(37), [&] {
+    for (int s = 0; s < cluster.num_servers(); s++) {
+      PartitionAgent* agent = cluster.partition_agent(s);
+      const PartitionAgentTestPeer::Expected want =
+          PartitionAgentTestPeer::FromScratch(agent, cluster.num_servers());
+      PartitionAgentTestPeer::Refresh(agent);
+      const CsrGraph& got = PartitionAgentTestPeer::PlanGraph(*agent);
+      ASSERT_EQ(static_cast<size_t>(got.num_vertices()), want.ids.size()) << "server " << s;
+      for (int32_t i = 0; i < got.num_vertices(); i++) {
+        const auto row = static_cast<size_t>(i);
+        ASSERT_EQ(got.IdOf(i), want.ids[row]) << "server " << s;
+        ASSERT_EQ(got.DegreeOf(i), want.rows[row].size()) << "server " << s << " vertex " << i;
+        for (size_t e = got.EdgeBegin(i), k = 0; e < got.EdgeEnd(i); e++, k++) {
+          ASSERT_EQ(got.IdOf(got.EdgeNeighbor(e)), want.rows[row][k].first) << "server " << s;
+          ASSERT_EQ(got.EdgeWeight(e), want.rows[row][k].second) << "server " << s;
+        }
+      }
+      ASSERT_EQ(PartitionAgentTestPeer::PlanAssignment(*agent), want.assignment)
+          << "server " << s;
+      saw_full |= PartitionAgentTestPeer::SketchSize(*agent) == cfg.partition.edge_sample_capacity;
+      // Decay halves the observed total; nothing else lowers it.
+      const uint64_t total = PartitionAgentTestPeer::SketchTotal(*agent);
+      saw_decay |= total < last_total[static_cast<size_t>(s)];
+      last_total[static_cast<size_t>(s)] = total;
+      checks++;
+    }
+  });
+  sim.RunUntil(Seconds(15));
+  EXPECT_GT(checks, 1000);
+  EXPECT_TRUE(saw_full);  // the sketch evicted
+  EXPECT_TRUE(saw_decay);
+  EXPECT_GT(cluster.total_migrations(), 0u);
 }
 
 }  // namespace

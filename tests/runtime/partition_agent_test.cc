@@ -3,6 +3,8 @@
 
 #include "src/runtime/partition_agent.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/common/sim_time.h"
@@ -140,6 +142,45 @@ TEST(PartitionAgentTest, RateLimitingRejectsBackToBackExchanges) {
     rejected += cluster.partition_agent(s)->exchanges_rejected();
   }
   EXPECT_GT(rejected, 0u);
+}
+
+TEST(PartitionAgentTest, ObservationBufferStaysBoundedAfterStop) {
+  // Stop() cancels the round and decay timers, the only periodic readers of
+  // the sketch, while servers keep reporting edges: the buffer must still
+  // drain itself when it fills.
+  Simulation sim;
+  Cluster cluster(&sim, PartitionedCluster(2, 3));
+  RegisterTestActors(&cluster);
+  cluster.StartOptimizers();
+  DirectClient client(&sim, &cluster, 5);
+  sim.SchedulePeriodic(Millis(10), [&client] {
+    for (uint64_t k = 1; k <= 20; k++) {
+      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+    }
+  });
+  sim.RunUntil(Seconds(3));
+  for (int s = 0; s < cluster.num_servers(); s++) {
+    cluster.partition_agent(s)->Stop();
+  }
+  uint64_t sent_at_stop = 0;
+  for (int s = 0; s < cluster.num_servers(); s++) {
+    sent_at_stop += cluster.server(s).local_app_messages() + cluster.server(s).remote_app_messages();
+  }
+  size_t most_pending = 0;
+  sim.SchedulePeriodic(Millis(1), [&cluster, &most_pending] {
+    for (int s = 0; s < cluster.num_servers(); s++) {
+      most_pending = std::max(most_pending, cluster.partition_agent(s)->pending_observations());
+    }
+  });
+  sim.RunUntil(Seconds(13));
+  uint64_t sent = 0;
+  for (int s = 0; s < cluster.num_servers(); s++) {
+    sent += cluster.server(s).local_app_messages() + cluster.server(s).remote_app_messages();
+  }
+  // Enough traffic after Stop() to fill the buffer many times over.
+  EXPECT_GT(sent - sent_at_stop, 20 * PartitionAgent::kObserveBatch);
+  EXPECT_GT(most_pending, 0u);
+  EXPECT_LE(most_pending, PartitionAgent::kObserveBatch);
 }
 
 TEST(PartitionAgentTest, ChatWorkloadRemoteFractionDrops) {
