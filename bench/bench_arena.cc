@@ -38,7 +38,6 @@
 // allocates at all. --smoke runs a tiny identity + policy sanity pass and
 // exits (the tier-1 CI entry).
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -47,54 +46,17 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/csr_graph.h"
 #include "src/core/partition_testbed.h"
 #include "src/core/repartition_arena.h"
 #include "src/core/repartition_policy.h"
-
-// ---------------------------------------------------------------------------
-// Counting-allocator hook (same as bench_partition): every global new/delete
-// in this binary is counted; scenarios reset the counters after warmup so the
-// reported figures are steady-state allocations.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// See bench_partition.cc: GCC reports a -Wmismatched-new-delete false
-// positive when it inlines container internals against replaced operators.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -138,11 +100,6 @@ uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
-}
-
-void ResetAllocCounters() {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
 }
 
 // Assignment digest of a testbed run, bit-compatible with
@@ -192,8 +149,8 @@ ScenarioResult RunPairwiseRounds(const std::string& name, const WeightedGraph& g
   }
   out.wall_ns = NowNs() - t0;
   out.events = static_cast<uint64_t>(kTimedSweeps) * static_cast<uint64_t>(servers);
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
 
   PartitionTestbed bed(&graph, servers, config, placement_seed);
   for (int s = 0; s < kWarmSweeps; s++) {

@@ -55,7 +55,6 @@
 // headroom for noisy CI boxes while still catching a lost rewrite), OR if an
 // optimized cpu_* phase allocated in steady state.
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -63,53 +62,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "bench/halo_common.h"
 #include "src/common/sim_time.h"
 #include "src/seda/cpu.h"
 #include "src/seda/cpu_reference.h"
 #include "src/sim/simulation.h"
-
-// ---------------------------------------------------------------------------
-// Counting-allocator hook (same as bench_engine/bench_partition): every
-// global new/delete in this binary is counted. Scenarios reset the counters
-// after setup/warmup so the reported figures are steady-state allocations.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// See bench_partition.cc: GCC flags the opaque replaced operator new against
-// inlined STL deletes in this TU (known counting-allocator false positive).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -155,11 +117,6 @@ uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
-}
-
-void ResetAllocCounters() {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,8 +197,8 @@ ScenarioResult RunCpuClosedLoop(const char* name, int inflight, bool gc_pauses,
   TimeClosedLoop<CpuModel>(inflight, gc_pauses, warm, measured, &wall);
   out.wall_ns = wall;
   out.events = measured;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
 
   TimeClosedLoop<sedaref::CpuModel>(inflight, gc_pauses, warm, measured, &wall);
   out.ref_wall_ns = wall;
@@ -278,8 +235,8 @@ ScenarioResult RunClusterFig10b(double scale) {
   uint64_t allocs_at_measure = 0;
   uint64_t bytes_at_measure = 0;
   config.on_measure_start = [&allocs_at_measure, &bytes_at_measure] {
-    allocs_at_measure = g_alloc_count.load(std::memory_order_relaxed);
-    bytes_at_measure = g_alloc_bytes.load(std::memory_order_relaxed);
+    allocs_at_measure = AllocCount();
+    bytes_at_measure = AllocBytes();
   };
 
   ResetAllocCounters();
@@ -292,15 +249,14 @@ ScenarioResult RunClusterFig10b(double scale) {
   // fixed warm-up over a scaled measure window and make the gate's
   // --scale=0.5 runs incomparable to the scale-1 baseline.
   out.events = static_cast<uint64_t>((config.warmup + config.measure) / Millis(1));
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_at_measure;
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes_at_measure;
+  out.allocs = AllocCount() - allocs_at_measure;
+  out.bytes = AllocBytes() - bytes_at_measure;
   // The alloc counters span the measure window only; divide by its sim-ms.
   out.alloc_events = static_cast<uint64_t>(config.measure / Millis(1));
   // Ratcheted ceiling (see EXPERIMENTS.md): the data-plane slab/pool work
   // brought steady state from ~58 allocs/sim-ms down to 2.40, and routing
-  // the partition agents through the persistent CSR arena planner
-  // (use_arena_planner: no per-round LocalGraphView, all planning scratch
-  // reused) removed the control plane's ~1.8 allocs/sim-ms on top, leaving
+  // the partition agents through the persistent CSR arena planner (no
+  // per-round LocalGraphView, all planning scratch reused) removed the control plane's ~1.8 allocs/sim-ms on top, leaving
   // 0.54 — essentially just the plan/response payloads that go onto the
   // wire. The ratchet went 5.0 -> 3.0 -> 2.5 -> 1.0; the current ceiling
   // keeps ~46% headroom for stdlib growth-policy differences while catching

@@ -17,8 +17,8 @@
 //                   envelope allocation + delivery-event scheduling, i.e.
 //                   the messaging hot path of the server runtime.
 //
-// Each scenario reports events/sec, ns/event and — via the global
-// counting-allocator hook below — heap allocations per event in steady
+// Each scenario reports events/sec, ns/event and — via the counting
+// allocator (bench/alloc_counter.h) — heap allocations per event in steady
 // state. Output is line-oriented JSON (one scenario object per line) so
 // scripts/perf_gate.sh can compare runs with basic text tools; see
 // EXPERIMENTS.md ("Engine microbenchmark & perf gate") for the schema.
@@ -31,54 +31,22 @@
 // (e.g. the checked-in baseline); with --gate the exit code is non-zero if
 // any scenario's throughput regresses by more than --threshold.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "src/common/sim_time.h"
 #include "src/net/network.h"
 #include "src/runtime/envelope_pool.h"
 #include "src/runtime/message.h"
 #include "src/sim/simulation.h"
-
-// ---------------------------------------------------------------------------
-// Counting-allocator hook: every global new/delete in this binary is counted.
-// Scenarios reset the counters after setup/warmup so the reported figures are
-// steady-state allocations, not one-time arena growth.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -108,11 +76,6 @@ uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
-}
-
-void ResetAllocCounters() {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,8 +133,8 @@ ScenarioResult RunSteadyStream(double scale) {
   }
   out.wall_ns = NowNs() - t0;
   out.events = ctx.executed - before;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   if (ctx.sink == 0xdeadbeef) {
     std::fprintf(stderr, "sink\n");
   }
@@ -223,8 +186,8 @@ ScenarioResult RunCancelHeavy(double scale) {
   }
   out.wall_ns = NowNs() - t0;
   out.events = ops;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   return out;
 }
 
@@ -259,8 +222,8 @@ ScenarioResult RunPeriodicHeavy(double scale) {
   sim.RunUntil(sim.now() + Seconds(1));  // drain any final ticks
   out.wall_ns = NowNs() - t0;
   out.events = ticks - before;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   return out;
 }
 
@@ -327,8 +290,8 @@ ScenarioResult RunNetPingPong(double scale) {
   }
   out.wall_ns = NowNs() - t0;
   out.events = ctx.delivered - before;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   return out;
 }
 

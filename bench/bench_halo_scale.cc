@@ -46,7 +46,6 @@
 //                    [--threshold=0.10] [--scale=1.0]
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -54,54 +53,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "bench/halo_common.h"
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/sharded_engine.h"
 #include "src/workload/halo_presence.h"
-
-// ---------------------------------------------------------------------------
-// Counting-allocator hook (same as bench_cluster): every global new/delete in
-// this binary is counted; phase snapshots of the cumulative byte counter give
-// the per-subsystem build costs and the steady-state churn.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// See bench_partition.cc: GCC flags the opaque replaced operator new against
-// inlined STL deletes in this TU (known counting-allocator false positive).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -201,28 +163,28 @@ HaloScaleResult RunHaloScale(double scale) {
   const uint64_t t0 = NowNs();
   ShardedEngine engine(engine_config);
   Cluster cluster(&engine, cluster_config);
-  out.bytes_cluster_build = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.bytes_cluster_build = AllocBytes();
 
   HaloWorkload halo(&cluster, MakeHaloWorkloadConfig(config));
   halo.Start();
   cluster.StartOptimizers();
-  out.bytes_workload_start = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.bytes_workload_start = AllocBytes();
 
   engine.RunUntil(kWarmup);
-  out.bytes_warmup = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.bytes_warmup = AllocBytes();
 
   halo.clients().ResetStats();
   cluster.ResetMetricsLatencies();
-  const uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-  const uint64_t alloc_bytes0 = g_alloc_bytes.load(std::memory_order_relaxed);
+  const uint64_t allocs0 = AllocCount();
+  const uint64_t alloc_bytes0 = AllocBytes();
   const uint64_t events0 = engine.events_executed();
 
   engine.RunUntil(kWarmup + kMeasure);
   out.wall_ns = NowNs() - t0;
 
   out.sim_events = engine.events_executed() - events0;
-  out.measure_allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-  out.measure_bytes = g_alloc_bytes.load(std::memory_order_relaxed) - alloc_bytes0;
+  out.measure_allocs = AllocCount() - allocs0;
+  out.measure_bytes = AllocBytes() - alloc_bytes0;
   out.events = static_cast<uint64_t>((kWarmup + kMeasure) / Millis(1));
   out.completed = halo.clients().completed();
   out.timeouts = halo.clients().timeouts();

@@ -1,7 +1,7 @@
 // Partitioning data-plane microbenchmark (second perf-gate workload).
 //
 // Measures the partitioning hot path — the edge sampler and the pairwise
-// exchange planner that every PartitionAgent round runs — and, unlike
+// exchange planner, here in its LocalGraphView form — and, unlike
 // bench_engine, measures each scenario TWICE in the same binary: once with
 // the optimized implementations (Stream-Summary SpaceSaving, indexed
 // ExchangeHeap + scratch-buffer BuildPeerPlans) and once with the retained
@@ -23,8 +23,8 @@
 //                    plan toward q, DecideExchange on q (greedy joint subset
 //                    selection with both heaps) — Alg. 1 end to end.
 //
-// Each scenario reports events/sec, ns/event and — via the global
-// counting-allocator hook below — heap allocations per event in steady
+// Each scenario reports events/sec, ns/event and — via the counting
+// allocator (bench/alloc_counter.h) — heap allocations per event in steady
 // state, plus speedup_vs_seed_impl. Output is line-oriented JSON exactly
 // like bench_engine so scripts/perf_gate.sh can compare runs with basic
 // text tools; see EXPERIMENTS.md ("Partition microbenchmark & perf gate").
@@ -40,7 +40,6 @@
 // below 1.5x (the acceptance floor is 2x on the reference machine; 1.5x
 // leaves headroom for noisy CI boxes while still catching a lost rewrite).
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -48,57 +47,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/pairwise_partition.h"
 #include "src/core/pairwise_partition_reference.h"
 #include "src/core/space_saving.h"
 #include "src/core/space_saving_reference.h"
-
-// ---------------------------------------------------------------------------
-// Counting-allocator hook (same as bench_engine): every global new/delete in
-// this binary is counted. Scenarios reset the counters after setup/warmup so
-// the reported figures are steady-state allocations.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// The replaced operators pair malloc with free by construction, but when GCC
-// inlines `operator delete` into STL container internals in this TU it
-// reports -Wmismatched-new-delete against the opaque replaced `operator new`
-// (a known false positive for counting allocators; bench_engine.cc only
-// escapes it because its containers live behind the runtime library).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -133,11 +92,6 @@ uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
                                    .count());
-}
-
-void ResetAllocCounters() {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
 }
 
 uint64_t g_sink = 0;  // defeats dead-code elimination across scenarios
@@ -238,8 +192,8 @@ ScenarioResult RunObserveStream(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimeObserves(&opt, keys, warm, ops);
   out.events = ops - warm;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   g_sink ^= opt.total_observed() + opt.size();
 
   SpaceSavingReference<uint64_t> ref(kCapacity);
@@ -285,8 +239,8 @@ ScenarioResult RunDecayChurn(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimeDecayCycles(&opt, keys, cycles, kBurst);
   out.events = cycles * (kBurst + 1);
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   g_sink ^= opt.total_observed() + opt.size();
 
   SpaceSavingReference<uint64_t> ref(kCapacity);
@@ -336,8 +290,8 @@ ScenarioResult RunPlanBuild(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimePlanBuilds(opt_build, view, config, iterations);
   out.events = iterations * CountEdges(view);
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
 
   TimePlanBuilds(ref_build, view, config, kWarm);
   out.ref_wall_ns = TimePlanBuilds(ref_build, view, config, iterations);
@@ -432,8 +386,8 @@ ScenarioResult RunExchangeRound(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimeExchangeRounds(opt_plan, opt_decide, p_view, q_view, config, rounds);
   out.events = rounds;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
 
   TimeExchangeRounds(ref_plan, ref_decide, p_view, q_view, config, kWarm);
   out.ref_wall_ns = TimeExchangeRounds(ref_plan, ref_decide, p_view, q_view, config, rounds);

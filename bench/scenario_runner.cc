@@ -1,12 +1,12 @@
 // Scenario fleet runner: executes one open-loop scenario (src/load/) and
 // emits its canonical JSON SLO report.
 //
-// One scenario per process, on purpose: the binary replaces global operator
-// new with a counting allocator (the bench_engine/bench_partition/
-// bench_cluster pattern), and per-process runs keep the allocs/event figure
-// for each scenario free of another scenario's warm pools. The allocs/event
-// number is recorded in the report for trend-watching but is NOT gated here
-// — the perf gates own allocation ratchets (see EXPERIMENTS.md).
+// One scenario per process, on purpose: the binary links the counting
+// allocator (bench/alloc_counter.h), and per-process runs keep the
+// allocs/event figure for each scenario free of another scenario's warm
+// pools. The allocs/event number is recorded in the report for
+// trend-watching but is NOT gated here — the perf gates own allocation
+// ratchets (see EXPERIMENTS.md).
 //
 // Usage:
 //   scenario_runner --scenario=NAME [--scale=1.0] [--seed=1] [--chaos]
@@ -17,45 +17,15 @@
 // Scenario reports are not perf baselines; scripts/perf_gate.sh refuses
 // them by schema marker.
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 
+#include "bench/alloc_counter.h"
 #include "src/common/flags.h"
 #include "src/load/report.h"
 #include "src/load/scenarios.h"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-// See bench_partition.cc: GCC flags the opaque replaced operator new against
-// inlined STL deletes in this TU (known counting-allocator false positive).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -91,7 +61,7 @@ int Run(int argc, char** argv) {
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   options.chaos = flags.GetBool("chaos");
   options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.alloc_counter = [] { return g_alloc_count.load(std::memory_order_relaxed); };
+  options.alloc_counter = AllocCount;
 
   const ScenarioReport report = def->run(options);
   const std::string json = ScenarioReportToJson(report);

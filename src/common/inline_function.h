@@ -1,6 +1,6 @@
-// Small-buffer-optimized move-only callable with an arbitrary signature —
-// the generalization of InlineTask (src/common/inline_task.h) to callables
-// that take arguments.
+// Small-buffer-optimized move-only callable with an arbitrary signature.
+// InlineTask (src/common/inline_task.h), the engine's event callback, is the
+// void() instance with four words of inline storage.
 //
 // The motivating user is the response-continuation path: every actor
 // sub-call carries a `void(const Response&)` continuation which the seed
@@ -13,9 +13,9 @@
 // throwing-move callables (including wrapped std::functions from cold
 // paths) transparently fall back to the heap.
 //
-// Differences from std::function, all deliberate (and identical to
-// InlineTask): move-only, no target introspection, invoking an empty
-// function is a checked failure rather than std::bad_function_call.
+// Differences from std::function, all deliberate: move-only, no target
+// introspection, invoking an empty function is a checked failure rather than
+// std::bad_function_call.
 
 #ifndef SRC_COMMON_INLINE_FUNCTION_H_
 #define SRC_COMMON_INLINE_FUNCTION_H_
@@ -106,7 +106,9 @@ class InlineFunction<R(Args...), InlineBytes> {
     void (*destroy)(void* storage) noexcept;
     bool heap;
     // Trivially copyable inline callables relocate via memcpy and need no
-    // destructor call (see InlineTask::Ops for the rationale).
+    // destructor call — the engine moves every task twice per event (into
+    // its slot, back out at dispatch), so skipping the indirect relocate /
+    // destroy calls for plain [ptr, int...] captures is a measurable win.
     bool trivial;
   };
 

@@ -5,153 +5,22 @@
 // at most 16 bytes, so the bread-and-butter captures of this codebase —
 // [this, shared_ptr<Envelope>] (24 bytes, not trivially copyable) and
 // [this, shared_ptr, small int] (32 bytes) — each cost a heap allocation per
-// scheduled event. InlineTask stores any nothrow-movable callable of up to
-// kInlineBytes (four machine words) inline regardless of trivial
-// copyability, which covers every steady-state callback in the engine,
-// network and server dispatch paths; larger or throwing-move callables
-// (including wrapped std::functions from cold paths) transparently fall back
-// to the heap.
-//
-// Differences from std::function, all deliberate:
-//   * move-only (shared_ptr captures are moved, never re-copied),
-//   * no target_type/target introspection,
-//   * invoking an empty task is a checked failure, not std::bad_function_call.
+// scheduled event. InlineTask is the void() InlineFunction
+// (src/common/inline_function.h) with four machine words of inline storage:
+// enough for [this + shared_ptr + int] and a moved-in std::function<void()>
+// (32 bytes on libstdc++), which covers every steady-state callback in the
+// engine, network and server dispatch paths. Trivially copyable callables
+// relocate by memcpy, which matters because the engine moves every task
+// twice per event.
 
 #ifndef SRC_COMMON_INLINE_TASK_H_
 #define SRC_COMMON_INLINE_TASK_H_
 
-#include <cstddef>
-#include <cstring>
-#include <new>
-#include <type_traits>
-#include <utility>
-
-#include "src/common/check.h"
+#include "src/common/inline_function.h"
 
 namespace actop {
 
-class InlineTask {
- public:
-  // Four machine words: fits [this + shared_ptr + int] and a moved-in
-  // std::function<void()> (32 bytes on libstdc++), the two capture shapes
-  // that dominate the hot path.
-  static constexpr std::size_t kInlineBytes = 4 * sizeof(void*);
-
-  InlineTask() = default;
-  InlineTask(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F,
-            typename D = std::remove_cvref_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineTask> &&
-                                        !std::is_same_v<D, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlineTask(F&& fn) {  // NOLINT(google-explicit-constructor)
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      if constexpr (std::is_trivially_copyable_v<D> && sizeof(D) < kInlineBytes) {
-        // Trivial callables relocate via a fixed-width memcpy of the whole
-        // buffer (see MoveFrom); define the tail bytes once so that copy
-        // never reads uninitialized storage.
-        std::memset(storage_ + sizeof(D), 0, kInlineBytes - sizeof(D));
-      }
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(fn));
-      ops_ = &kHeapOps<D>;
-    }
-  }
-
-  InlineTask(InlineTask&& other) noexcept { MoveFrom(other); }
-
-  InlineTask& operator=(InlineTask&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-
-  InlineTask(const InlineTask&) = delete;
-  InlineTask& operator=(const InlineTask&) = delete;
-
-  ~InlineTask() { Reset(); }
-
-  void operator()() {
-    ACTOP_CHECK(ops_ != nullptr);
-    ops_->invoke(storage_);
-  }
-
-  explicit operator bool() const { return ops_ != nullptr; }
-
-  // True when the wrapped callable lives out-of-line (introspection for
-  // tests and the engine benchmark; steady-state paths should stay inline).
-  bool heap_allocated() const { return ops_ != nullptr && ops_->heap; }
-
- private:
-  struct Ops {
-    void (*invoke)(void* storage);
-    // Move-construct the callable from `from` into `to`, destroying the
-    // original ("relocate"); both point at kInlineBytes of raw storage.
-    void (*relocate)(void* from, void* to) noexcept;
-    void (*destroy)(void* storage) noexcept;
-    bool heap;
-    // Trivially copyable inline callables relocate via memcpy and need no
-    // destructor call — the engine moves every task twice per event (into
-    // its slot, back out at dispatch), so skipping the indirect relocate /
-    // destroy calls for plain [ptr, int...] captures is a measurable win.
-    bool trivial;
-  };
-
-  template <typename D>
-  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
-                                      alignof(D) <= alignof(void*) &&
-                                      std::is_nothrow_move_constructible_v<D>;
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
-      [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },
-      [](void* from, void* to) noexcept {
-        D* src = std::launder(reinterpret_cast<D*>(from));
-        ::new (to) D(std::move(*src));
-        src->~D();
-      },
-      [](void* s) noexcept { std::launder(reinterpret_cast<D*>(s))->~D(); },
-      false,
-      std::is_trivially_copyable_v<D>,
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* s) { (**reinterpret_cast<D**>(s))(); },
-      [](void* from, void* to) noexcept { *reinterpret_cast<D**>(to) = *reinterpret_cast<D**>(from); },
-      [](void* s) noexcept { delete *reinterpret_cast<D**>(s); },
-      true,
-      false,
-  };
-
-  void MoveFrom(InlineTask& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      if (ops_->trivial) {
-        std::memcpy(storage_, other.storage_, kInlineBytes);
-      } else {
-        ops_->relocate(other.storage_, storage_);
-      }
-      other.ops_ = nullptr;
-    }
-  }
-
-  void Reset() noexcept {
-    if (ops_ != nullptr) {
-      if (!ops_->trivial) ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  const Ops* ops_ = nullptr;
-  // Pointer-aligned: callables needing stricter alignment take the heap path.
-  alignas(void*) unsigned char storage_[kInlineBytes];
-};
+using InlineTask = InlineFunction<void(), 4 * sizeof(void*)>;
 
 }  // namespace actop
 

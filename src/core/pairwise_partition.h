@@ -16,9 +16,10 @@
 //                      ||V_p| − |V_q|| ≤ δ (§ "Determining exchange subsets").
 //   TransferScore    — Rp,q(v) = Σ_{u∈V_q} w(v,u) − Σ_{u∈V_p} w(v,u).
 //
-// The runtime's PartitionAgent (src/runtime/partition_agent.h) wraps these in
-// control messages; the static-graph test harness (partition_testbed.h)
-// drives them directly to validate Theorem 1.
+// The static-graph test harness (partition_testbed.h) drives these directly
+// to validate Theorem 1. The runtime's PartitionAgent
+// (src/runtime/partition_agent.h) runs the same algorithm through the CSR
+// arena (repartition_arena.h), byte-identical to the *Ordered entry points.
 
 #ifndef SRC_CORE_PAIRWISE_PARTITION_H_
 #define SRC_CORE_PAIRWISE_PARTITION_H_

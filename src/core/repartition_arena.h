@@ -23,6 +23,10 @@
 // already use), since the two implementations may sum a vertex's edge
 // weights in different orders.
 //
+// The runtime PartitionAgent (src/runtime/partition_agent.h) plans through
+// planning-only instances of this class and nothing else; see the
+// planning-only constructor below.
+//
 // Beyond the paper's pairwise protocol the arena exposes the primitives the
 // competing policies (repartition_policy.h) are built from: k-way multi-peer
 // rounds, a greedy-unilateral sweep, an OBR-style lazy threshold sweep, and
@@ -52,10 +56,10 @@ class RepartitionArena {
 
   // Planning-only construction: adopts an explicit per-dense-index
   // assignment (values in [0, servers)) instead of drawing a random
-  // placement, and skips cut initialization — built for the runtime
-  // PartitionAgent, which plans over an asymmetric local-view CSR
-  // (CsrGraph::FromLocalView; remote endpoints carry empty spans) where cut
-  // maintenance would read garbage. Instances built this way may only call
+  // placement, and skips cut initialization — the runtime PartitionAgent's
+  // only planner. It plans over an asymmetric sampled-view CSR
+  // (CsrGraph::RebuildFromEdgeList / FromLocalView; remote endpoints carry
+  // empty spans) where cut maintenance would read garbage. Instances built this way may only call
   // ExportPeerPlans, DecideOffer, ResetPlanning, and the const accessors;
   // every mutating protocol entry point checks against it.
   RepartitionArena(const CsrGraph* graph, int servers, PairwiseConfig config,
@@ -84,9 +88,10 @@ class RepartitionArena {
   // knowledge, falling back to p's hints where q knows nothing (`unknown`
   // translating back to kNoServer as in ExportPeerPlans). S0 vertex ids land
   // in *accepted, T0 vertex ids in *counter; size_p/size_q mirror the
-  // reference's request-size / TotalSize() inputs. Byte-identity assumes the
-  // BuildView invariant that location knowledge exists only for vertices the
-  // responder actually sampled (all of which are in the frozen graph).
+  // reference's request-size / TotalSize() inputs. Byte-identity assumes
+  // that location knowledge exists only for vertices the responder actually
+  // sampled (all of which are in the frozen graph), as in the agent's plan
+  // graph and PartitionTestbed::BuildView.
   void DecideOffer(ServerId q, ServerId p, const std::vector<Candidate>& offered, double size_p,
                    double size_q, ServerId unknown, std::vector<VertexId>* accepted,
                    std::vector<VertexId>* counter);

@@ -22,6 +22,7 @@ PartitionAgent::PartitionAgent(Simulation* sim, Cluster* cluster, Server* server
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(server != nullptr);
+  ACTOP_CHECK(config.use_arena_planner);  // the CSR arena is the only planner
 }
 
 void PartitionAgent::Start() {
@@ -96,50 +97,11 @@ void PartitionAgent::FlushObservations() {
   num_pending_ = 0;
 }
 
-LocalGraphView PartitionAgent::BuildView() {
-  FlushObservations();
-  LocalGraphView view;
-  view.self = server_->id();
-  view.num_local_vertices = server_->num_activations();
-  for (const auto& entry : edges_.Entries()) {
-    const ActorId local = entry.key.local;
-    const ActorId peer = entry.key.peer;
-    if (!server_->IsActive(local)) {
-      continue;  // migrated away or deactivated; decay will reclaim it
-    }
-    view.adjacency[local][peer] += static_cast<double>(entry.count);
-    if (server_->IsActive(peer)) {
-      view.location[peer] = server_->id();
-      continue;
-    }
-    ServerId loc = server_->location_cache().Peek(peer);
-    if (loc == kNoServer) {
-      if (const ServerId* seen = last_seen_.Find(peer)) {
-        loc = *seen;
-      }
-    }
-    if (loc != kNoServer) {
-      view.location[peer] = loc;
-    }
-  }
-  return view;
-}
-
 PairwiseConfig PartitionAgent::CurrentPairwiseConfig() const {
   PairwiseConfig cfg = config_.pairwise;
   cfg.target_size = static_cast<double>(cluster_->total_activations()) /
                     static_cast<double>(cluster_->num_servers());
   return cfg;
-}
-
-std::vector<VertexId> PartitionAgent::SampledOrder(const LocalGraphView& view) {
-  std::vector<VertexId> order;
-  order.reserve(view.adjacency.size());
-  for (const auto& [v, adj] : view.adjacency) {
-    order.push_back(v);
-  }
-  std::sort(order.begin(), order.end());
-  return order;
 }
 
 void PartitionAgent::SyncPlanSlots() {
@@ -170,12 +132,6 @@ void PartitionAgent::SyncPlanSlots() {
 }
 
 void PartitionAgent::RefreshPlanGraph() {
-  // Freeze the samples straight into the CSR, skipping the LocalGraphView
-  // hash maps whose per-round construction dominated the control plane's
-  // allocation profile. The edge list mirrors BuildView's filtering and the
-  // assignment mirrors its location resolution (active -> here, else cache,
-  // else last-seen, else unknown), so the frozen graph is the same view the
-  // reference planner would have materialized.
   FlushObservations();
   SyncPlanSlots();
   // plan_slots_ is sorted by (local, peer) with unique pairs, so the edges
@@ -238,22 +194,17 @@ void PartitionAgent::RunRound() {
   FlushObservations();
   rounds_initiated_++;
   if (edges_.size() == 0) {
-    // Nothing sampled: the view would be empty and the plan set with it, so
-    // skip the view build and plan rebuild. Observably identical to running
-    // them (pending_plans_ ends up empty either way, and the worker-stage
-    // charge below was already skipped for empty plan sets).
+    // Nothing sampled: the plan graph would be empty and the plan set with
+    // it, so skip the refresh. Observably identical to running it
+    // (pending_plans_ ends up empty either way, and the worker-stage charge
+    // below was already skipped for empty plan sets).
     pending_plans_.clear();
     next_plan_ = 0;
     return;
   }
-  if (config_.use_arena_planner) {
-    RefreshPlanGraph();
-    plan_arena_->ExportPeerPlans(server_->id(), &pending_plans_,
-                                 static_cast<ServerId>(cluster_->num_servers()));
-  } else {
-    const LocalGraphView view = BuildView();
-    pending_plans_ = BuildPeerPlansOrdered(view, CurrentPairwiseConfig(), SampledOrder(view));
-  }
+  RefreshPlanGraph();
+  plan_arena_->ExportPeerPlans(server_->id(), &pending_plans_,
+                               static_cast<ServerId>(cluster_->num_servers()));
   if (static_cast<int>(pending_plans_.size()) > config_.max_peers_per_round) {
     pending_plans_.resize(static_cast<size_t>(config_.max_peers_per_round));
   }
@@ -296,35 +247,14 @@ void PartitionAgent::OnExchangeRequest(ServerId from, const PartitionExchangeReq
     server_->SendControl(from, std::move(response));
     return;
   }
-  if (config_.use_arena_planner) {
-    // The arena path reads the wire candidates in place and reuses every
-    // planning and output buffer; only the response payload allocates.
-    RefreshPlanGraph();
-    plan_arena_->DecideOffer(server_->id(), from, request.candidates,
-                             static_cast<double>(request.from_num_vertices),
-                             static_cast<double>(server_->num_activations()),
-                             static_cast<ServerId>(cluster_->num_servers()), &accepted_scratch_,
-                             &counter_scratch_);
-  } else {
-    // Translate into the algorithm's struct through a reused scratch: the
-    // copy-assign recycles the candidate buffers from the previous request
-    // instead of deep-copying into fresh vectors every time.
-    exchange_scratch_.from = from;
-    exchange_scratch_.from_num_vertices = request.from_num_vertices;
-    exchange_scratch_.from_total_size = -1.0;
-    exchange_scratch_.candidates = request.candidates;
-    // The ordered decide keeps the responder's counter-candidate set
-    // byte-stable across standard-library versions and identical between the
-    // reference and arena planning backends.
-    const LocalGraphView view = BuildView();
-    ExchangeDecision decision = DecideExchangeOrdered(view, exchange_scratch_,
-                                                      CurrentPairwiseConfig(), SampledOrder(view));
-    accepted_scratch_.assign(decision.accepted.begin(), decision.accepted.end());
-    counter_scratch_.clear();
-    for (const Candidate& c : decision.counter_offer) {
-      counter_scratch_.push_back(c.vertex);
-    }
-  }
+  // The wire candidates are read in place and every planning and output
+  // buffer is reused; only the response payload allocates.
+  RefreshPlanGraph();
+  plan_arena_->DecideOffer(server_->id(), from, request.candidates,
+                           static_cast<double>(request.from_num_vertices),
+                           static_cast<double>(server_->num_activations()),
+                           static_cast<ServerId>(cluster_->num_servers()), &accepted_scratch_,
+                           &counter_scratch_);
 
   // Transfer T0 to the requester; vertices busy with in-flight calls are
   // skipped this round (they will surface again if the edge stays heavy).

@@ -2,20 +2,24 @@
 //
 // Each agent samples its server's outgoing actor-to-actor traffic with a
 // Space-Saving summary, periodically freezes the sampled heavy edges into a
-// plan graph (or a LocalGraphView on the reference planner), ranks peers by
-// expected cost reduction, and runs the pairwise coordination protocol over
-// control messages. Accepted moves are applied through the server's
-// opportunistic migration mechanism.
+// flat CSR plan graph, plans and decides exchanges over it through a
+// planning-only RepartitionArena (src/core/repartition_arena.h), and runs the
+// pairwise coordination protocol over control messages. Accepted moves are
+// applied through the server's opportunistic migration mechanism.
 //
 // The control plane stays off the message hot path without approximating
 // anything. ObserveEdge only appends to a fixed-size buffer; the buffer is
 // applied to the sketch in arrival order (with prefetching) when it fills and
 // before anything reads the sketch — a round, an exchange request, a decay
-// tick, BuildView — so every count, error and eviction is the one per-message
-// sampling would have produced. The arena planner's plan graph is refreshed
-// incrementally: the agent keeps the sketch's slots sorted by (local, peer)
-// across refreshes, drops slots that lost their key and merges in only the
-// keys inserted since, so a refresh never re-sorts the whole sample.
+// tick — so every count, error and eviction is the one per-message sampling
+// would have produced. The plan graph is refreshed incrementally: the agent
+// keeps the sketch's slots sorted by (local, peer) across refreshes, drops
+// slots that lost their key and merges in only the keys inserted since, so a
+// refresh never re-sorts the whole sample. Decisions equal
+// BuildPeerPlansOrdered / DecideExchangeOrdered over the same sampled view
+// (tests/runtime/arena_planner_test.cc): both visit local vertices in
+// ascending-id order and the edge weights are integer sample counts, exact in
+// double regardless of summation order.
 
 #ifndef SRC_RUNTIME_PARTITION_AGENT_H_
 #define SRC_RUNTIME_PARTITION_AGENT_H_
@@ -23,7 +27,6 @@
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/flat_hash_map.h"
@@ -61,18 +64,8 @@ struct PartitionAgentConfig {
   // CPU charged to the worker stage per round for candidate-set computation,
   // per sampled edge (models the O(V log k) scan of §4.2).
   SimDuration plan_compute_per_edge = Nanos(120);
-  // Plans and decides rounds through the flat CSR repartitioning arena
-  // (src/core/repartition_arena.h) instead of the map-based reference
-  // planner: the sampled edges are frozen straight into a persistent
-  // CsrGraph (no LocalGraphView hash maps) and scanned linearly, with every
-  // planning buffer reused across rounds — steady-state control-plane work
-  // allocates only the plan and response payloads that go onto the wire
-  // (the fig10b allocs/event ratchet counts on this). Decisions are
-  // byte-identical to the reference path
-  // (tests/runtime/arena_planner_test.cc) because both visit local vertices
-  // in ascending-id order and the agent's edge weights are integer sample
-  // counts (exact in double regardless of summation order).
-  bool use_arena_planner = false;
+  // Must stay true (checked); goes away with its last writer, perfbench/src/workloads.cc.
+  bool use_arena_planner = true;
 };
 
 class PartitionAgent {
@@ -90,9 +83,6 @@ class PartitionAgent {
   // Control-message entry points (wired by the Server).
   void OnExchangeRequest(ServerId from, const PartitionExchangeRequest& request);
   void OnExchangeResponse(ServerId from, const PartitionExchangeResponse& response);
-
-  // Builds the current sampled view (exposed for tests).
-  LocalGraphView BuildView();
 
   // Most observations ObserveEdge holds before applying them to the sketch.
   static constexpr size_t kObserveBatch = 256;
@@ -124,13 +114,10 @@ class PartitionAgent {
   void TryNextPeer();
   void MigrateAccepted(ServerId dest, const std::vector<VertexId>& vertices);
   PairwiseConfig CurrentPairwiseConfig() const;
-  // The canonical vertex-visit order for this view: sampled local vertices
-  // ascending by id (mirrors PartitionTestbed::SampledMembers).
-  static std::vector<VertexId> SampledOrder(const LocalGraphView& view);
-  // Arena backend only: refreezes the current samples into plan_graph_ /
-  // plan_arena_ (see the member comment). Resolves each vertex's location
-  // exactly as BuildView does, with the stand-in server one past the
-  // cluster's real ids for unknown locations.
+  // Refreezes the current samples into plan_graph_ / plan_arena_ (see the
+  // member comment). A vertex active here is located here; any other vertex
+  // is located by the location cache, else by its last observed destination,
+  // else at the stand-in server one past the cluster's real ids.
   void RefreshPlanGraph();
   // Brings plan_slots_ up to date with the sketch (see the member comment).
   void SyncPlanSlots();
@@ -153,15 +140,12 @@ class PartitionAgent {
   // location cache has evicted the entry). Updated per observed edge and
   // never iterated, so the open-addressing map keeps it off the heap.
   FlatHashMap<ActorId, ServerId> last_seen_;
-  // Reused across OnExchangeRequest calls so translating the wire request
-  // into the algorithm's struct recycles the candidate buffers (reference
-  // planning path only; the arena path reads the wire request directly).
-  ExchangeRequest exchange_scratch_;
 
-  // Persistent arena-planner state (use_arena_planner): each round the
-  // sampled edges refreeze into plan_graph_ in place and plan_arena_
-  // re-initializes over it, all buffers keeping their capacity — after
-  // warmup neither planning nor deciding allocates beyond wire payloads.
+  // Persistent planner state: each round the sampled edges refreeze into
+  // plan_graph_ in place and plan_arena_ re-initializes over it, all buffers
+  // keeping their capacity — after warmup neither planning nor deciding
+  // allocates beyond wire payloads (the fig10b allocs/event ceiling counts on
+  // this).
   CsrGraph plan_graph_;
   std::unique_ptr<RepartitionArena> plan_arena_;
   // The sketch's tracked slots, sorted by their (local, peer) keys and kept

@@ -1,6 +1,7 @@
-// Differential proof for the PartitionAgent's arena planning backend
-// (PartitionAgentConfig::use_arena_planner): planning through the flat CSR
-// arena must make byte-identical decisions to the reference ordered planner.
+// Differential proof for the PartitionAgent's planner: planning through the
+// flat CSR arena must make byte-identical decisions to the ordered
+// LocalGraphView algorithm (BuildPeerPlansOrdered / DecideExchangeOrdered),
+// the one PartitionTestbed runs.
 //
 // Plan level: fig10a-shaped clustered graphs (the Halo game/player clique
 // structure) — for each server's LocalGraphView the arena path
@@ -12,10 +13,10 @@
 // agent's weights are Space-Saving sample counts), so sums are exact in
 // double regardless of summation order and scores compare with ==.
 //
-// End to end: two clusters differing only in the flag must land every actor
-// on the same server with the same migration count, pinned to the placements
-// the agent made when it sampled per message and fully re-sorted its samples
-// every refresh.
+// End to end: the agent must land every actor on the same server with the
+// same migration count as it did when it sampled per message, fully
+// re-sorted its samples every refresh and could still plan over a
+// LocalGraphView (pinned placement digests).
 //
 // Refresh level: the agent's incrementally maintained plan graph must equal,
 // after every refresh, the graph frozen from scratch out of the sketch's
@@ -23,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -40,67 +40,14 @@
 #include "src/runtime/partition_agent.h"
 #include "src/runtime/server.h"
 #include "src/sim/simulation.h"
+#include "tests/runtime/partition_agent_test_peer.h"
 #include "tests/runtime/test_actors.h"
 
 namespace actop {
 
-// Reaches into a PartitionAgent to refresh its plan graph on demand and to
-// rebuild the same graph from scratch: every sketch entry whose local is
-// still active, sorted by (local, peer), with locations resolved as the
-// agent resolves them.
-class PartitionAgentTestPeer {
- public:
-  static void Refresh(PartitionAgent* agent) { agent->RefreshPlanGraph(); }
-  static const CsrGraph& PlanGraph(const PartitionAgent& agent) { return agent.plan_graph_; }
-  static const std::vector<ServerId>& PlanAssignment(const PartitionAgent& agent) {
-    return agent.plan_assignment_;
-  }
-  static size_t SketchSize(const PartitionAgent& agent) { return agent.edges_.size(); }
-  static uint64_t SketchTotal(const PartitionAgent& agent) { return agent.edges_.total_observed(); }
-
-  // The expected plan graph as (id, adjacency) rows in id order, and the
-  // expected location of each id.
-  struct Expected {
-    std::vector<VertexId> ids;
-    std::vector<std::vector<std::pair<VertexId, double>>> rows;
-    std::vector<ServerId> assignment;
-  };
-  static Expected FromScratch(PartitionAgent* agent, int cluster_servers) {
-    agent->FlushObservations();
-    std::vector<CsrEdge> edges;
-    for (const auto& entry : agent->edges_.Entries()) {
-      if (agent->server_->IsActive(entry.key.local)) {
-        edges.push_back(
-            CsrEdge{entry.key.local, entry.key.peer, static_cast<double>(entry.count)});
-      }
-    }
-    std::sort(edges.begin(), edges.end(), [](const CsrEdge& a, const CsrEdge& b) {
-      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-    });
-    std::map<VertexId, std::vector<std::pair<VertexId, double>>> rows;
-    for (const CsrEdge& e : edges) {
-      rows[e.src].emplace_back(e.dst, e.weight);
-      rows[e.dst];
-    }
-    Expected out;
-    Server& server = *agent->server_;
-    for (const auto& [v, row] : rows) {
-      out.ids.push_back(v);
-      out.rows.push_back(row);
-      ServerId loc = server.IsActive(v) ? server.id() : server.location_cache().Peek(v);
-      if (loc == kNoServer) {
-        const ServerId* seen = agent->last_seen_.Find(v);
-        loc = seen != nullptr ? *seen : static_cast<ServerId>(cluster_servers);
-      }
-      out.assignment.push_back(loc);
-    }
-    return out;
-  }
-};
-
 namespace {
 
-// Mirrors PartitionAgent::PlanRound's arena path exactly.
+// Mirrors PartitionAgent::RunRound's planning exactly.
 std::vector<PeerPlan> ArenaPlansFor(const LocalGraphView& view, const PairwiseConfig& config,
                                     int cluster_servers) {
   const CsrGraph csr = CsrGraph::FromLocalView(view);
@@ -116,7 +63,7 @@ std::vector<PeerPlan> ArenaPlansFor(const LocalGraphView& view, const PairwiseCo
   return plans;
 }
 
-// Mirrors PartitionAgent::SampledOrder / PartitionTestbed::SampledMembers.
+// Mirrors PartitionTestbed::SampledMembers: sampled locals ascending by id.
 std::vector<VertexId> AscendingKeys(const LocalGraphView& view) {
   std::vector<VertexId> order;
   order.reserve(view.adjacency.size());
@@ -216,8 +163,8 @@ TEST(ArenaPlannerTest, UnknownNeighborLocationsMatchReference) {
   }
 }
 
-// Mirrors PartitionAgent::OnExchangeRequest's arena path: the responder's
-// view frozen into a CSR, DecideOffer against the offered candidates.
+// Mirrors PartitionAgent::OnExchangeRequest: the responder's view frozen
+// into a CSR, DecideOffer against the offered candidates.
 void ExpectDecisionsEqual(const LocalGraphView& view, const ExchangeRequest& request,
                           const PairwiseConfig& config, int cluster_servers, uint64_t seed) {
   const ExchangeDecision ref =
@@ -298,9 +245,9 @@ TEST(ArenaPlannerTest, ExchangeDecisionsWithUnknownLocationsAndForeignVertices) 
         view.adjacency[v][u] += static_cast<double>(rng.NextInt(1, 12));
       }
     }
-    // Locations only for *referenced* remote endpoints in 21..40 — BuildView
-    // never records a location for a vertex absent from the sampled edges,
-    // and the frozen plan graph relies on that invariant. Referenced
+    // Locations only for *referenced* remote endpoints in 21..40 — the agent
+    // never knows a location for a vertex absent from its sampled edges, and
+    // the frozen plan graph relies on that invariant. Referenced
     // vertices in 41..60 stay unknown on purpose.
     for (const auto& [v, adj] : view.adjacency) {
       for (const auto& [u, w] : adj) {
@@ -335,7 +282,7 @@ TEST(ArenaPlannerTest, ExchangeDecisionsWithUnknownLocationsAndForeignVertices) 
   }
 }
 
-uint64_t PlacementDigest(bool use_arena, size_t edge_sample_capacity = 8192,
+uint64_t PlacementDigest(size_t edge_sample_capacity = 8192,
                          SimDuration edge_decay_period = Seconds(30)) {
   Simulation sim;
   ClusterConfig cfg;
@@ -346,7 +293,6 @@ uint64_t PlacementDigest(bool use_arena, size_t edge_sample_capacity = 8192,
   cfg.partition.exchange_min_gap = Seconds(2);
   cfg.partition.pairwise.candidate_set_size = 64;
   cfg.partition.pairwise.balance_delta = 64;
-  cfg.partition.use_arena_planner = use_arena;
   cfg.partition.edge_sample_capacity = edge_sample_capacity;
   cfg.partition.edge_decay_period = edge_decay_period;
   Cluster cluster(&sim, cfg);
@@ -382,25 +328,17 @@ uint64_t PlacementDigest(bool use_arena, size_t edge_sample_capacity = 8192,
   return h;
 }
 
-TEST(ArenaPlannerTest, EndToEndDecisionsIdenticalAcrossBackends) {
-  // The strongest form of the differential: any plan divergence in any round
-  // on any server would desynchronize migrations and the final placement.
-  EXPECT_EQ(PlacementDigest(false), PlacementDigest(true));
-}
-
 TEST(ArenaPlannerTest, PlacementDigestsPinned) {
   // Recorded when the agent applied every observation to its sketch as the
-  // message was sent and re-sorted all samples on every refresh. Capacity 8
+  // message was sent and re-sorted all samples on every refresh, and matched
+  // by the LocalGraphView planner the agent then also carried. Capacity 8
   // evicts on almost every observation; the 2 s decay period adds decay.
   constexpr uint64_t kDefault = 0x43124ea7050de23aULL;
   constexpr uint64_t kEvicting = 0xb382f3e08031acbeULL;
   constexpr uint64_t kEvictingDecaying = 0xc959967121a17892ULL;
-  for (const bool use_arena : {false, true}) {
-    EXPECT_EQ(PlacementDigest(use_arena), kDefault) << "arena " << use_arena;
-    EXPECT_EQ(PlacementDigest(use_arena, 8), kEvicting) << "arena " << use_arena;
-    EXPECT_EQ(PlacementDigest(use_arena, 8, Seconds(2)), kEvictingDecaying)
-        << "arena " << use_arena;
-  }
+  EXPECT_EQ(PlacementDigest(), kDefault);
+  EXPECT_EQ(PlacementDigest(8), kEvicting);
+  EXPECT_EQ(PlacementDigest(8, Seconds(2)), kEvictingDecaying);
 }
 
 TEST(ArenaPlannerTest, IncrementalPlanGraphMatchesFromScratch) {
@@ -413,7 +351,6 @@ TEST(ArenaPlannerTest, IncrementalPlanGraphMatchesFromScratch) {
   cfg.partition.exchange_min_gap = Seconds(1);
   cfg.partition.edge_sample_capacity = 24;
   cfg.partition.edge_decay_period = Millis(700);
-  cfg.partition.use_arena_planner = true;
   Cluster cluster(&sim, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();

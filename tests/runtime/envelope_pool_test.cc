@@ -71,11 +71,14 @@ TEST(EnvelopePoolTest, RecyclesEnvelopeObjects) {
   // The pool retains the Envelope object itself (reset, capacity preserved),
   // not just its memory: releasing one envelope and asking for another must
   // hand back the same object without any construction traffic.
-  const EnvelopePoolStats before = GetEnvelopePoolStats();
+  // The baseline is taken with one envelope out, so the expectations hold
+  // whatever earlier tests left on the thread-local free list.
   Envelope* raw = nullptr;
+  EnvelopePoolStats before;
   {
     auto env = MakeEnvelope();
     raw = env.get();
+    before = GetEnvelopePoolStats();
   }
   EXPECT_EQ(GetEnvelopePoolStats().cached, before.cached + 1);
   auto env2 = MakeEnvelope();

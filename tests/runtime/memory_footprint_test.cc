@@ -15,52 +15,19 @@
 // counts too, which is intentional: the flat-state pass was about removing
 // per-actor allocations outright, not about recycling them faster.
 //
-// This file must be its own test binary: the replaced global operator new
-// counts every allocation in the process, which would skew no one else's
-// assertions but is intrusive enough to keep out of runtime_test.
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
+// This file must be its own test binary: the counting allocator it links
+// (bench/alloc_counter.h) counts every allocation in the process, which
+// would skew no one else's assertions but is intrusive enough to keep out of
+// runtime_test.
 
 #include <gtest/gtest.h>
 
+#include "bench/alloc_counter.h"
 #include "bench/halo_common.h"
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/sharded_engine.h"
 #include "src/workload/halo_presence.h"
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// See bench_partition.cc: GCC flags the opaque replaced operator new against
-// inlined STL deletes in this TU (known counting-allocator false positive).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace actop {
 namespace {
@@ -83,15 +50,15 @@ FootprintPhases RunFootprintPhases(const HaloExperimentConfig& config, SimDurati
   FootprintPhases out;
   ShardedEngine engine(engine_config);
   Cluster cluster(&engine, cluster_config);
-  out.bytes_cluster_build = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.bytes_cluster_build = AllocBytes();
 
   HaloWorkload halo(&cluster, MakeHaloWorkloadConfig(config));
   halo.Start();
   cluster.StartOptimizers();
-  out.bytes_workload_start = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.bytes_workload_start = AllocBytes();
 
   engine.RunUntil(warmup);
-  out.bytes_warmup = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.bytes_warmup = AllocBytes();
   return out;
 }
 
@@ -100,8 +67,7 @@ FootprintPhases RunFootprintPhases(const HaloExperimentConfig& config, SimDurati
 // the full-scale ~2.9 KB. Ceilings are measured values plus ~50% headroom;
 // the absolute numbers are printed on every run for easy re-anchoring.
 TEST(MemoryFootprint, BytesPerActorStaysBounded) {
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
-  g_alloc_count.store(0, std::memory_order_relaxed);
+  ResetAllocCounters();
 
   HaloExperimentConfig config;
   config.num_servers = 8;
@@ -140,8 +106,7 @@ TEST(MemoryFootprint, BytesPerActorStaysBounded) {
 // planner changes that start allocating per-vertex state get caught here,
 // not only by the fig10b allocs/event ratchet.
 TEST(MemoryFootprint, PartitioningControlPlaneOverheadStaysBounded) {
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
-  g_alloc_count.store(0, std::memory_order_relaxed);
+  ResetAllocCounters();
 
   HaloExperimentConfig config;
   config.num_servers = 8;

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "src/common/sim_time.h"
+#include "src/core/csr_graph.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/simulation.h"
 #include "src/workload/chat.h"
+#include "tests/runtime/partition_agent_test_peer.h"
 #include "tests/runtime/test_actors.h"
 
 namespace actop {
@@ -51,10 +53,20 @@ TEST(PartitionAgentTest, EdgeSamplingBuildsView) {
     }
   }
   ASSERT_NE(relay_host, kNoServer);
-  const LocalGraphView view = cluster.partition_agent(relay_host)->BuildView();
-  ASSERT_TRUE(view.adjacency.contains(relay));
-  EXPECT_TRUE(view.adjacency.at(relay).contains(echo));
-  EXPECT_GT(view.adjacency.at(relay).at(echo), 10.0);
+  PartitionAgent* agent = cluster.partition_agent(relay_host);
+  PartitionAgentTestPeer::Refresh(agent);
+  const CsrGraph& graph = PartitionAgentTestPeer::PlanGraph(*agent);
+  const int32_t relay_idx = graph.IndexOf(relay);
+  const int32_t echo_idx = graph.IndexOf(echo);
+  ASSERT_NE(relay_idx, CsrGraph::kNoIndex);
+  ASSERT_NE(echo_idx, CsrGraph::kNoIndex);
+  double weight = 0.0;
+  for (size_t e = graph.EdgeBegin(relay_idx); e < graph.EdgeEnd(relay_idx); e++) {
+    if (graph.EdgeNeighbor(e) == echo_idx) {
+      weight = graph.EdgeWeight(e);
+    }
+  }
+  EXPECT_GT(weight, 10.0);
 }
 
 TEST(PartitionAgentTest, HeavyPairsGetColocated) {
