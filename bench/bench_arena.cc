@@ -28,29 +28,24 @@
 // the per-message constant), and migration volume. See EXPERIMENTS.md
 // ("Repartitioning arena").
 //
-// Usage:
-//   bench_arena [--json=FILE] [--compare=FILE] [--gate] [--threshold=0.10]
-//               [--scale=1.0] [--smoke]
-//
-// --gate fails (exit 1) if a gated scenario regresses beyond --threshold vs
-// the --compare reference, if the geomean in-binary speedup over the two
-// pairwise scenarios falls below 5x, or if the arena's measured phase
-// allocates at all. --smoke runs a tiny identity + policy sanity pass and
-// exits (the tier-1 CI entry).
+// Flags, output and the --compare/--gate check are the shared ones of
+// bench/harness.h, plus --smoke, which runs a tiny identity + policy sanity
+// pass and exits (the tier-1 CI entry). --gate also fails if the geomean
+// in-binary speedup over the two pairwise scenarios falls below 5x, or if
+// the arena's measured phase allocates at all.
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/alloc_counter.h"
+#include "bench/harness.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/csr_graph.h"
@@ -95,12 +90,6 @@ struct RaceRow {
   int64_t migrations = 0;
   uint64_t wall_ns = 0;
 };
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 // Assignment digest of a testbed run, bit-compatible with
 // RepartitionArena::AssignmentDigest (FNV-1a over (id, location) in
@@ -268,64 +257,18 @@ int RunSmoke() {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Output & comparison (format shared with bench_partition; see EXPERIMENTS.md)
-// ---------------------------------------------------------------------------
-
-std::string ScenarioJson(const ScenarioResult& r, double speedup, bool have_ref) {
-  std::ostringstream os;
-  os << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events
-     << ", \"wall_ns\": " << r.wall_ns;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.0f", r.events_per_sec());
-  os << ", \"events_per_sec\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.2f", r.ns_per_event());
-  os << ", \"ns_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.4f", r.allocs_per_event());
-  os << ", \"allocs_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.3f", r.seed_impl_speedup());
-  os << ", \"speedup_vs_seed_impl\": " << buf;
-  if (have_ref) {
-    std::snprintf(buf, sizeof(buf), "%.3f", speedup);
-    os << ", \"speedup_vs_ref\": " << buf;
-  }
-  os << "}";
-  return os.str();
-}
-
 std::string RaceJson(const RaceRow& r) {
-  std::ostringstream os;
-  os << "    {\"race\": \"" << r.race << "\", \"policy\": \"" << r.policy
-     << "\", \"sweeps\": " << r.sweeps << ", \"converged\": " << (r.converged ? "true" : "false");
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f", r.initial_cost);
-  os << ", \"initial_cost\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.final_cost);
-  os << ", \"final_cost\": " << buf;
-  os << ", \"migrations\": " << r.migrations << ", \"wall_ns\": " << r.wall_ns << "}";
-  return os.str();
-}
-
-// Same line-oriented lookup contract as bench_engine/bench_partition.
-bool LookupRef(const std::string& ref_text, const std::string& name, const std::string& key,
-               double* value) {
-  std::istringstream in(ref_text);
-  std::string line;
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::string key_tag = "\"" + key + "\": ";
-  while (std::getline(in, line)) {
-    const size_t at = line.find(name_tag);
-    if (at == std::string::npos) {
-      continue;
-    }
-    const size_t kat = line.find(key_tag);
-    if (kat == std::string::npos) {
-      return false;
-    }
-    *value = std::strtod(line.c_str() + kat + key_tag.size(), nullptr);
-    return true;
-  }
-  return false;
+  return "    {\"race\": \"" + r.race + "\"" +
+         JsonFields()
+             .Raw("policy", "\"" + r.policy + "\"")
+             .Int("sweeps", r.sweeps)
+             .Raw("converged", r.converged ? "true" : "false")
+             .Num("initial_cost", "%.1f", r.initial_cost)
+             .Num("final_cost", "%.1f", r.final_cost)
+             .Int("migrations", r.migrations)
+             .Int("wall_ns", r.wall_ns)
+             .str() +
+         "}";
 }
 
 }  // namespace
@@ -334,48 +277,13 @@ bool LookupRef(const std::string& ref_text, const std::string& name, const std::
 int main(int argc, char** argv) {
   using namespace actop;
 
-  std::string json_path;
-  std::string compare_path;
-  bool gate = false;
-  bool smoke = false;
-  double threshold = 0.10;
-  double scale = 1.0;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = arg.substr(10);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_arena [--json=FILE] [--compare=FILE] [--gate] "
-                   "[--threshold=0.10] [--scale=1.0] [--smoke]\n");
-      return 2;
-    }
-  }
-  if (smoke) {
+  Flags flags;
+  flags.DefineBool("smoke", false, "run the tiny identity + policy sanity pass and exit");
+  BenchHarness harness("arena", argc, argv, std::move(flags));
+  if (harness.flags().GetBool("smoke")) {
     return RunSmoke();
   }
-
-  std::string ref_text;
-  if (!compare_path.empty()) {
-    std::ifstream in(compare_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_arena: cannot read reference %s\n", compare_path.c_str());
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    ref_text = os.str();
-  }
+  const double scale = harness.scale();
 
   // Graphs. The clustered shape is the paper's workload model (tight actor
   // groups + a fringe of cross-group edges); churn rewires a quarter of the
@@ -426,72 +334,37 @@ int main(int argc, char** argv) {
   }
   gate_geomean = gate_terms > 0 ? std::pow(gate_geomean, 1.0 / gate_terms) : 0.0;
 
-  int regressions = 0;
-  std::ostringstream body;
-  body << "{\n  \"bench\": \"arena\",\n  \"schema_version\": 1,\n";
-#ifdef NDEBUG
-  body << "  \"assertions\": false,\n";
-#else
-  body << "  \"assertions\": true,\n";
-#endif
-  body << "  \"scale\": " << scale << ",\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < results.size(); i++) {
-    const ScenarioResult& r = results[i];
-    double ref_eps = 0.0;
-    const bool have_ref =
-        !ref_text.empty() && LookupRef(ref_text, r.name, "events_per_sec", &ref_eps) &&
-        ref_eps > 0.0;
-    const double speedup = have_ref ? r.events_per_sec() / ref_eps : 0.0;
-    if (have_ref && speedup < 1.0 - threshold) {
-      regressions++;
-      std::fprintf(stderr, "PERF REGRESSION: %s %.0f events/s vs ref %.0f (x%.3f < %.3f)\n",
-                   r.name.c_str(), r.events_per_sec(), ref_eps, speedup, 1.0 - threshold);
-    }
-    body << ScenarioJson(r, speedup, have_ref);
-    body << (i + 1 < results.size() ? ",\n" : "\n");
-    const std::string suffix = have_ref ? " (x" + std::to_string(speedup) + " vs ref)" : "";
+  for (const ScenarioResult& r : results) {
+    const std::optional<double> speedup = harness.AddScenario(
+        r.name, r.events_per_sec(),
+        JsonFields()
+            .Int("events", r.events)
+            .Int("wall_ns", r.wall_ns)
+            .Num("events_per_sec", "%.0f", r.events_per_sec())
+            .Num("ns_per_event", "%.2f", r.ns_per_event())
+            .Num("allocs_per_event", "%.4f", r.allocs_per_event())
+            .Num("speedup_vs_seed_impl", "%.3f", r.seed_impl_speedup()));
+    const std::string suffix = speedup ? " (x" + std::to_string(*speedup) + " vs ref)" : "";
     std::fprintf(stderr,
                  "%-20s %10.0f rounds/s  %12.0f ns/round  %8.4f allocs/round  x%6.2f vs seed%s\n",
                  r.name.c_str(), r.events_per_sec(), r.ns_per_event(), r.allocs_per_event(),
                  r.seed_impl_speedup(), suffix.c_str());
   }
-  body << "  ],\n  \"races\": [\n";
+  std::string race_lines;
   for (size_t i = 0; i < races.size(); i++) {
-    body << RaceJson(races[i]);
-    body << (i + 1 < races.size() ? ",\n" : "\n");
+    race_lines += RaceJson(races[i]) + (i + 1 < races.size() ? ",\n" : "\n");
   }
-  body << "  ],\n";
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", gate_geomean);
-    body << "  \"geomean_speedup_vs_seed_impl\": " << buf << "\n";
-  }
-  body << "}\n";
+  harness.AddField("races", "[\n" + race_lines + "  ]");
+  harness.AddField("geomean_speedup_vs_seed_impl", "%.3f", gate_geomean);
   std::fprintf(stderr, "geomean speedup vs testbed (pairwise_rounds_100k, pairwise_rounds_1m): x%.2f\n",
                gate_geomean);
 
-  const std::string text = body.str();
-  std::fputs(text.c_str(), stdout);
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << text;
+  if (gate_geomean < 5.0) {
+    harness.GateFailure("geomean speedup vs testbed x%.2f below the 5x floor", gate_geomean);
   }
-  int failures = 0;
-  if (gate && regressions > 0) {
-    std::fprintf(stderr, "perf gate: %d scenario(s) regressed beyond %.0f%%\n", regressions,
-                 threshold * 100.0);
-    failures++;
+  if (gate_allocs > 0) {
+    harness.GateFailure("arena steady-state allocated %llu times (must be 0 per round)",
+                        static_cast<unsigned long long>(gate_allocs));
   }
-  if (gate && gate_geomean < 5.0) {
-    std::fprintf(stderr, "perf gate: geomean speedup vs testbed x%.2f below the 5x floor\n",
-                 gate_geomean);
-    failures++;
-  }
-  if (gate && gate_allocs > 0) {
-    std::fprintf(stderr,
-                 "perf gate: arena steady-state allocated %llu times (must be 0 per round)\n",
-                 static_cast<unsigned long long>(gate_allocs));
-    failures++;
-  }
-  return failures > 0 ? 1 : 0;
+  return harness.Finish();
 }

@@ -19,29 +19,18 @@
 //
 // Each scenario reports events/sec, ns/event and — via the counting
 // allocator (bench/alloc_counter.h) — heap allocations per event in steady
-// state. Output is line-oriented JSON (one scenario object per line) so
-// scripts/perf_gate.sh can compare runs with basic text tools; see
-// EXPERIMENTS.md ("Engine microbenchmark & perf gate") for the schema.
-//
-// Usage:
-//   bench_engine [--json=FILE] [--compare=FILE] [--gate] [--threshold=0.10]
-//                [--scale=1.0]
-//
-// --compare adds per-scenario "speedup_vs_ref" against a reference JSON
-// (e.g. the checked-in baseline); with --gate the exit code is non-zero if
-// any scenario's throughput regresses by more than --threshold.
+// state. Flags, output and the --compare/--gate check are the shared ones
+// of bench/harness.h; see EXPERIMENTS.md ("Engine microbenchmark & perf
+// gate") for the schema.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/alloc_counter.h"
+#include "bench/harness.h"
 #include "src/common/sim_time.h"
 #include "src/net/network.h"
 #include "src/runtime/envelope_pool.h"
@@ -71,12 +60,6 @@ struct ScenarioResult {
     return events == 0 ? 0.0 : static_cast<double>(bytes) / static_cast<double>(events);
   }
 };
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 // ---------------------------------------------------------------------------
 // steady_stream: H interleaved self-rescheduling chains. The callback capture
@@ -295,144 +278,34 @@ ScenarioResult RunNetPingPong(double scale) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Output & comparison
-// ---------------------------------------------------------------------------
-
-std::string ScenarioJson(const ScenarioResult& r, double speedup, bool have_ref) {
-  std::ostringstream os;
-  os << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events
-     << ", \"wall_ns\": " << r.wall_ns;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.0f", r.events_per_sec());
-  os << ", \"events_per_sec\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.2f", r.ns_per_event());
-  os << ", \"ns_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.4f", r.allocs_per_event());
-  os << ", \"allocs_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.bytes_per_event());
-  os << ", \"bytes_per_event\": " << buf;
-  if (have_ref) {
-    std::snprintf(buf, sizeof(buf), "%.3f", speedup);
-    os << ", \"speedup_vs_ref\": " << buf;
-  }
-  os << "}";
-  return os.str();
-}
-
-// Pulls `"key": <number>` out of a one-scenario-per-line JSON file for the
-// line whose "name" matches. Line-oriented by construction (see file
-// comment), so plain string search is reliable.
-bool LookupRef(const std::string& ref_text, const std::string& name, const std::string& key,
-               double* value) {
-  std::istringstream in(ref_text);
-  std::string line;
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::string key_tag = "\"" + key + "\": ";
-  while (std::getline(in, line)) {
-    const size_t at = line.find(name_tag);
-    if (at == std::string::npos) {
-      continue;
-    }
-    const size_t kat = line.find(key_tag);
-    if (kat == std::string::npos) {
-      return false;
-    }
-    *value = std::strtod(line.c_str() + kat + key_tag.size(), nullptr);
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 }  // namespace actop
 
 int main(int argc, char** argv) {
   using namespace actop;
 
-  std::string json_path;
-  std::string compare_path;
-  bool gate = false;
-  double threshold = 0.10;
-  double scale = 1.0;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = arg.substr(10);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_engine [--json=FILE] [--compare=FILE] [--gate] "
-                   "[--threshold=0.10] [--scale=1.0]\n");
-      return 2;
-    }
-  }
-
-  std::string ref_text;
-  if (!compare_path.empty()) {
-    std::ifstream in(compare_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_engine: cannot read reference %s\n", compare_path.c_str());
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    ref_text = os.str();
-  }
-
+  BenchHarness harness("engine", argc, argv);
+  const double scale = harness.scale();
   std::vector<ScenarioResult> results;
   results.push_back(RunSteadyStream(scale));
   results.push_back(RunCancelHeavy(scale));
   results.push_back(RunPeriodicHeavy(scale));
   results.push_back(RunNetPingPong(scale));
 
-  int regressions = 0;
-  std::ostringstream body;
-  body << "{\n  \"bench\": \"engine\",\n  \"schema_version\": 1,\n";
-#ifdef NDEBUG
-  body << "  \"assertions\": false,\n";
-#else
-  body << "  \"assertions\": true,\n";
-#endif
-  body << "  \"scale\": " << scale << ",\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < results.size(); i++) {
-    const ScenarioResult& r = results[i];
-    double ref_eps = 0.0;
-    const bool have_ref =
-        !ref_text.empty() && LookupRef(ref_text, r.name, "events_per_sec", &ref_eps) &&
-        ref_eps > 0.0;
-    const double speedup = have_ref ? r.events_per_sec() / ref_eps : 0.0;
-    if (have_ref && speedup < 1.0 - threshold) {
-      regressions++;
-      std::fprintf(stderr, "PERF REGRESSION: %s %.0f events/s vs ref %.0f (x%.3f < %.3f)\n",
-                   r.name.c_str(), r.events_per_sec(), ref_eps, speedup, 1.0 - threshold);
-    }
-    body << ScenarioJson(r, speedup, have_ref);
-    body << (i + 1 < results.size() ? ",\n" : "\n");
-    const std::string suffix = have_ref ? " (x" + std::to_string(speedup) + " vs ref)" : "";
+  for (const ScenarioResult& r : results) {
+    const std::optional<double> speedup = harness.AddScenario(
+        r.name, r.events_per_sec(),
+        JsonFields()
+            .Int("events", r.events)
+            .Int("wall_ns", r.wall_ns)
+            .Num("events_per_sec", "%.0f", r.events_per_sec())
+            .Num("ns_per_event", "%.2f", r.ns_per_event())
+            .Num("allocs_per_event", "%.4f", r.allocs_per_event())
+            .Num("bytes_per_event", "%.1f", r.bytes_per_event()));
+    const std::string suffix = speedup ? " (x" + std::to_string(*speedup) + " vs ref)" : "";
     std::fprintf(stderr, "%-16s %12.0f events/s  %8.2f ns/event  %8.4f allocs/event%s\n",
                  r.name.c_str(), r.events_per_sec(), r.ns_per_event(), r.allocs_per_event(),
                  suffix.c_str());
   }
-  body << "  ]\n}\n";
-
-  const std::string text = body.str();
-  std::fputs(text.c_str(), stdout);
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << text;
-  }
-  if (gate && regressions > 0) {
-    std::fprintf(stderr, "perf gate: %d scenario(s) regressed beyond %.0f%%\n", regressions,
-                 threshold * 100.0);
-    return 1;
-  }
-  return 0;
+  return harness.Finish();
 }

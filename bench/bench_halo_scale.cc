@@ -41,25 +41,19 @@
 //     few actors; the gate prints a waiver note below 0.5, the same pattern
 //     as bench_parallel's low-core waiver).
 //
-// Usage:
-//   bench_halo_scale [--json=FILE] [--compare=FILE] [--gate]
-//                    [--threshold=0.10] [--scale=1.0]
+// Flags, output and the --compare/--gate check are the shared ones of
+// bench/harness.h.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench/alloc_counter.h"
 #include "bench/halo_common.h"
+#include "bench/harness.h"
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/sharded_engine.h"
@@ -86,25 +80,6 @@ constexpr SimDuration kMeasure = Seconds(5);
 // variation). Peak RSS at the same point is ~1718 bytes/player. Applied at
 // scale >= 0.5 only — below that the fixed per-server state dominates.
 constexpr double kBytesPerActorCeiling = 3200.0;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
-
-// Peak resident set size from /proc/self/status (VmHWM, kB -> bytes);
-// 0 when the field is unavailable (non-Linux).
-uint64_t PeakRssBytes() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<uint64_t>(std::strtoull(line.c_str() + 6, nullptr, 10)) * 1024;
-    }
-  }
-  return 0;
-}
 
 struct HaloScaleResult {
   int servers = 0;
@@ -193,160 +168,50 @@ HaloScaleResult RunHaloScale(double scale) {
   return out;
 }
 
-// Pulls `"key": <number>` out of a one-scenario-per-line JSON file for the
-// line whose "name" matches (same contract as the other bench gates).
-bool LookupRef(const std::string& ref_text, const std::string& name, const std::string& key,
-               double* value) {
-  std::istringstream in(ref_text);
-  std::string line;
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::string key_tag = "\"" + key + "\": ";
-  while (std::getline(in, line)) {
-    if (line.find(name_tag) == std::string::npos) {
-      continue;
-    }
-    const size_t kat = line.find(key_tag);
-    if (kat == std::string::npos) {
-      return false;
-    }
-    *value = std::strtod(line.c_str() + kat + key_tag.size(), nullptr);
-    return true;
-  }
-  return false;
-}
-
-// Top-level `"key": <number>` (header fields, outside the scenarios array).
-bool LookupHeader(const std::string& ref_text, const std::string& key, double* value) {
-  const std::string key_tag = "\"" + key + "\": ";
-  const size_t at = ref_text.find(key_tag);
-  if (at == std::string::npos) {
-    return false;
-  }
-  *value = std::strtod(ref_text.c_str() + at + key_tag.size(), nullptr);
-  return true;
-}
-
 }  // namespace
 }  // namespace actop
 
 int main(int argc, char** argv) {
   using namespace actop;
 
-  std::string json_path;
-  std::string compare_path;
-  bool gate = false;
-  double threshold = 0.10;
-  double scale = 1.0;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = arg.substr(10);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_halo_scale [--json=FILE] [--compare=FILE] [--gate] "
-                   "[--threshold=0.10] [--scale=1.0]\n");
-      return 2;
-    }
-  }
-
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-
-  std::string ref_text;
-  if (!compare_path.empty()) {
-    std::ifstream in(compare_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_halo_scale: cannot read reference %s\n", compare_path.c_str());
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    ref_text = os.str();
-    double ref_threads = 0.0;
-    if (!LookupHeader(ref_text, "threads", &ref_threads)) {
-      std::fprintf(stderr,
-                   "bench_halo_scale: reference %s has no \"threads\" header field; "
-                   "refusing to compare against an unknown host parallelism\n",
-                   compare_path.c_str());
-      return 2;
-    }
-    if (static_cast<unsigned>(ref_threads) != hw_threads) {
-      std::fprintf(stderr,
-                   "bench_halo_scale: reference %s was recorded with threads=%u but this "
-                   "host has %u hardware threads; re-record the baseline on this host\n",
-                   compare_path.c_str(), static_cast<unsigned>(ref_threads), hw_threads);
-      return 2;
-    }
-    // Unlike the sim-ms-per-shape benches, halo_scale's throughput moves
-    // with the population (--scale scales servers and players, not the
-    // measure window), so a baseline is only valid at its recorded scale.
-    double ref_scale = 0.0;
-    if (!LookupHeader(ref_text, "scale", &ref_scale) ||
-        std::abs(ref_scale - scale) > 1e-9) {
-      std::fprintf(stderr,
-                   "bench_halo_scale: reference %s was recorded at scale=%g but this run "
-                   "uses --scale=%g; halo_scale baselines are population-specific — "
-                   "run at the baseline's scale or re-record\n",
-                   compare_path.c_str(), ref_scale, scale);
-      return 2;
-    }
+  BenchHarness harness("halo_scale", argc, argv);
+  harness.RecordHostThreads();
+  const double scale = harness.scale();
+  // Unlike the sim-ms-per-shape benches, halo_scale's throughput moves
+  // with the population (--scale scales servers and players, not the
+  // measure window), so a baseline is only valid at its recorded scale.
+  double ref_scale = 0.0;
+  if (!harness.ref_text().empty() &&
+      (!LookupHeader(harness.ref_text(), "scale", &ref_scale) ||
+       std::abs(ref_scale - scale) > 1e-9)) {
+    harness.RefuseReference("was recorded at scale=%g but this run uses --scale=%g; "
+                            "halo_scale baselines are population-specific — run at the "
+                            "baseline's scale or re-record",
+                            ref_scale, scale);
   }
 
   const HaloScaleResult r = RunHaloScale(scale);
 
-  double ref_eps = 0.0;
-  const bool have_ref =
-      !ref_text.empty() && LookupRef(ref_text, "halo_scale", "events_per_sec", &ref_eps) &&
-      ref_eps > 0.0;
-  const double vs_ref = have_ref ? r.events_per_sec() / ref_eps : 0.0;
-  int regressions = 0;
-  if (have_ref && vs_ref < 1.0 - threshold) {
-    regressions++;
-    std::fprintf(stderr, "PERF REGRESSION: halo_scale %.1f events/s vs ref %.1f (x%.3f < %.3f)\n",
-                 r.events_per_sec(), ref_eps, vs_ref, 1.0 - threshold);
-  }
-
-  char buf[64];
-  std::ostringstream body;
-  body << "{\n  \"bench\": \"halo_scale\",\n  \"schema_version\": 1,\n";
-#ifdef NDEBUG
-  body << "  \"assertions\": false,\n";
-#else
-  body << "  \"assertions\": true,\n";
-#endif
-  body << "  \"threads\": " << hw_threads << ",\n";
-  body << "  \"scale\": " << scale << ",\n  \"scenarios\": [\n";
-  body << "    {\"name\": \"halo_scale\", \"servers\": " << r.servers
-       << ", \"shards\": " << r.shards << ", \"players\": " << r.players
-       << ", \"events\": " << r.events << ", \"wall_ns\": " << r.wall_ns;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.events_per_sec());
-  body << ", \"events_per_sec\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.bytes_per_actor());
-  body << ", \"bytes_per_actor\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.rss_per_actor());
-  body << ", \"rss_per_actor\": " << buf;
-  body << ", \"peak_rss_bytes\": " << r.peak_rss
-       << ", \"bytes_cluster_build\": " << r.bytes_cluster_build
-       << ", \"bytes_workload_start\": " << r.bytes_workload_start
-       << ", \"bytes_warmup\": " << r.bytes_warmup
-       << ", \"measure_allocs\": " << r.measure_allocs
-       << ", \"measure_bytes\": " << r.measure_bytes
-       << ", \"sim_events\": " << r.sim_events
-       << ", \"completed\": " << r.completed << ", \"timeouts\": " << r.timeouts
-       << ", \"games_started\": " << r.games_started;
-  if (have_ref) {
-    std::snprintf(buf, sizeof(buf), "%.3f", vs_ref);
-    body << ", \"speedup_vs_ref\": " << buf;
-  }
-  body << "}\n  ]\n}\n";
-
+  harness.AddScenario("halo_scale", r.events_per_sec(),
+                      JsonFields()
+                          .Int("servers", r.servers)
+                          .Int("shards", r.shards)
+                          .Int("players", r.players)
+                          .Int("events", r.events)
+                          .Int("wall_ns", r.wall_ns)
+                          .Num("events_per_sec", "%.1f", r.events_per_sec())
+                          .Num("bytes_per_actor", "%.1f", r.bytes_per_actor())
+                          .Num("rss_per_actor", "%.1f", r.rss_per_actor())
+                          .Int("peak_rss_bytes", r.peak_rss)
+                          .Int("bytes_cluster_build", r.bytes_cluster_build)
+                          .Int("bytes_workload_start", r.bytes_workload_start)
+                          .Int("bytes_warmup", r.bytes_warmup)
+                          .Int("measure_allocs", r.measure_allocs)
+                          .Int("measure_bytes", r.measure_bytes)
+                          .Int("sim_events", r.sim_events)
+                          .Int("completed", r.completed)
+                          .Int("timeouts", r.timeouts)
+                          .Int("games_started", r.games_started));
   std::fprintf(stderr,
                "halo_scale: %d servers x %lld players on %d shard(s): %.1f sim-ms/wall-s, "
                "%.1f bytes/actor (rss %.1f), %llu calls, %llu timeouts, %llu games\n",
@@ -356,39 +221,20 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(r.timeouts),
                static_cast<unsigned long long>(r.games_started));
 
-  const std::string text = body.str();
-  std::fputs(text.c_str(), stdout);
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << text;
-  }
-
-  int failures = 0;
-  if (gate && regressions > 0) {
-    std::fprintf(stderr, "perf gate: %d scenario(s) regressed beyond %.0f%%\n", regressions,
-                 threshold * 100.0);
-    failures++;
-  }
-  if (gate) {
-    if (scale >= 0.5) {
-      if (r.bytes_per_actor() > kBytesPerActorCeiling) {
-        std::fprintf(stderr,
-                     "perf gate: %.1f bytes/actor exceeds the %.0f ceiling "
-                     "(cumulative allocation through warm-up per player)\n",
-                     r.bytes_per_actor(), kBytesPerActorCeiling);
-        failures++;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "perf gate: bytes/actor ceiling waived at --scale=%g (< 0.5): small "
-                   "populations amortize the fixed per-server state over too few actors\n",
-                   scale);
+  if (scale >= 0.5) {
+    if (r.bytes_per_actor() > kBytesPerActorCeiling) {
+      harness.GateFailure("%.1f bytes/actor exceeds the %.0f ceiling "
+                          "(cumulative allocation through warm-up per player)",
+                          r.bytes_per_actor(), kBytesPerActorCeiling);
     }
-    if (r.completed == 0) {
-      std::fprintf(stderr, "perf gate: no client calls completed — the run did not make "
-                           "progress\n");
-      failures++;
-    }
+  } else if (harness.gate()) {
+    std::fprintf(stderr,
+                 "perf gate: bytes/actor ceiling waived at --scale=%g (< 0.5): small "
+                 "populations amortize the fixed per-server state over too few actors\n",
+                 scale);
   }
-  return failures > 0 ? 1 : 0;
+  if (r.completed == 0) {
+    harness.GateFailure("no client calls completed — the run did not make progress");
+  }
+  return harness.Finish();
 }

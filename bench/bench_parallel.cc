@@ -17,28 +17,19 @@
 // waives the floor otherwise — CI perf runners enforce it, 1-vCPU builders
 // don't block on it).
 //
-// The JSON header records "threads" (the host's hardware concurrency).
-// Scaling baselines are only comparable between hosts with the same
-// parallelism, so --compare refuses a reference whose "threads" differs
-// (and scripts/perf_gate.sh pre-checks the same field). Output is otherwise
-// the line-oriented JSON of bench_engine/bench_partition/bench_cluster.
-//
-// Usage:
-//   bench_parallel [--json=FILE] [--compare=FILE] [--gate]
-//                  [--threshold=0.10] [--scale=1.0]
+// The JSON header records "threads" (the host's hardware concurrency), and
+// --compare refuses a reference recorded at another count: scaling
+// baselines are only comparable between hosts with the same parallelism.
+// Flags, output and the --compare/--gate check are the shared ones of
+// bench/harness.h.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/halo_common.h"
+#include "bench/harness.h"
 #include "src/common/sim_time.h"
 
 namespace actop {
@@ -56,12 +47,6 @@ struct ScalePoint {
     return wall_ns == 0 ? 0.0 : static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns);
   }
 };
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 ScalePoint RunPoint(int shards, double scale) {
   HaloExperimentConfig config;
@@ -88,191 +73,56 @@ ScalePoint RunPoint(int shards, double scale) {
   return out;
 }
 
-// Pulls `"key": <number>` out of a one-scenario-per-line JSON file for the
-// line whose "name" matches (same contract as the other bench gates).
-bool LookupRef(const std::string& ref_text, const std::string& name, const std::string& key,
-               double* value) {
-  std::istringstream in(ref_text);
-  std::string line;
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::string key_tag = "\"" + key + "\": ";
-  while (std::getline(in, line)) {
-    if (line.find(name_tag) == std::string::npos) {
-      continue;
-    }
-    const size_t kat = line.find(key_tag);
-    if (kat == std::string::npos) {
-      return false;
-    }
-    *value = std::strtod(line.c_str() + kat + key_tag.size(), nullptr);
-    return true;
-  }
-  return false;
-}
-
-// Top-level `"key": <number>` (header fields, outside the scenarios array).
-bool LookupHeader(const std::string& ref_text, const std::string& key, double* value) {
-  const std::string key_tag = "\"" + key + "\": ";
-  const size_t at = ref_text.find(key_tag);
-  if (at == std::string::npos) {
-    return false;
-  }
-  *value = std::strtod(ref_text.c_str() + at + key_tag.size(), nullptr);
-  return true;
-}
-
 }  // namespace
 }  // namespace actop
 
 int main(int argc, char** argv) {
   using namespace actop;
 
-  std::string json_path;
-  std::string compare_path;
-  bool gate = false;
-  double threshold = 0.10;
-  double scale = 1.0;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = arg.substr(10);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_parallel [--json=FILE] [--compare=FILE] [--gate] "
-                   "[--threshold=0.10] [--scale=1.0]\n");
-      return 2;
-    }
-  }
-
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-
-  std::string ref_text;
-  if (!compare_path.empty()) {
-    std::ifstream in(compare_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_parallel: cannot read reference %s\n", compare_path.c_str());
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    ref_text = os.str();
-    // A scaling baseline recorded on a host with different parallelism is
-    // not comparable: more cores legitimately raise every parallel point.
-    double ref_threads = 0.0;
-    if (!LookupHeader(ref_text, "threads", &ref_threads)) {
-      std::fprintf(stderr,
-                   "bench_parallel: reference %s has no \"threads\" header field; "
-                   "refusing to compare a scaling baseline of unknown host parallelism\n",
-                   compare_path.c_str());
-      return 2;
-    }
-    if (static_cast<unsigned>(ref_threads) != hw_threads) {
-      std::fprintf(stderr,
-                   "bench_parallel: reference %s was recorded with threads=%u but this "
-                   "host has %u hardware threads; scaling curves are only comparable "
-                   "at equal parallelism — re-record the baseline on this host\n",
-                   compare_path.c_str(), static_cast<unsigned>(ref_threads), hw_threads);
-      return 2;
-    }
-  }
+  BenchHarness harness("parallel", argc, argv);
+  const unsigned hw_threads = harness.RecordHostThreads();
 
   std::vector<ScalePoint> points;
   for (int shards : {1, 2, 4, 8}) {
-    points.push_back(RunPoint(shards, scale));
+    points.push_back(RunPoint(shards, harness.scale()));
   }
   const double serial_wall = static_cast<double>(points[0].wall_ns);
 
   double speedup_at_8 = 0.0;
-  int regressions = 0;
-  std::ostringstream body;
-  body << "{\n  \"bench\": \"parallel\",\n  \"schema_version\": 1,\n";
-#ifdef NDEBUG
-  body << "  \"assertions\": false,\n";
-#else
-  body << "  \"assertions\": true,\n";
-#endif
-  body << "  \"threads\": " << hw_threads << ",\n";
-  body << "  \"scale\": " << scale << ",\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < points.size(); i++) {
-    const ScalePoint& p = points[i];
+  for (const ScalePoint& p : points) {
     const double speedup = p.wall_ns == 0 ? 0.0 : serial_wall / static_cast<double>(p.wall_ns);
     if (p.shards == 8) {
       speedup_at_8 = speedup;
     }
-    double ref_eps = 0.0;
-    const bool have_ref =
-        !ref_text.empty() && LookupRef(ref_text, p.name, "events_per_sec", &ref_eps) &&
-        ref_eps > 0.0;
-    const double vs_ref = have_ref ? p.events_per_sec() / ref_eps : 0.0;
-    if (have_ref && vs_ref < 1.0 - threshold) {
-      regressions++;
-      std::fprintf(stderr, "PERF REGRESSION: %s %.0f events/s vs ref %.0f (x%.3f < %.3f)\n",
-                   p.name.c_str(), p.events_per_sec(), ref_eps, vs_ref, 1.0 - threshold);
-    }
-    char buf[64];
-    body << "    {\"name\": \"" << p.name << "\", \"shards\": " << p.shards
-         << ", \"events\": " << p.events << ", \"wall_ns\": " << p.wall_ns;
-    std::snprintf(buf, sizeof(buf), "%.0f", p.events_per_sec());
-    body << ", \"events_per_sec\": " << buf;
-    std::snprintf(buf, sizeof(buf), "%.3f", speedup);
-    body << ", \"speedup_vs_serial\": " << buf;
-    body << ", \"completed\": " << p.completed << ", \"timeouts\": " << p.timeouts;
-    if (have_ref) {
-      std::snprintf(buf, sizeof(buf), "%.3f", vs_ref);
-      body << ", \"speedup_vs_ref\": " << buf;
-    }
-    body << "}" << (i + 1 < points.size() ? ",\n" : "\n");
+    harness.AddScenario(p.name, p.events_per_sec(),
+                        JsonFields()
+                            .Int("shards", p.shards)
+                            .Int("events", p.events)
+                            .Int("wall_ns", p.wall_ns)
+                            .Num("events_per_sec", "%.0f", p.events_per_sec())
+                            .Num("speedup_vs_serial", "%.3f", speedup)
+                            .Int("completed", p.completed)
+                            .Int("timeouts", p.timeouts));
     std::fprintf(stderr, "%-14s %10.0f sim-ms/s  x%.3f vs serial  (%llu calls, %llu timeouts)\n",
                  p.name.c_str(), p.events_per_sec(), speedup,
                  static_cast<unsigned long long>(p.completed),
                  static_cast<unsigned long long>(p.timeouts));
   }
-  body << "  ],\n";
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", speedup_at_8);
-    body << "  \"speedup_at_8_shards\": " << buf << "\n";
-  }
-  body << "}\n";
+  harness.AddField("speedup_at_8_shards", "%.3f", speedup_at_8);
   std::fprintf(stderr, "speedup at 8 shards: x%.2f (host threads: %u)\n", speedup_at_8,
                hw_threads);
 
-  const std::string text = body.str();
-  std::fputs(text.c_str(), stdout);
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << text;
-  }
-
-  int failures = 0;
-  if (gate && regressions > 0) {
-    std::fprintf(stderr, "perf gate: %d point(s) regressed beyond %.0f%%\n", regressions,
-                 threshold * 100.0);
-    failures++;
-  }
-  if (gate) {
-    if (hw_threads >= 8) {
-      if (speedup_at_8 < 3.0) {
-        std::fprintf(stderr,
-                     "perf gate: speedup at 8 shards x%.2f below the 3.0x floor "
-                     "(host has %u hardware threads)\n",
-                     speedup_at_8, hw_threads);
-        failures++;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "perf gate: 3x-at-8-shards floor waived — host has %u hardware "
-                   "threads (< 8); the 8-shard run time-slices its workers here\n",
-                   hw_threads);
+  if (hw_threads >= 8) {
+    if (speedup_at_8 < 3.0) {
+      harness.GateFailure("speedup at 8 shards x%.2f below the 3.0x floor "
+                          "(host has %u hardware threads)",
+                          speedup_at_8, hw_threads);
     }
+  } else if (harness.gate()) {
+    std::fprintf(stderr,
+                 "perf gate: 3x-at-8-shards floor waived — host has %u hardware "
+                 "threads (< 8); the 8-shard run time-slices its workers here\n",
+                 hw_threads);
   }
-  return failures > 0 ? 1 : 0;
+  return harness.Finish();
 }

@@ -25,33 +25,23 @@
 //
 // Each scenario reports events/sec, ns/event and — via the counting
 // allocator (bench/alloc_counter.h) — heap allocations per event in steady
-// state, plus speedup_vs_seed_impl. Output is line-oriented JSON exactly
-// like bench_engine so scripts/perf_gate.sh can compare runs with basic
-// text tools; see EXPERIMENTS.md ("Partition microbenchmark & perf gate").
-//
-// Usage:
-//   bench_partition [--json=FILE] [--compare=FILE] [--gate]
-//                   [--threshold=0.10] [--scale=1.0]
-//
-// --compare adds per-scenario "speedup_vs_ref" against a reference JSON
-// (e.g. the checked-in baseline); with --gate the exit code is non-zero if
-// any scenario's throughput regresses by more than --threshold, OR if the
+// state, plus speedup_vs_seed_impl. Flags, output and the --compare/--gate
+// check are the shared ones of bench/harness.h; see EXPERIMENTS.md
+// ("Partition microbenchmark & perf gate"). --gate also fails if the
 // geomean in-binary speedup over {observe_stream, exchange_round} falls
 // below 1.5x (the acceptance floor is 2x on the reference machine; 1.5x
 // leaves headroom for noisy CI boxes while still catching a lost rewrite).
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/alloc_counter.h"
+#include "bench/harness.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/pairwise_partition.h"
@@ -87,12 +77,6 @@ struct ScenarioResult {
     return wall_ns == 0 ? 0.0 : static_cast<double>(ref_wall_ns) / static_cast<double>(wall_ns);
   }
 };
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 uint64_t g_sink = 0;  // defeats dead-code elimination across scenarios
 
@@ -394,99 +378,14 @@ ScenarioResult RunExchangeRound(double scale) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Output & comparison (format shared with bench_engine; see EXPERIMENTS.md)
-// ---------------------------------------------------------------------------
-
-std::string ScenarioJson(const ScenarioResult& r, double speedup, bool have_ref) {
-  std::ostringstream os;
-  os << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events
-     << ", \"wall_ns\": " << r.wall_ns;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.0f", r.events_per_sec());
-  os << ", \"events_per_sec\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.2f", r.ns_per_event());
-  os << ", \"ns_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.4f", r.allocs_per_event());
-  os << ", \"allocs_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.bytes_per_event());
-  os << ", \"bytes_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.3f", r.seed_impl_speedup());
-  os << ", \"speedup_vs_seed_impl\": " << buf;
-  if (have_ref) {
-    std::snprintf(buf, sizeof(buf), "%.3f", speedup);
-    os << ", \"speedup_vs_ref\": " << buf;
-  }
-  os << "}";
-  return os.str();
-}
-
-// Pulls `"key": <number>` out of a one-scenario-per-line JSON file for the
-// line whose "name" matches (same line-oriented contract as bench_engine).
-bool LookupRef(const std::string& ref_text, const std::string& name, const std::string& key,
-               double* value) {
-  std::istringstream in(ref_text);
-  std::string line;
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::string key_tag = "\"" + key + "\": ";
-  while (std::getline(in, line)) {
-    const size_t at = line.find(name_tag);
-    if (at == std::string::npos) {
-      continue;
-    }
-    const size_t kat = line.find(key_tag);
-    if (kat == std::string::npos) {
-      return false;
-    }
-    *value = std::strtod(line.c_str() + kat + key_tag.size(), nullptr);
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 }  // namespace actop
 
 int main(int argc, char** argv) {
   using namespace actop;
 
-  std::string json_path;
-  std::string compare_path;
-  bool gate = false;
-  double threshold = 0.10;
-  double scale = 1.0;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = arg.substr(10);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_partition [--json=FILE] [--compare=FILE] [--gate] "
-                   "[--threshold=0.10] [--scale=1.0]\n");
-      return 2;
-    }
-  }
-
-  std::string ref_text;
-  if (!compare_path.empty()) {
-    std::ifstream in(compare_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_partition: cannot read reference %s\n", compare_path.c_str());
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    ref_text = os.str();
-  }
-
+  BenchHarness harness("partition", argc, argv);
+  const double scale = harness.scale();
   std::vector<ScenarioResult> results;
   results.push_back(RunObserveStream(scale));
   results.push_back(RunDecayChurn(scale));
@@ -505,65 +404,31 @@ int main(int argc, char** argv) {
   }
   gate_geomean = gate_terms > 0 ? std::pow(gate_geomean, 1.0 / gate_terms) : 0.0;
 
-  int regressions = 0;
-  std::ostringstream body;
-  body << "{\n  \"bench\": \"partition\",\n  \"schema_version\": 1,\n";
-#ifdef NDEBUG
-  body << "  \"assertions\": false,\n";
-#else
-  body << "  \"assertions\": true,\n";
-#endif
-  body << "  \"scale\": " << scale << ",\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < results.size(); i++) {
-    const ScenarioResult& r = results[i];
-    double ref_eps = 0.0;
-    const bool have_ref =
-        !ref_text.empty() && LookupRef(ref_text, r.name, "events_per_sec", &ref_eps) &&
-        ref_eps > 0.0;
-    const double speedup = have_ref ? r.events_per_sec() / ref_eps : 0.0;
-    if (have_ref && speedup < 1.0 - threshold) {
-      regressions++;
-      std::fprintf(stderr, "PERF REGRESSION: %s %.0f events/s vs ref %.0f (x%.3f < %.3f)\n",
-                   r.name.c_str(), r.events_per_sec(), ref_eps, speedup, 1.0 - threshold);
-    }
-    body << ScenarioJson(r, speedup, have_ref);
-    body << (i + 1 < results.size() ? ",\n" : "\n");
-    const std::string suffix = have_ref ? " (x" + std::to_string(speedup) + " vs ref)" : "";
+  for (const ScenarioResult& r : results) {
+    const std::optional<double> speedup = harness.AddScenario(
+        r.name, r.events_per_sec(),
+        JsonFields()
+            .Int("events", r.events)
+            .Int("wall_ns", r.wall_ns)
+            .Num("events_per_sec", "%.0f", r.events_per_sec())
+            .Num("ns_per_event", "%.2f", r.ns_per_event())
+            .Num("allocs_per_event", "%.4f", r.allocs_per_event())
+            .Num("bytes_per_event", "%.1f", r.bytes_per_event())
+            .Num("speedup_vs_seed_impl", "%.3f", r.seed_impl_speedup()));
+    const std::string suffix = speedup ? " (x" + std::to_string(*speedup) + " vs ref)" : "";
     std::fprintf(stderr,
                  "%-16s %12.0f events/s  %10.2f ns/event  %8.4f allocs/event  x%5.2f vs seed%s\n",
                  r.name.c_str(), r.events_per_sec(), r.ns_per_event(), r.allocs_per_event(),
                  r.seed_impl_speedup(), suffix.c_str());
   }
-  body << "  ],\n";
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", gate_geomean);
-    body << "  \"geomean_speedup_vs_seed_impl\": " << buf << "\n";
-  }
-  body << "}\n";
+  harness.AddField("geomean_speedup_vs_seed_impl", "%.3f", gate_geomean);
   std::fprintf(stderr, "geomean speedup vs seed impls (observe_stream, exchange_round): x%.2f\n",
                gate_geomean);
   if (g_sink == 0xdeadbeef) {
     std::fprintf(stderr, "sink\n");
   }
-
-  const std::string text = body.str();
-  std::fputs(text.c_str(), stdout);
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << text;
+  if (gate_geomean < 1.5) {
+    harness.GateFailure("geomean speedup vs seed impls x%.2f below the 1.5x floor", gate_geomean);
   }
-  int failures = 0;
-  if (gate && regressions > 0) {
-    std::fprintf(stderr, "perf gate: %d scenario(s) regressed beyond %.0f%%\n", regressions,
-                 threshold * 100.0);
-    failures++;
-  }
-  if (gate && gate_geomean < 1.5) {
-    std::fprintf(stderr,
-                 "perf gate: geomean speedup vs seed impls x%.2f below the 1.5x floor\n",
-                 gate_geomean);
-    failures++;
-  }
-  return failures > 0 ? 1 : 0;
+  return harness.Finish();
 }

@@ -31,10 +31,18 @@
 # Self-gate failures (geomean / allocation floors) are reported by the bench
 # binaries themselves on stderr with the measured value and the floor.
 #
-# Baselines that record a "threads" header (the scaling bench does) are only
-# comparable between hosts with the same hardware parallelism; the gate
-# refuses a mismatched one up front instead of reporting a bogus
-# regression/improvement.
+# Every bench binary parses its flags, loads its baseline and decides its
+# --gate verdict through one shared harness (bench/harness.h). A binary
+# refuses (exit 2) a baseline written by another bench, and under --gate
+# fails a scenario that has no entry in the baseline.
+#
+# Baselines that record a "threads" header (bench_parallel and
+# bench_halo_scale do) are only comparable between hosts with the same
+# hardware parallelism; the gate refuses a mismatched one up front instead
+# of reporting a bogus regression/improvement. It counts online CPUs
+# (getconf _NPROCESSORS_ONLN), as the binaries'
+# std::thread::hardware_concurrency() does; nproc would count only the CPUs
+# this process may run on, which differs under CPU pinning (taskset).
 #
 # Usage:
 #   scripts/perf_gate.sh                 # gate against the checked-in baselines
@@ -169,7 +177,7 @@ run_gate() {
     if grep -q '"threads":' "${baseline}"; then
       local baseline_threads host_threads
       baseline_threads="$(grep -o '"threads": *[0-9]*' "${baseline}" | head -1 | grep -o '[0-9]*')"
-      host_threads="$(nproc)"
+      host_threads="$(getconf _NPROCESSORS_ONLN)"
       if [[ "${baseline_threads}" != "${host_threads}" ]]; then
         echo "perf_gate: ERROR: ${baseline} was recorded with threads=${baseline_threads}" \
              "but this host has ${host_threads}; scaling baselines are only comparable" \

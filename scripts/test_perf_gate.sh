@@ -15,6 +15,11 @@
 #      regardless of ATTEMPTS (a ~20-minute run is too expensive to retry);
 #      a failing stub bench_halo_scale must be invoked exactly once and the
 #      gate must still emit the structured FAIL line for it.
+#   5. host threads — a baseline whose "threads" differs from the host's
+#      online CPU count must be refused before the bench runs. When taskset
+#      is present and the host has more than one CPU, a baseline recorded
+#      at the online count and run under `taskset -c 0` must reach the
+#      bench: the gate counts CPUs as the binaries do, not as nproc does.
 # When shellcheck is available both scripts must also lint clean.
 
 set -euo pipefail
@@ -37,9 +42,13 @@ cat > "${tmp}/baselines/BENCH_stub.baseline.json" <<'EOF'
 EOF
 
 # The stub honors the gate's calling convention (--json=FILE plus ignored
-# flags), writes whatever JSON $STUB_JSON points at, and exits $STUB_EXIT.
+# flags), writes whatever JSON $STUB_JSON points at, logs each call to
+# $STUB_CALLS when set, and exits $STUB_EXIT.
 cat > "${tmp}/build/bench/bench_stub" <<'EOF'
 #!/usr/bin/env bash
+if [[ -n "${STUB_CALLS:-}" ]]; then
+  echo run >> "${STUB_CALLS}"
+fi
 out=""
 for arg in "$@"; do
   case "${arg}" in
@@ -120,21 +129,9 @@ cat > "${tmp}/halo_regressed.json" <<'EOF'
   ]
 }
 EOF
-cat > "${tmp}/build/bench/bench_halo_scale" <<'EOF'
-#!/usr/bin/env bash
-echo run >> "${STUB_CALLS}"
-out=""
-for arg in "$@"; do
-  case "${arg}" in
-    --json=*) out="${arg#--json=}" ;;
-  esac
-done
-[[ -n "${out}" ]] && cp "${STUB_JSON}" "${out}"
-exit 1
-EOF
-chmod +x "${tmp}/build/bench/bench_halo_scale"
+cp "${tmp}/build/bench/bench_stub" "${tmp}/build/bench/bench_halo_scale"
 : > "${tmp}/halo_calls.txt"
-if STUB_JSON="${tmp}/halo_regressed.json" STUB_CALLS="${tmp}/halo_calls.txt" \
+if STUB_JSON="${tmp}/halo_regressed.json" STUB_CALLS="${tmp}/halo_calls.txt" STUB_EXIT=1 \
    PERF_GATE_BENCHES="halo_scale" PERF_GATE_NO_BUILD=1 ATTEMPTS=3 \
    BUILD_DIR="${tmp}/build" OUT_DIR="${tmp}/out" BASELINE_DIR="${tmp}/baselines" \
      scripts/perf_gate.sh 2> "${tmp}/stderr.txt"; then
@@ -144,6 +141,44 @@ calls="$(wc -l < "${tmp}/halo_calls.txt")"
 [[ "${calls}" -eq 1 ]] || fail "halo_scale ran ${calls} attempts; pinned count is 1"
 grep -q 'perf_gate: FAIL bench=halo_scale scenario=halo_scale metric=events_per_sec' \
   "${tmp}/stderr.txt" || fail "missing structured failure line for halo_scale"
+
+# Case 5: the "threads" pre-check counts online CPUs, as the binaries'
+# std::thread::hardware_concurrency() does.
+host_threads="$(getconf _NPROCESSORS_ONLN)"
+write_threads_baseline() {
+  cat > "${tmp}/baselines/BENCH_threads.baseline.json" <<EOF
+{
+  "bench": "threads",
+  "threads": $1,
+  "scenarios": [
+    {"name": "point", "events": 100, "events_per_sec": 1000}
+  ]
+}
+EOF
+}
+run_threads_gate() {
+  STUB_JSON="${tmp}/baselines/BENCH_threads.baseline.json" STUB_CALLS="${tmp}/threads_calls.txt" \
+  STUB_EXIT=0 PERF_GATE_BENCHES="threads" PERF_GATE_NO_BUILD=1 ATTEMPTS=1 \
+  BUILD_DIR="${tmp}/build" OUT_DIR="${tmp}/out" BASELINE_DIR="${tmp}/baselines" \
+    "$@" scripts/perf_gate.sh 2> "${tmp}/stderr.txt"
+}
+cp "${tmp}/build/bench/bench_stub" "${tmp}/build/bench/bench_threads"
+write_threads_baseline "$((host_threads + 1))"
+: > "${tmp}/threads_calls.txt"
+if run_threads_gate; then
+  fail "gate exited 0 on a baseline recorded at another thread count"
+fi
+[[ ! -s "${tmp}/threads_calls.txt" ]] || fail "bench ran despite a threads mismatch"
+grep -q "recorded with threads=$((host_threads + 1))" "${tmp}/stderr.txt" \
+  || fail "threads mismatch not reported"
+if command -v taskset >/dev/null 2>&1 && [[ "${host_threads}" -gt 1 ]]; then
+  write_threads_baseline "${host_threads}"
+  run_threads_gate taskset -c 0 || fail "gate under taskset -c 0 refused threads=${host_threads}"
+  calls="$(wc -l < "${tmp}/threads_calls.txt")"
+  [[ "${calls}" -eq 1 ]] || fail "bench under taskset -c 0 ran ${calls} times; expected 1"
+else
+  echo "test_perf_gate: taskset or a second CPU missing; pinned case skipped" >&2
+fi
 
 if command -v shellcheck >/dev/null 2>&1; then
   shellcheck scripts/perf_gate.sh scripts/test_perf_gate.sh
