@@ -76,7 +76,7 @@ class ClientPool {
 
   // seq -> send time. Touched once per request and once per response, never
   // iterated — FlatHashMap keeps the per-request bookkeeping off the heap
-  // (see src/runtime/server.h's pending_calls_ for the rationale).
+  // (see src/runtime/server.h's open_call_contexts_ for the rationale).
   FlatHashMap<uint64_t, SimTime> pending_;
   // Monotone deadlines, swept FIFO; ring keeps steady state allocation-free.
   RingBuffer<std::pair<SimTime, uint64_t>> timeout_queue_;

@@ -24,10 +24,10 @@ RecyclingBlockCache& CallContextBlockCache() {
 }
 }  // namespace
 
-// Concrete CallContext bound to one delivered call. Kept alive by shared_ptr
-// captured in the actor's continuations until Reply() runs.
-class ServerCallContext : public CallContext,
-                          public std::enable_shared_from_this<ServerCallContext> {
+// Concrete CallContext bound to one delivered call. A context the actor does
+// not reply to within its turn is retained by the server (keyed by address)
+// until Reply() runs.
+class ServerCallContext : public CallContext {
  public:
   ServerCallContext(Server* server, std::shared_ptr<Envelope> call)
       : server_(server), call_(std::move(call)) {}
@@ -56,9 +56,13 @@ class ServerCallContext : public CallContext,
   void Reply(uint32_t payload_bytes) override {
     ACTOP_CHECK(!replied_);
     replied_ = true;
-    // Keep *this alive until this frame returns even though the server drops
-    // its retaining reference now.
-    std::shared_ptr<void> keep_alive = server_->ReleaseContext(this);
+    // A retained context is kept alive until this frame returns even though
+    // the server drops its reference now. A synchronous reply (inside the
+    // turn) was never retained, so it skips the lookup.
+    std::shared_ptr<void> keep_alive;
+    if (retained_) {
+      keep_alive = server_->ReleaseContext(this);
+    }
     server_->CompleteReply(self(), *call_, payload_bytes);
   }
 
@@ -68,6 +72,7 @@ class ServerCallContext : public CallContext,
   }
 
   bool replied() const { return replied_; }
+  void mark_retained() { retained_ = true; }
   SimDuration take_extra_compute() {
     const SimDuration extra = extra_compute_;
     extra_compute_ = 0;
@@ -78,6 +83,7 @@ class ServerCallContext : public CallContext,
   Server* server_;
   std::shared_ptr<Envelope> call_;
   bool replied_ = false;
+  bool retained_ = false;
   SimDuration extra_compute_ = 0;
 };
 
@@ -399,6 +405,7 @@ void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
     if (!ctx->replied()) {
       // The actor will Reply from a sub-call continuation; keep the context
       // alive until then.
+      ctx->mark_retained();
       RetainContext(ctx.get(), ctx);
     }
     const SimDuration extra = ctx->take_extra_compute();
@@ -455,15 +462,24 @@ void Server::IssueCall(ActorId from_actor, ActorId target, MethodId method, uint
   NoteAppSend(from_actor, target, dest_guess, !local);
 
   if (on_response != nullptr) {
-    const uint64_t seq = next_call_seq_++;
+    const uint32_t slot = AcquireCallSlot();
+    ACTOP_CHECK(next_call_seq_ <= 0xFFFFFFFFu);  // the counter fills the high 32 bits
+    const uint64_t seq = (next_call_seq_++ << 32) | slot;
     env->call_id = CallId{node_, seq};
-    PendingCall pending;
-    pending.issuer = from_actor;
-    pending.on_response = std::move(on_response);
-    pending.issued_at = sim_->now();
-    pending.remote = !local;
-    pending_calls_.Insert(seq, std::move(pending));
-    timeout_queue_.push_back({sim_->now() + config_.call_timeout, seq});
+    CallSlot& call = call_slots_[slot];
+    call.seq = seq;
+    call.issued_at = sim_->now();
+    call.issuer = from_actor;
+    call.on_response = std::move(on_response);
+    call.remote = !local;
+    call.prev = pending_tail_;
+    call.next = kNilSlot;
+    if (pending_tail_ != kNilSlot) {
+      call_slots_[pending_tail_].next = slot;
+    } else {
+      pending_head_ = slot;
+    }
+    pending_tail_ = slot;  // appended to the pending FIFO
     if (Activation* act = activations_.Find(from_actor)) {
       act->pending_subcalls++;
     }
@@ -511,69 +527,78 @@ void Server::CompleteReply(ActorId from_actor, const Envelope& original_call, ui
 
 void Server::HandleResponse(std::shared_ptr<Envelope> env) {
   ACTOP_CHECK(env->call_id.node == node_);
-  PendingCall* found = pending_calls_.Find(env->call_id.seq);
-  if (found == nullptr) {
-    return;  // timed out or dropped during a crash
+  const uint64_t seq = env->call_id.seq;
+  ACTOP_CHECK(seq != 0);  // one-way calls get no response
+  const auto slot = static_cast<uint32_t>(seq);
+  if (slot >= call_slots_.size() || call_slots_[slot].seq != seq) {
+    return;  // timed out, dropped during a crash, or a duplicate
   }
-  PendingCall pending = std::move(*found);
-  pending_calls_.Erase(env->call_id.seq);
+  UnlinkPendingCall(slot);
+  CallSlot& call = call_slots_[slot];
+  call.response = Response{.from = env->source_actor, .payload_bytes = env->payload_bytes};
 
-  if (Activation* act = activations_.Find(pending.issuer)) {
+  if (Activation* act = activations_.Find(call.issuer)) {
     ACTOP_CHECK(act->pending_subcalls > 0);
     act->pending_subcalls--;
   }
-  const SimDuration latency = sim_->now() - pending.issued_at;
   if (call_latency_observer_) {
-    call_latency_observer_(latency, pending.remote);
+    call_latency_observer_(sim_->now() - call.issued_at, call.remote);
   }
 
   // Response continuations run as their own worker-stage turns (they may
   // interleave with the issuer's queued calls, matching Orleans' handling of
-  // an activation's own continuations). The continuation parks in the
-  // response slab so the event captures only [this, slot] (inline); a
-  // rejected event (queue shed under overload) reclaims the slot without
-  // running the continuation, matching the old drop semantics.
+  // an activation's own continuations). The continuation stays parked in its
+  // call slot so the event captures only [this, slot] (inline); a rejected
+  // event (queue shed under overload) frees the slot without running the
+  // continuation.
   StageEvent ev;
   ev.compute = config_.response_handling_compute;
-  Response response;
-  response.from = env->source_actor;
-  response.payload_bytes = env->payload_bytes;
-  response.failed = false;
-  const uint32_t slot = AcquireResponseSlot(std::move(pending.on_response), response);
-  ev.done = [this, slot] { RunResponseSlot(slot); };
-  ev.rejected = [this, slot] { FreeResponseSlot(slot); };
+  ev.done = [this, slot] { RunCallSlot(slot); };
+  ev.rejected = [this, slot] { FreeCallSlot(slot); };
   stages_[kWorker]->Enqueue(std::move(ev));
 }
 
-uint32_t Server::AcquireResponseSlot(ResponseFn fn, const Response& response) {
-  uint32_t slot;
-  if (response_free_ != kNilSlot) {
-    slot = response_free_;
-    response_free_ = response_slots_[slot].free_next;
-  } else {
-    slot = static_cast<uint32_t>(response_slots_.size());
-    response_slots_.emplace_back();
+uint32_t Server::AcquireCallSlot() {
+  if (call_free_ != kNilSlot) {
+    const uint32_t slot = call_free_;
+    call_free_ = call_slots_[slot].next;
+    return slot;
   }
-  PendingResponse& parked = response_slots_[slot];
-  parked.fn = std::move(fn);
-  parked.response = response;
-  return slot;
+  // The slot index must fit the low 32 bits of a seq and stay below kNilSlot.
+  ACTOP_CHECK(call_slots_.size() < kNilSlot);
+  call_slots_.emplace_back();
+  return static_cast<uint32_t>(call_slots_.size() - 1);
 }
 
-void Server::RunResponseSlot(uint32_t slot) {
+void Server::UnlinkPendingCall(uint32_t slot) {
+  CallSlot& call = call_slots_[slot];
+  if (call.prev != kNilSlot) {
+    call_slots_[call.prev].next = call.next;
+  } else {
+    pending_head_ = call.next;
+  }
+  if (call.next != kNilSlot) {
+    call_slots_[call.next].prev = call.prev;
+  } else {
+    pending_tail_ = call.prev;
+  }
+  call.seq = 0;
+}
+
+void Server::RunCallSlot(uint32_t slot) {
   // Move out and free the slot before invoking: the continuation may issue
-  // calls whose responses acquire new slots (growing the slab vector).
-  ResponseFn fn = std::move(response_slots_[slot].fn);
-  const Response response = response_slots_[slot].response;
-  FreeResponseSlot(slot);
+  // calls that acquire new slots (growing the slab vector).
+  ResponseFn fn = std::move(call_slots_[slot].on_response);
+  const Response response = call_slots_[slot].response;
+  FreeCallSlot(slot);
   fn(response);
 }
 
-void Server::FreeResponseSlot(uint32_t slot) {
-  PendingResponse& parked = response_slots_[slot];
-  parked.fn = nullptr;
-  parked.free_next = response_free_;
-  response_free_ = slot;
+void Server::FreeCallSlot(uint32_t slot) {
+  CallSlot& call = call_slots_[slot];
+  call.on_response = nullptr;
+  call.next = call_free_;
+  call_free_ = slot;
 }
 
 // ---------------------------------------------------------------------------
@@ -707,8 +732,13 @@ void Server::Crash() {
   crash_epoch_++;
   activations_.Clear();
   parked_calls_.clear();
-  pending_calls_.Clear();
-  timeout_queue_.clear();
+  // Drop every pending call. Slots whose continuation turn is already queued
+  // are not pending (no seq) and stay parked until that turn runs.
+  while (pending_head_ != kNilSlot) {
+    const uint32_t slot = pending_head_;
+    UnlinkPendingCall(slot);
+    FreeCallSlot(slot);
+  }
   open_call_contexts_.Clear();
   pending_unregisters_.clear();
   location_cache_.Clear();
@@ -735,10 +765,9 @@ std::shared_ptr<void> Server::ReleaseContext(void* key) {
 
 void Server::SweepTimeouts() {
   const SimTime now = sim_->now();
-  while (!timeout_queue_.empty() && timeout_queue_.front().first <= now) {
-    const uint64_t seq = timeout_queue_.front().second;
-    timeout_queue_.pop_front();
-    FailPendingCall(seq);
+  while (pending_head_ != kNilSlot &&
+         call_slots_[pending_head_].issued_at + config_.call_timeout <= now) {
+    FailPendingCall(pending_head_);
   }
   // Retry directory lookups whose answer was lost (e.g. dropped by a
   // saturated receive queue or a crashed home shard). Collect-then-act: the
@@ -769,21 +798,15 @@ void Server::SweepTimeouts() {
   }
 }
 
-void Server::FailPendingCall(uint64_t seq) {
-  PendingCall* found = pending_calls_.Find(seq);
-  if (found == nullptr) {
-    return;
-  }
-  PendingCall pending = std::move(*found);
-  pending_calls_.Erase(seq);
-  Activation* act = activations_.Find(pending.issuer);
+void Server::FailPendingCall(uint32_t slot) {
+  UnlinkPendingCall(slot);
+  CallSlot& call = call_slots_[slot];
+  Activation* act = activations_.Find(call.issuer);
   if (act != nullptr && act->pending_subcalls > 0) {
     act->pending_subcalls--;
   }
-  Response response;
-  response.failed = true;
-  const uint32_t slot = AcquireResponseSlot(std::move(pending.on_response), response);
-  sim_->ScheduleAfter(0, [this, slot] { RunResponseSlot(slot); });
+  call.response = Response{.failed = true};
+  sim_->ScheduleAfter(0, [this, slot] { RunCallSlot(slot); });
 }
 
 }  // namespace actop

@@ -322,23 +322,22 @@ class Server : public ThreadHost {
     SimTime since = 0;
   };
 
-  struct PendingCall {
+  // One outstanding sub-call, from IssueCall until its continuation's
+  // worker-stage turn runs. While the response is awaited the slot is
+  // *pending*: `seq` is the call's call_id.seq and the slot is linked into
+  // the pending FIFO. HandleResponse/FailPendingCall unlink it, clear `seq`
+  // and park the Response beside the continuation; the turn's event captures
+  // only [this, slot], so it stays inline in the event engine. Freed slots
+  // recycle through a free list threaded over `next`.
+  struct CallSlot {
+    uint64_t seq = 0;  // nonzero exactly while pending
+    SimTime issued_at = 0;
     ActorId issuer = kNoActor;  // actor awaiting the response (kNoActor: none)
     ResponseFn on_response;
-    SimTime issued_at = 0;
-    bool remote = false;
-  };
-
-  // A response continuation parked between HandleResponse/FailPendingCall
-  // and the worker-stage turn that runs it. Slab-allocated so the turn's
-  // event captures only [this, slot] and stays inline in the event engine
-  // (a [ResponseFn, Response] capture would spill to the heap per response);
-  // slots recycle through a free list (free_next), same pattern as the
-  // stage's InService slab.
-  struct PendingResponse {
-    ResponseFn fn;
     Response response;
-    uint32_t free_next = kNilSlot;
+    uint32_t prev = kNilSlot;  // pending FIFO (doubly linked: answers unlink anywhere)
+    uint32_t next = kNilSlot;  // pending FIFO, or free list
+    bool remote = false;
   };
 
   // -- message paths --
@@ -366,10 +365,11 @@ class Server : public ThreadHost {
                  uint32_t bytes, ResponseFn on_response);
   void CompleteReply(ActorId from_actor, const Envelope& original_call, uint32_t bytes);
 
-  // -- response-continuation slab --
-  uint32_t AcquireResponseSlot(ResponseFn fn, const Response& response);
-  void RunResponseSlot(uint32_t slot);
-  void FreeResponseSlot(uint32_t slot);
+  // -- call slab --
+  uint32_t AcquireCallSlot();
+  void UnlinkPendingCall(uint32_t slot);
+  void RunCallSlot(uint32_t slot);
+  void FreeCallSlot(uint32_t slot);
 
   void RetainContext(void* key, std::shared_ptr<void> context);
   std::shared_ptr<void> ReleaseContext(void* key);
@@ -379,7 +379,7 @@ class Server : public ThreadHost {
   SimDuration DeserializeCost(uint32_t bytes);
   SimDuration SerializeCost(uint32_t bytes);
   void SweepTimeouts();
-  void FailPendingCall(uint64_t seq);
+  void FailPendingCall(uint32_t slot);
   void NoteAppSend(ActorId from, ActorId to, ServerId dest_server, bool remote);
 
   Simulation* sim_;
@@ -398,23 +398,20 @@ class Server : public ThreadHost {
   LocationCache location_cache_;
   DirectoryShard directory_shard_;
 
-  // Calls issued from this node awaiting responses, keyed by sequence.
-  // FlatHashMap, not unordered_map: this is touched once per call issue and
-  // once per response on the message hot path, is never iterated (iteration
-  // order could never be determinism-load-bearing), and open addressing
-  // avoids the per-node allocation of the std containers. Walks that ARE
-  // replay-load-bearing (ActiveActors, the SweepTimeouts retry loop) run
-  // over slab-ordered structures (ActivationTable::ForEach) or node maps
-  // whose iteration order is a deterministic function of the event history
-  // (parked_calls_), never over open-addressing layout.
-  FlatHashMap<uint64_t, PendingCall> pending_calls_;
+  // Sub-calls issued from this node: one CallSlot each, live until the
+  // continuation's turn runs, so memory is O(outstanding calls). A call's
+  // seq is (per-server counter << 32) | slot: a response indexes its slot
+  // directly and is accepted only if the slot still carries that seq, so a
+  // response to a call that timed out, was dropped by a crash, or whose slot
+  // now holds a newer call is ignored without any lookup. The counter starts
+  // at 1, so no seq is 0 (the one-way marker).
+  std::vector<CallSlot> call_slots_;
+  uint32_t call_free_ = kNilSlot;
   uint64_t next_call_seq_ = 1;
-  // Monotone deadlines, swept FIFO; ring keeps steady state allocation-free.
-  RingBuffer<std::pair<SimTime, uint64_t>> timeout_queue_;
-
-  // Parked response continuations awaiting their worker-stage turn.
-  std::vector<PendingResponse> response_slots_;
-  uint32_t response_free_ = kNilSlot;
+  // Pending slots in issue order. call_timeout is constant, so issue order
+  // is deadline order: SweepTimeouts pops expired calls off the head.
+  uint32_t pending_head_ = kNilSlot;
+  uint32_t pending_tail_ = kNilSlot;
 
   // Calls parked while a directory lookup is in flight, keyed by actor.
   PooledNodeMap<ActorId, ParkedCalls> parked_calls_;
@@ -444,8 +441,14 @@ class Server : public ThreadHost {
 
   // Unreplied call contexts: an actor may Reply() from a sub-call
   // continuation long after its turn ended, so the runtime keeps the context
-  // alive until then. Keyed by the context pointer value; never iterated, so
-  // FlatHashMap is safe (see pending_calls_).
+  // alive until then. Keyed by the context pointer value. FlatHashMap, not
+  // unordered_map: touched once per retained context on the message hot
+  // path, never iterated (so open-addressing layout can never be
+  // determinism-load-bearing), and free of per-node allocation. Walks that
+  // ARE replay-load-bearing (ActiveActors, the SweepTimeouts retry loop) run
+  // over slab-ordered structures (ActivationTable::ForEach) or node maps
+  // whose iteration order is a deterministic function of the event history
+  // (parked_calls_).
   FlatHashMap<uint64_t, std::shared_ptr<void>> open_call_contexts_;
 
   EdgeObserver edge_observer_;

@@ -160,7 +160,9 @@ void CpuModel::OnCompletion() {
   // Key order is link-seq order, which is the seed's insertion order: ties
   // complete, free their slots, and fire their callbacks exactly as the
   // seed's in-order list sweep did.
-  std::sort(batch_scratch_.begin(), batch_scratch_.end());
+  if (batch_scratch_.size() > 1) {
+    std::sort(batch_scratch_.begin(), batch_scratch_.end());
+  }
   for (const uint64_t key : batch_scratch_) {
     const auto slot = static_cast<uint32_t>(key & kSlotMask);
     Job& j = jobs_[slot];

@@ -128,8 +128,8 @@ class CpuModel {
   // the contiguous heap array (same layout discipline as the engine's event
   // heap): `key` packs the monotone link seq over the slot index, so for
   // equal finish tags key order is link order — the seed completed tied jobs
-  // in insertion order, and the completion batch is sorted by this key to
-  // preserve exactly that callback order.
+  // in insertion order, and a completion batch of two or more is sorted by
+  // this key to preserve exactly that callback order.
   struct HeapEntry {
     double finish_v;
     uint64_t key;

@@ -28,7 +28,7 @@ void Stage::AccountQueueLength() {
   last_queue_account_ = now;
 }
 
-void Stage::Enqueue(StageEvent event) {
+void Stage::Enqueue(StageEvent&& event) {
   window_.arrivals++;
   if (queue_.size() >= queue_capacity_) {
     window_.rejections++;
@@ -40,24 +40,35 @@ void Stage::Enqueue(StageEvent event) {
     }
     return;
   }
+  if (queue_.empty() && busy_ < threads_) {
+    // Direct start. A push-then-pop would add zero queue wait and, with the
+    // queue empty throughout, nothing to the queue-length integral (the
+    // integral's clock may lag; the next account multiplies that lag by the
+    // still-zero length).
+    StartService(event.compute, event.blocking, std::move(event.done));
+    return;
+  }
   AccountQueueLength();
-  queue_.push_back(QueuedEvent{std::move(event), sim_->now()});
+  queue_.push_back(QueuedEvent{event.compute, event.blocking, std::move(event.done),
+                               sim_->now()});
   MaybeStartService();
 }
 
 void Stage::MaybeStartService() {
   while (busy_ < threads_ && !queue_.empty()) {
     AccountQueueLength();
-    QueuedEvent qe = std::move(queue_.front());
+    // Start in place, then pop: StartService moves the continuation into the
+    // in-service slab and BeginCompute never re-enters this stage, so the
+    // front stays put until the pop.
+    QueuedEvent& front = queue_.front();
+    window_.sum_queue_wait += static_cast<double>(sim_->now() - front.enqueue_time);
+    StartService(front.compute, front.blocking, std::move(front.done));
     queue_.pop_front();
-    StartService(std::move(qe));
   }
 }
 
-void Stage::StartService(QueuedEvent&& qe) {
+void Stage::StartService(SimDuration compute, SimDuration blocking, InlineTask&& done) {
   busy_++;
-  const SimTime now = sim_->now();
-  window_.sum_queue_wait += static_cast<double>(now - qe.enqueue_time);
   uint32_t slot;
   if (in_service_free_ != kNilIndex) {
     slot = in_service_free_;
@@ -67,11 +78,11 @@ void Stage::StartService(QueuedEvent&& qe) {
     slot = static_cast<uint32_t>(in_service_.size() - 1);
   }
   InService& s = in_service_[slot];
-  s.service_start = now;
-  s.compute = qe.event.compute;
-  s.blocking = qe.event.blocking;
-  s.done = std::move(qe.event.done);
-  cpu_->BeginCompute(s.compute, [this, slot] { OnComputeDone(slot); });
+  s.service_start = sim_->now();
+  s.compute = compute;
+  s.blocking = blocking;
+  s.done = std::move(done);
+  cpu_->BeginCompute(compute, [this, slot] { OnComputeDone(slot); });
 }
 
 void Stage::OnComputeDone(uint32_t slot) {

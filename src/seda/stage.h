@@ -13,6 +13,15 @@
 //   w (blocking)-> synchronous blocking (no CPU),
 // and the stage records z = x + r + w per completion, plus window aggregates
 // that the parameter estimator (src/core/param_estimator.h) consumes.
+//
+// Direct start: an event that arrives while the queue is empty and a thread
+// is idle skips the queue and goes straight into service, its continuation
+// moved once into the in-service slab. Its accounting is exactly what a push
+// followed by an immediate pop would record: one arrival, zero queue wait,
+// nothing added to the queue-length integral. The ring therefore holds
+// events only while every thread is busy (on most stages of a lightly loaded
+// server it stays empty), and a queued event starts in place at the front of
+// the ring before being popped.
 
 #ifndef SRC_SEDA_STAGE_H_
 #define SRC_SEDA_STAGE_H_
@@ -75,7 +84,7 @@ class Stage {
   Stage& operator=(const Stage&) = delete;
 
   // Submits an event. If the queue is at capacity the event is rejected.
-  void Enqueue(StageEvent event);
+  void Enqueue(StageEvent&& event);
 
   // Changes the thread-pool size. Shrinking lets in-service events drain.
   // The caller (Server) is responsible for updating the CpuModel's
@@ -101,9 +110,13 @@ class Stage {
  private:
   static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
 
+  // An accepted event waiting for a thread. `rejected` is consumed inside
+  // Enqueue, so only what service needs is stored (64 bytes).
   struct QueuedEvent {
-    StageEvent event;
-    SimTime enqueue_time;
+    SimDuration compute = 0;
+    SimDuration blocking = 0;
+    InlineTask done;
+    SimTime enqueue_time = 0;
   };
 
   // One event being serviced by a stage thread. Parked in a slab so the
@@ -118,7 +131,7 @@ class Stage {
   };
 
   void MaybeStartService();
-  void StartService(QueuedEvent&& qe);
+  void StartService(SimDuration compute, SimDuration blocking, InlineTask&& done);
   void OnComputeDone(uint32_t slot);
   void FinishService(uint32_t slot);
   void AccountQueueLength();

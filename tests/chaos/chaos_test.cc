@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -443,7 +444,16 @@ int main(int argc, char** argv) {
   // Strip our flag before gtest parses the rest.
   for (int i = 1; i < argc; i++) {
     if (std::strncmp(argv[i], "--chaos_seeds=", 14) == 0) {
-      actop::g_soak_seeds = std::atoi(argv[i] + 14);
+      // Whole value, decimal, >= 0: a typo must not silently skip the soak.
+      const char* value = argv[i] + 14;
+      const char* end = value + std::strlen(value);
+      int seeds = 0;
+      const auto [ptr, ec] = std::from_chars(value, end, seeds);
+      if (ec != std::errc() || ptr != end || seeds < 0) {
+        std::fprintf(stderr, "bad value for --chaos_seeds: '%s'\n", value);
+        return 2;
+      }
+      actop::g_soak_seeds = seeds;
       for (int j = i; j + 1 < argc; j++) {
         argv[j] = argv[j + 1];
       }

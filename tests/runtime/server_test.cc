@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
@@ -502,6 +505,171 @@ TEST(RuntimeTest, DeterministicEndToEnd) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+// --- Call table --------------------------------------------------------------
+//
+// One server, so every sub-call below is local. The hold actor keeps each
+// call's context without replying; the tests answer them at chosen times.
+
+constexpr ActorType kHoldType = 120;
+constexpr ActorType kIssuerType = 121;
+
+class HoldActor : public Actor {
+ public:
+  void OnCall(CallContext& ctx) override { held_.push_back(&ctx); }
+  CallContext& held(size_t i) { return *held_.at(i); }
+  size_t num_held() const { return held_.size(); }
+
+ private:
+  std::vector<CallContext*> held_;
+};
+
+struct Outcome {
+  int tag;
+  bool failed;
+  SimTime at;
+};
+
+// Each call issues one sub-call, tagged with the call's method id, to the
+// actor named by app_data and replies at once; the sub-call's continuation
+// logs its outcome.
+class IssuerActor : public Actor {
+ public:
+  IssuerActor(Simulation* sim, std::vector<Outcome>* log) : sim_(sim), log_(log) {}
+
+  void OnCall(CallContext& ctx) override {
+    const int tag = static_cast<int>(ctx.method());
+    Simulation* sim = sim_;
+    std::vector<Outcome>* log = log_;
+    ctx.Call(static_cast<ActorId>(ctx.app_data()), 1, 64, [sim, log, tag](const Response& r) {
+      log->push_back({tag, r.failed, sim->now()});
+    });
+    ctx.Reply(64);
+  }
+
+ private:
+  Simulation* sim_;
+  std::vector<Outcome>* log_;
+};
+
+class CallTableTest : public ::testing::Test {
+ protected:
+  static constexpr ActorId kHold = MakeActorId(kHoldType, 1);
+  static constexpr ActorId kIssuer = MakeActorId(kIssuerType, 1);
+
+  CallTableTest() {
+    CostModel costs;
+    costs.handler_compute = Micros(20);
+    cluster_.RegisterActorType(
+        kHoldType, [](ActorId) { return std::make_unique<HoldActor>(); }, costs);
+    cluster_.RegisterActorType(
+        kIssuerType,
+        [this](ActorId) { return std::make_unique<IssuerActor>(&sim_, &log_); }, costs);
+  }
+
+  static ClusterConfig Config() {
+    ClusterConfig cfg = SmallCluster(1, 3);
+    cfg.server.call_timeout = Seconds(2);  // swept every second
+    return cfg;
+  }
+
+  // Has the issuer send one sub-call tagged `tag` to the hold actor, then
+  // runs 100 ms so calls issued back to back stay in order.
+  void Issue(int tag) {
+    client_.Call(kIssuer, static_cast<MethodId>(tag), kHold, 100, nullptr);
+    sim_.RunUntil(sim_.now() + Millis(100));
+  }
+
+  HoldActor& hold() { return *static_cast<HoldActor*>(cluster_.GetOrCreateActor(kHold)); }
+
+  std::vector<int> Tags() const {
+    std::vector<int> tags;
+    for (const Outcome& o : log_) tags.push_back(o.tag);
+    return tags;
+  }
+
+  Simulation sim_;
+  Cluster cluster_{&sim_, Config()};
+  DirectClient client_{&sim_, &cluster_, 5};
+  std::vector<Outcome> log_;
+};
+
+TEST_F(CallTableTest, TimeoutsFireInIssueOrderPastAnsweredCalls) {
+  // Calls 0..4 go out 400 ms apart (deadlines ~2.0, 2.4, 2.8, 3.2, 3.6 s);
+  // 1 and 3 are answered before theirs. The 3 s sweep must fail 0 then 2,
+  // stepping over answered call 1, and the 4 s sweep fails 4.
+  for (int tag = 0; tag < 5; tag++) {
+    Issue(tag);
+    sim_.RunUntil(sim_.now() + Millis(300));
+  }
+  ASSERT_EQ(hold().num_held(), 5u);
+  hold().held(1).Reply(64);
+  hold().held(3).Reply(64);
+  sim_.RunUntil(Seconds(6));
+
+  ASSERT_EQ(log_.size(), 5u);
+  EXPECT_EQ(Tags(), (std::vector<int>{1, 3, 0, 2, 4}));
+  EXPECT_FALSE(log_[0].failed);
+  EXPECT_FALSE(log_[1].failed);
+  for (size_t i = 2; i < 5; i++) {
+    EXPECT_TRUE(log_[i].failed) << "call " << log_[i].tag;
+  }
+  EXPECT_GE(log_[2].at, Seconds(3));
+  EXPECT_LT(log_[3].at, Seconds(4));
+  EXPECT_GE(log_[4].at, Seconds(4));
+  // Every sub-call is accounted for: the issuer holds nothing open.
+  EXPECT_TRUE(cluster_.server(0).IsMigratable(kIssuer));
+}
+
+TEST_F(CallTableTest, LateResponseAfterTimeoutIsIgnored) {
+  Issue(7);
+  sim_.RunUntil(Seconds(4));
+  ASSERT_EQ(log_.size(), 1u);
+  EXPECT_TRUE(log_[0].failed);
+
+  hold().held(0).Reply(64);
+  sim_.RunUntil(Seconds(6));
+  ASSERT_EQ(log_.size(), 1u);  // the continuation ran once, as a failure
+  EXPECT_EQ(log_[0].tag, 7);
+  EXPECT_TRUE(log_[0].failed);
+}
+
+TEST_F(CallTableTest, StaleResponseToReusedSlotIsIgnored) {
+  Issue(1);
+  sim_.RunUntil(Seconds(4));  // call 1 fails at the 3 s sweep; its slot frees
+  ASSERT_EQ(log_.size(), 1u);
+  Issue(2);  // the server's only call slot now carries call 2
+  ASSERT_EQ(hold().num_held(), 2u);
+
+  hold().held(0).Reply(64);  // answers call 1, long gone
+  sim_.RunUntil(sim_.now() + Millis(100));
+  EXPECT_EQ(log_.size(), 1u);
+  EXPECT_FALSE(cluster_.server(0).IsMigratable(kIssuer));  // call 2 still pending
+
+  hold().held(1).Reply(64);
+  sim_.RunUntil(sim_.now() + Millis(100));
+  ASSERT_EQ(log_.size(), 2u);
+  EXPECT_EQ(log_[1].tag, 2);
+  EXPECT_FALSE(log_[1].failed);
+}
+
+TEST_F(CallTableTest, CrashDropsPendingCallsButQueuedContinuationRuns) {
+  Issue(1);
+  Issue(2);
+  ASSERT_EQ(hold().num_held(), 2u);
+  // In one event: answer call 2, which queues its continuation's worker
+  // turn, then crash with call 1 still pending.
+  const SimTime crash_at = sim_.now() + Millis(100);
+  sim_.ScheduleAt(crash_at, [&] {
+    hold().held(1).Reply(64);
+    cluster_.CrashServer(0);
+  });
+  sim_.RunUntil(Seconds(10));  // far past call 1's deadline
+  ASSERT_EQ(log_.size(), 1u);
+  EXPECT_EQ(log_[0].tag, 2);
+  EXPECT_FALSE(log_[0].failed);
+  EXPECT_GT(log_[0].at, crash_at);
 }
 
 }  // namespace

@@ -299,5 +299,66 @@ TEST(CpuModelTest, SetTotalThreadsAppliesFromNextPause) {
   EXPECT_EQ(checks, 6);
 }
 
+TEST(CpuModelTest, TiedJobsFireInLinkOrderThenLoneCompletion) {
+  Simulation sim;
+  CpuModel cpu(&sim, 4, 0.0);
+  cpu.set_total_threads(4);
+  std::vector<char> order;
+  // Three staggered jobs take slots 0, 1, 2 and free them in that order, so
+  // the free list hands them back as 2, 1, 0: the tied jobs below link in an
+  // order opposite to their slot indices.
+  for (int i = 0; i < 3; i++) {
+    cpu.BeginCompute(Millis(1 + i), [] {});
+  }
+  sim.Run();
+  ASSERT_EQ(sim.now(), Millis(3));
+  cpu.BeginCompute(Millis(10), [&] { order.push_back('x'); });
+  cpu.BeginCompute(Millis(10), [&] { order.push_back('y'); });
+  cpu.BeginCompute(Millis(10), [&] { order.push_back('z'); });
+  cpu.BeginCompute(Millis(15), [&] {
+    order.push_back('L');
+    EXPECT_EQ(cpu.active_jobs(), 0);
+  });
+  SimTime tied_done = -1;
+  sim.ScheduleAt(Millis(13) + 1, [&] {
+    tied_done = sim.now();
+    EXPECT_EQ(order, (std::vector<char>{'x', 'y', 'z'}));
+    EXPECT_EQ(cpu.active_jobs(), 1);
+  });
+  sim.Run();
+  EXPECT_EQ(tied_done, Millis(13) + 1);
+  EXPECT_EQ(order, (std::vector<char>{'x', 'y', 'z', 'L'}));
+  EXPECT_EQ(sim.now(), Millis(18));
+}
+
+TEST(CpuModelTest, NearTiedJobsFireInLinkOrder) {
+  // Finish tags within the completion epsilon of each other complete in one
+  // batch, in link order even when the later job's tag is smaller (the seed
+  // swept jobs with remaining <= 0.5 in insertion order).
+  Simulation sim;
+  CpuModel cpu(&sim, 1, 0.0);
+  std::vector<char> order;
+  std::vector<SimTime> at;
+  cpu.BeginCompute(1000, [&] {
+    order.push_back('x');
+    at.push_back(sim.now());
+  });
+  for (int i = 0; i < 3; i++) {
+    cpu.BeginCompute(5000, [] {});
+  }
+  // Four jobs share one core, so V advances 0.25 per ns: y links at V = 0.75
+  // with tag 999.75, a quarter below x's 1000.
+  sim.ScheduleAt(3, [&] {
+    cpu.BeginCompute(999, [&] {
+      order.push_back('y');
+      at.push_back(sim.now());
+    });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'x', 'y'}));
+  ASSERT_EQ(at.size(), 2u);
+  EXPECT_EQ(at[0], at[1]);
+}
+
 }  // namespace
 }  // namespace actop

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/sim_time.h"
 #include "src/seda/cpu.h"
 #include "src/sim/simulation.h"
@@ -144,6 +146,73 @@ TEST_F(StageFixture, ReadyTimeEmergesUnderContention) {
   // 4 jobs share 1 core: each takes 20 ms wallclock for 5 ms compute.
   EXPECT_NEAR(w.mean_wallclock(), static_cast<double>(Millis(20)), 1e5);
   EXPECT_NEAR(w.mean_compute(), static_cast<double>(Millis(5)), 1.0);
+}
+
+TEST_F(StageFixture, ContinuationEnqueueDoesNotOvertakeWaitingEvents) {
+  // One thread: A runs while B and C wait. A's continuation enqueues D; the
+  // thread A freed already went to B, and D must queue behind C rather than
+  // start directly.
+  Stage stage(&sim, &cpu, "worker", 1);
+  std::vector<char> order;
+  stage.Enqueue(StageEvent{.compute = Millis(1), .done = [&] {
+                             order.push_back('A');
+                             stage.Enqueue(StageEvent{.compute = Millis(1),
+                                                      .done = [&] { order.push_back('D'); }});
+                           }});
+  stage.Enqueue(StageEvent{.compute = Millis(1), .done = [&] { order.push_back('B'); }});
+  stage.Enqueue(StageEvent{.compute = Millis(1), .done = [&] { order.push_back('C'); }});
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'D'}));
+  EXPECT_EQ(sim.now(), Millis(4));
+}
+
+TEST_F(StageFixture, AcceptedEventNeverRunsRejected) {
+  // Two threads, room for two waiting: the first two events start directly,
+  // the next two queue, and all four are accepted.
+  Stage stage(&sim, &cpu, "recv", 2, /*queue_capacity=*/2);
+  int completed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 4; i++) {
+    stage.Enqueue(StageEvent{.compute = Millis(10),
+                             .done = [&] { completed++; },
+                             .rejected = [&] { rejected++; }});
+  }
+  sim.Run();
+  EXPECT_EQ(completed, 4);
+  EXPECT_EQ(rejected, 0);
+  EXPECT_EQ(stage.total_rejections(), 0u);
+}
+
+TEST_F(StageFixture, DirectStartWindowMatchesPushThenPop) {
+  // A starts directly, B waits 10 ms behind it, and C arrives at 25 ms to an
+  // idle stage. Push-then-pop recorded three arrivals, B's wait only, and
+  // one waiting event for 10 ms in the queue-length integral; the window must
+  // hold exactly those figures (all are whole nanoseconds, so exact).
+  Stage stage(&sim, &cpu, "worker", 1);
+  stage.Enqueue(StageEvent{.compute = Millis(10), .done = [] {}});
+  stage.Enqueue(StageEvent{.compute = Millis(10), .done = [] {}});
+  sim.ScheduleAt(Millis(25),
+                 [&] { stage.Enqueue(StageEvent{.compute = Millis(5), .done = [] {}}); });
+  sim.RunUntil(Millis(40));
+  const StageWindow w = stage.TakeWindow();
+  EXPECT_EQ(w.arrivals, 3u);
+  EXPECT_EQ(w.completions, 3u);
+  EXPECT_EQ(w.rejections, 0u);
+  EXPECT_EQ(w.sum_queue_wait, static_cast<double>(Millis(10)));
+  EXPECT_EQ(w.sum_wallclock, static_cast<double>(Millis(25)));
+  EXPECT_EQ(w.sum_compute, static_cast<double>(Millis(25)));
+  EXPECT_EQ(w.sum_blocking, 0.0);
+  EXPECT_EQ(w.queue_len_time_integral, static_cast<double>(Millis(10)));
+
+  // A direct start in a fresh window adds nothing to the integral even
+  // though the integral's clock last moved at the TakeWindow above.
+  sim.ScheduleAt(Millis(50),
+                 [&] { stage.Enqueue(StageEvent{.compute = Millis(1), .done = [] {}}); });
+  sim.RunUntil(Millis(60));
+  const StageWindow w2 = stage.TakeWindow();
+  EXPECT_EQ(w2.arrivals, 1u);
+  EXPECT_EQ(w2.sum_queue_wait, 0.0);
+  EXPECT_EQ(w2.queue_len_time_integral, 0.0);
 }
 
 }  // namespace
