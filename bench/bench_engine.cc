@@ -64,7 +64,7 @@ struct ScenarioResult {
 // ---------------------------------------------------------------------------
 // steady_stream: H interleaved self-rescheduling chains. The callback capture
 // is three machine words — the typical size across the runtime (e.g.
-// [this, shared_ptr<Envelope>] or [this, actor, token]).
+// [this, env, epoch] or [this, actor, token]).
 // ---------------------------------------------------------------------------
 
 struct ChainCtx {
@@ -216,8 +216,6 @@ ScenarioResult RunPeriodicHeavy(double scale) {
 // the runtime's messaging path (envelope + delivery event).
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<Envelope> MakeBenchEnvelope() { return MakeEnvelope(); }
-
 struct RingCtx {
   Simulation* sim = nullptr;
   Network* net = nullptr;
@@ -241,12 +239,12 @@ ScenarioResult RunNetPingPong(double scale) {
 
   for (int i = 0; i < kNodes; i++) {
     const int self = i;
-    ctx.nodes.push_back(net.AddNode([&ctx, self](NodeId, uint32_t bytes, std::shared_ptr<void>) {
+    ctx.nodes.push_back(net.AddNode([&ctx, self](NodeId, uint32_t bytes, EnvelopePtr) {
       ctx.delivered++;
       if (ctx.delivered >= ctx.budget) {
         return;
       }
-      auto next = MakeBenchEnvelope();
+      auto next = MakeEnvelope();
       next->kind = MessageKind::kCall;
       next->target = MakeActorId(1, ctx.delivered);
       next->payload_bytes = bytes;
@@ -256,7 +254,7 @@ ScenarioResult RunNetPingPong(double scale) {
     }));
   }
   for (int m = 0; m < kInFlight; m++) {
-    auto env = MakeBenchEnvelope();
+    auto env = MakeEnvelope();
     env->kind = MessageKind::kCall;
     env->payload_bytes = 128;
     net.Send(ctx.nodes[0], ctx.nodes[static_cast<size_t>(m % kNodes)], 128, std::move(env));

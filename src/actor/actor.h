@@ -41,7 +41,9 @@ using ResponseFn = InlineFunction<void(const Response&), 48>;
 
 // Handle for one in-flight call being processed by an actor. Created by the
 // runtime for each delivered call; the actor must eventually Reply() exactly
-// once (possibly after sub-calls complete).
+// once (possibly after sub-calls complete). If the actor's server crashes
+// before the Reply, the context stays valid but inert: its calls and its
+// Reply send nothing (a second Reply is still a checked failure).
 class CallContext {
  public:
   virtual ~CallContext() = default;

@@ -32,6 +32,10 @@ constexpr uint64_t ActorKeyOf(ActorId id) { return id & 0xFFFFFFFFFFFFULL; }
 // Identifies an external client (load generator frontend).
 using ClientId = int32_t;
 
+// Index of a node attached to the network (servers and client frontends).
+using NodeId = int32_t;
+inline constexpr NodeId kNoNode = -1;
+
 }  // namespace actop
 
 #endif  // SRC_COMMON_IDS_H_

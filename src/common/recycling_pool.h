@@ -1,28 +1,30 @@
 // Recycling block cache for allocate_shared.
 //
-// std::make_shared<T> performs one heap allocation per object (the combined
-// object + control block). On the messaging hot path that is one allocation
-// per envelope, dominating the per-message cost once the event engine itself
-// is allocation-free. RecyclingBlockCache keeps freed combined blocks on a
-// free list and hands them back to the next allocate_shared of the same
-// type, so steady-state envelope traffic touches the allocator zero times.
+// std::allocate_shared<T> performs one heap allocation per object (the
+// combined object + control block). For a small object that really is
+// shared — the fan-out counter several continuations decrement
+// (src/workload/fanout_counter.h) — that allocation dominates its cost.
+// RecyclingBlockCache keeps freed combined blocks on a free list and hands
+// them back to the next allocation of the same size, so steady-state traffic
+// touches the allocator zero times. Under AddressSanitizer a cached block is
+// poisoned until it is handed out again.
 //
 // The cache is intentionally dumb: it caches blocks of exactly one size (the
-// first size it ever sees — for a cache dedicated to one T via MakePooled,
-// that is always sizeof(combined block of T)). Other sizes pass through to
-// operator new/delete. Single-threaded, like everything else in the
-// simulator. The cache must outlive every shared_ptr allocated from it,
-// because the final reference drop returns the block to the cache.
+// first size it ever sees — for a cache dedicated to one T, that is always
+// sizeof(combined block of T)). Other sizes pass through to operator
+// new/delete. Single-threaded, like everything else in the simulator. The
+// cache must outlive every block allocated from it, because the final
+// release returns the block to the cache.
 
 #ifndef SRC_COMMON_RECYCLING_POOL_H_
 #define SRC_COMMON_RECYCLING_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
-#include <utility>
 #include <vector>
+
+#include "src/common/asan.h"
 
 namespace actop {
 
@@ -36,7 +38,10 @@ class RecyclingBlockCache {
   RecyclingBlockCache& operator=(const RecyclingBlockCache&) = delete;
 
   ~RecyclingBlockCache() {
-    for (void* block : free_) ::operator delete(block);
+    for (void* block : free_) {
+      ASAN_UNPOISON_MEMORY_REGION(block, block_bytes_);
+      ::operator delete(block);
+    }
   }
 
   void* Allocate(size_t bytes) {
@@ -44,6 +49,7 @@ class RecyclingBlockCache {
     if (bytes == block_bytes_ && !free_.empty()) {
       void* block = free_.back();
       free_.pop_back();
+      ASAN_UNPOISON_MEMORY_REGION(block, block_bytes_);
       recycled_++;
       return block;
     }
@@ -53,6 +59,7 @@ class RecyclingBlockCache {
 
   void Release(void* block, size_t bytes) {
     if (bytes == block_bytes_ && free_.size() < max_cached_) {
+      ASAN_POISON_MEMORY_REGION(block, block_bytes_);
       free_.push_back(block);
       return;
     }
@@ -71,35 +78,6 @@ class RecyclingBlockCache {
   uint64_t fresh_ = 0;
   uint64_t recycled_ = 0;
 };
-
-// Minimal allocator adapter so allocate_shared routes its combined-block
-// allocation through a RecyclingBlockCache.
-template <typename U>
-struct RecyclingAllocator {
-  using value_type = U;
-
-  explicit RecyclingAllocator(RecyclingBlockCache* cache) : cache(cache) {}
-  template <typename V>
-  RecyclingAllocator(const RecyclingAllocator<V>& other) : cache(other.cache) {}  // NOLINT
-
-  U* allocate(size_t n) { return static_cast<U*>(cache->Allocate(n * sizeof(U))); }
-  void deallocate(U* p, size_t n) { cache->Release(p, n * sizeof(U)); }
-
-  template <typename V>
-  bool operator==(const RecyclingAllocator<V>& other) const {
-    return cache == other.cache;
-  }
-
-  RecyclingBlockCache* cache;
-};
-
-// allocate_shared<T> through `cache`. The object is freshly constructed every
-// time — only the memory is recycled, so pooled objects are indistinguishable
-// from make_shared ones.
-template <typename T, typename... Args>
-std::shared_ptr<T> MakePooled(RecyclingBlockCache& cache, Args&&... args) {
-  return std::allocate_shared<T>(RecyclingAllocator<T>(&cache), std::forward<Args>(args)...);
-}
 
 }  // namespace actop
 

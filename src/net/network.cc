@@ -48,7 +48,7 @@ NodeId Network::AddNode(DeliverFn deliver, int shard) {
 }
 
 uint32_t Network::AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes,
-                              std::shared_ptr<void> msg) {
+                              EnvelopePtr msg) {
   uint32_t slot;
   if (lane.in_flight_free != kNilIndex) {
     slot = lane.in_flight_free;
@@ -65,7 +65,7 @@ uint32_t Network::AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes
   return slot;
 }
 
-void Network::Send(NodeId from, NodeId to, uint32_t bytes, std::shared_ptr<void> msg) {
+void Network::Send(NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg) {
   ACTOP_CHECK(from >= 0 && from < static_cast<NodeId>(nodes_.size()));
   ACTOP_CHECK(to >= 0 && to < static_cast<NodeId>(nodes_.size()));
   const int src_shard = node_shard_[static_cast<size_t>(from)];
@@ -78,7 +78,7 @@ void Network::Send(NodeId from, NodeId to, uint32_t bytes, std::shared_ptr<void>
         fault_injector_(from, to, bytes, src_shard, lane.sim->now());
     if (fault.drop) {
       lane.dropped_messages++;
-      return;
+      return;  // `msg` goes back to the envelope pool
     }
     if (fault.extra_delay > 0) {
       lane.delayed_messages++;
@@ -89,10 +89,9 @@ void Network::Send(NodeId from, NodeId to, uint32_t bytes, std::shared_ptr<void>
   const SimDuration delay = config_.one_way_latency + wire + fault_delay;
   const int dst_shard = node_shard_[static_cast<size_t>(to)];
   if (dst_shard == src_shard) {
-    // Same-shard fast path: park the payload in the lane slab; the event
+    // Same-shard fast path: park the envelope in the lane slab; the event
     // capture is [this, shard, slot], which stays inline in the engine
-    // (capturing the shared_ptr directly would work too, but
-    // [this, from, to, bytes, msg] overflows the inline buffer).
+    // ([this, from, to, bytes, msg] would overflow the inline buffer).
     const uint32_t slot = AcquireSlot(lane, from, to, bytes, std::move(msg));
     lane.sim->ScheduleAfter(delay, [this, src_shard, slot] { Deliver(src_shard, slot); });
     return;
@@ -121,7 +120,7 @@ void Network::Deliver(int shard, uint32_t slot) {
   // Copy the fields out and recycle the slot before invoking the handler:
   // the handler may Send, which can grow in_flight or reuse this slot.
   InFlight& f = lane.in_flight[slot];
-  std::shared_ptr<void> msg = std::move(f.msg);
+  EnvelopePtr msg = std::move(f.msg);
   const NodeId from = f.from;
   const NodeId to = f.to;
   const uint32_t bytes = f.bytes;
@@ -201,7 +200,7 @@ void Network::CursorDeliver(int dst) {
   // staged run — drains only happen at window barriers.
   while (lane.staged_head < lane.staged.size() && lane.staged[lane.staged_head].when == now) {
     OutMsg& m = lane.staged[lane.staged_head++];
-    std::shared_ptr<void> msg = std::move(m.msg);
+    EnvelopePtr msg = std::move(m.msg);
     const NodeId from = m.from;
     const NodeId to = m.to;
     const uint32_t bytes = m.bytes;

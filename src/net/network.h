@@ -6,12 +6,15 @@
 // queuing, so a simple latency+bandwidth model preserves the local/remote
 // asymmetry that drives the results.
 //
-// The network layer is payload-agnostic: messages are type-erased shared
-// pointers, and the declared byte size (used for the bandwidth term and for
+// Every message is one pooled Envelope (src/runtime/envelope_pool.h), moved
+// in by Send and moved out to the destination's handler: the network owns it
+// while it is on the wire, and a message the fault injector drops (or one
+// still in flight when the network is destroyed) goes straight back to the
+// envelope pool. The declared byte size (used for the bandwidth term and for
 // serialization-cost modeling at the endpoints) travels alongside.
 //
-// Hot path: each in-flight message parks its payload and routing fields in a
-// slab slot so the delivery event's capture is just [this, shard, slot] —
+// Hot path: each in-flight message parks its envelope and routing fields in
+// a slab slot so the delivery event's capture is just [this, shard, slot] —
 // small enough to stay inline in the engine's InlineTask, making Send
 // allocation-free at steady state (slots are recycled through a free list).
 //
@@ -45,15 +48,13 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/common/sim_time.h"
+#include "src/runtime/envelope_pool.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
-
-// Index of a node attached to the network.
-using NodeId = int32_t;
-inline constexpr NodeId kNoNode = -1;
 
 struct NetworkConfig {
   SimDuration one_way_latency = Micros(250);
@@ -70,7 +71,7 @@ struct FaultDecision {
 
 class Network {
  public:
-  using DeliverFn = std::function<void(NodeId from, uint32_t bytes, std::shared_ptr<void> msg)>;
+  using DeliverFn = std::function<void(NodeId from, uint32_t bytes, EnvelopePtr msg)>;
   // Inspects a message about to be sent and decides its fate. The injector
   // sees every message (application and control, server and client links).
   // `src_shard` is the shard issuing the send (0 in serial mode) and `now`
@@ -103,7 +104,7 @@ class Network {
 
   // Sends a message of the given (modeled) size from `from` to `to`. Must be
   // called from `from`'s shard (serial mode: trivially true).
-  void Send(NodeId from, NodeId to, uint32_t bytes, std::shared_ptr<void> msg);
+  void Send(NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg);
 
   // Installs (or, with nullptr, removes) the chaos fault injector.
   // Coordinator context only (setup, rail tasks).
@@ -124,7 +125,7 @@ class Network {
   // One message on the wire. Slots recycle through a free list threaded
   // over free_next.
   struct InFlight {
-    std::shared_ptr<void> msg;
+    EnvelopePtr msg;
     NodeId from = kNoNode;
     uint32_t bytes = 0;
     uint32_t free_next = kNilIndex;
@@ -140,7 +141,7 @@ class Network {
     NodeId from = kNoNode;
     NodeId to = kNoNode;
     uint32_t bytes = 0;
-    std::shared_ptr<void> msg;
+    EnvelopePtr msg;
   };
 
   // Per-shard network state. Cacheline-aligned: lanes for different shards
@@ -174,8 +175,7 @@ class Network {
     std::atomic<uint32_t> count{0};
   };
 
-  uint32_t AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes,
-                       std::shared_ptr<void> msg);
+  uint32_t AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg);
   void Deliver(int shard, uint32_t slot);
   // Engine exchange hook: runs on shard `dst`'s worker at the window
   // barrier; merges the registered inbound outboxes into dst's staged run

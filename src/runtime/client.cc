@@ -18,8 +18,8 @@ ClientPool::ClientPool(Simulation* sim, Cluster* cluster, ClientConfig config, T
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(target_fn_ != nullptr);
   ACTOP_CHECK(config_.request_rate > 0.0);
-  node_ = cluster_->AddClientNode([this](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-    OnDeliver(from, bytes, std::move(msg));
+  node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
+    OnDeliver(std::move(env));
   });
   sim_->SchedulePeriodic(Seconds(1), [this] { SweepTimeouts(); });
 }
@@ -83,13 +83,11 @@ void ClientPool::SendCall(ActorId target, MethodId method) {
   // Requests enter through a random gateway server.
   const auto gateway = static_cast<ServerId>(
       rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), env->payload_bytes, env);
+  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), config_.request_bytes,
+                           std::move(env));
 }
 
-void ClientPool::OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-  (void)from;
-  (void)bytes;
-  auto env = std::static_pointer_cast<Envelope>(msg);
+void ClientPool::OnDeliver(EnvelopePtr env) {
   ACTOP_CHECK(env->kind == MessageKind::kResponse);
   const SimTime* sent_at = pending_.Find(env->call_id.seq);
   if (sent_at == nullptr) {
@@ -115,8 +113,8 @@ DirectClient::DirectClient(Simulation* sim, Cluster* cluster, uint64_t seed)
     : sim_(sim), cluster_(cluster), rng_(seed) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(cluster != nullptr);
-  node_ = cluster_->AddClientNode([this](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-    OnDeliver(from, bytes, std::move(msg));
+  node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
+    OnDeliver(std::move(env));
   });
 }
 
@@ -137,13 +135,10 @@ void DirectClient::Call(ActorId target, MethodId method, uint64_t app_data, uint
   }
   const auto gateway = static_cast<ServerId>(
       rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), env->payload_bytes, env);
+  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), bytes, std::move(env));
 }
 
-void DirectClient::OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-  (void)from;
-  (void)bytes;
-  auto env = std::static_pointer_cast<Envelope>(msg);
+void DirectClient::OnDeliver(EnvelopePtr env) {
   auto it = pending_.find(env->call_id.seq);
   if (it == pending_.end()) {
     return;

@@ -20,6 +20,7 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/envelope_pool.h"
 
 namespace actop {
 
@@ -63,7 +64,7 @@ class ClientPool {
   void ScheduleNextArrival();
   void IssueRequest();
   void SendCall(ActorId target, MethodId method);
-  void OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnDeliver(EnvelopePtr env);
   void SweepTimeouts();
 
   Simulation* sim_;
@@ -74,9 +75,9 @@ class ClientPool {
   NodeId node_ = kNoNode;
   bool running_ = false;
 
-  // seq -> send time. Touched once per request and once per response, never
-  // iterated — FlatHashMap keeps the per-request bookkeeping off the heap
-  // (see src/runtime/server.h's open_call_contexts_ for the rationale).
+  // seq -> send time. Touched once per request and once per response and
+  // never iterated, so the open-addressing layout can never decide replay
+  // order; FlatHashMap keeps the per-request bookkeeping off the heap.
   FlatHashMap<uint64_t, SimTime> pending_;
   // Monotone deadlines, swept FIFO; ring keeps steady state allocation-free.
   RingBuffer<std::pair<SimTime, uint64_t>> timeout_queue_;
@@ -99,7 +100,7 @@ class DirectClient {
             std::function<void(const Response&)> on_response);
 
  private:
-  void OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnDeliver(EnvelopePtr env);
 
   Simulation* sim_;
   Cluster* cluster_;

@@ -42,8 +42,8 @@ void Cluster::Init() {
                                            config_.server, rng_.NextU64());
     Server* raw = server.get();
     const NodeId node = network_->AddNode(
-        [raw](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-          raw->OnNetworkMessage(from, bytes, std::move(msg));
+        [raw](NodeId from, uint32_t bytes, EnvelopePtr env) {
+          raw->OnNetworkMessage(from, bytes, std::move(env));
         },
         shard);
     ACTOP_CHECK(node == static_cast<NodeId>(i));

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "src/common/asan.h"
+
 namespace actop {
 
 namespace {
@@ -16,7 +18,10 @@ struct EnvelopePool {
   uint64_t recycled = 0;
 
   ~EnvelopePool() {
-    for (Envelope* env : free) delete env;
+    for (Envelope* env : free) {
+      ASAN_UNPOISON_MEMORY_REGION(env, sizeof(Envelope));
+      delete env;
+    }
   }
 };
 
@@ -25,64 +30,35 @@ EnvelopePool& Pool() {
   return pool;
 }
 
-// shared_ptr deleter: instead of destroying the envelope, reset it and park
-// it for the next MakeEnvelope(). Routes through Pool() at release time, so
-// an envelope whose last reference drops on another shard's thread (a
-// cross-shard message) parks in the *releasing* thread's pool — no lock, no
-// race, and each pool stays bounded by kMaxCached.
-struct EnvelopeRecycler {
-  void operator()(Envelope* env) const noexcept {
-    EnvelopePool& pool = Pool();
-    if (pool.free.size() < EnvelopePool::kMaxCached) {
-      env->ResetForReuse();
-      pool.free.push_back(env);
-    } else {
-      delete env;
-    }
-  }
-};
-
-// Stateless control-block allocator: resolves EnvelopeBlockCache() (a
-// thread_local) at allocate/deallocate time rather than capturing a cache
-// pointer in the control block. A pointer captured at creation would be
-// dereferenced by whichever thread drops the last reference — a data race
-// for cross-shard envelopes.
-template <typename U>
-struct EnvelopeBlockAllocator {
-  using value_type = U;
-
-  EnvelopeBlockAllocator() = default;
-  template <typename V>
-  EnvelopeBlockAllocator(const EnvelopeBlockAllocator<V>&) {}  // NOLINT
-
-  U* allocate(size_t n) { return static_cast<U*>(EnvelopeBlockCache().Allocate(n * sizeof(U))); }
-  void deallocate(U* p, size_t n) { EnvelopeBlockCache().Release(p, n * sizeof(U)); }
-
-  template <typename V>
-  bool operator==(const EnvelopeBlockAllocator<V>&) const {
-    return true;
-  }
-};
-
 }  // namespace
 
-RecyclingBlockCache& EnvelopeBlockCache() {
-  thread_local RecyclingBlockCache cache;
-  return cache;
+// Routes through Pool() at release time, so an envelope released on another
+// shard's thread (a cross-shard message) parks in the *releasing* thread's
+// pool — no lock, no race, and each pool stays bounded by kMaxCached.
+void EnvelopeRecycler::operator()(Envelope* env) const noexcept {
+  EnvelopePool& pool = Pool();
+  if (pool.free.size() < EnvelopePool::kMaxCached) {
+    env->ResetForReuse();
+    ASAN_POISON_MEMORY_REGION(env, sizeof(Envelope));
+    pool.free.push_back(env);
+  } else {
+    delete env;
+  }
 }
 
-std::shared_ptr<Envelope> MakeEnvelope() {
+EnvelopePtr MakeEnvelope() {
   EnvelopePool& pool = Pool();
   Envelope* env;
   if (!pool.free.empty()) {
     env = pool.free.back();
     pool.free.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(env, sizeof(Envelope));
     pool.recycled++;
   } else {
     env = new Envelope();
     pool.fresh++;
   }
-  return std::shared_ptr<Envelope>(env, EnvelopeRecycler{}, EnvelopeBlockAllocator<Envelope>());
+  return EnvelopePtr(env);
 }
 
 EnvelopePoolStats GetEnvelopePoolStats() {

@@ -15,7 +15,6 @@
 #include "src/common/ids.h"
 #include "src/common/sim_time.h"
 #include "src/core/pairwise_partition.h"
-#include "src/net/network.h"
 
 namespace actop {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/asan.h"
 #include "src/common/check.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/envelope_pool.h"
@@ -12,25 +13,17 @@ namespace actop {
 namespace {
 const char* const kStageNames[Server::kNumStages] = {"receive", "worker", "server_sender",
                                                      "client_sender"};
-
-// Combined object+control-block cache for ServerCallContext: one context is
-// created per delivered call, so recycling the make_shared block keeps the
-// turn-dispatch path off the allocator. thread_local: each shard worker gets
-// its own cache (a context is created and destroyed on the same shard's
-// events, so blocks never migrate threads; outlives every simulation).
-RecyclingBlockCache& CallContextBlockCache() {
-  thread_local RecyclingBlockCache cache;
-  return cache;
-}
 }  // namespace
 
-// Concrete CallContext bound to one delivered call. A context the actor does
-// not reply to within its turn is retained by the server (keyed by address)
-// until Reply() runs.
+// Concrete CallContext bound to one delivered call; owns the call's
+// envelope. Recycled through the server's free list (see Server::contexts_).
+// A context whose turn began before the server's latest crash is inert: the
+// crash dropped the activation it belonged to, so its calls and reply send
+// nothing and touch no activation counters.
 class ServerCallContext : public CallContext {
  public:
-  ServerCallContext(Server* server, std::shared_ptr<Envelope> call)
-      : server_(server), call_(std::move(call)) {}
+  ServerCallContext(Server* server, EnvelopePtr call, uint64_t epoch)
+      : server_(server), call_(std::move(call)), epoch_(epoch) {}
 
   ActorId self() const override { return call_->target; }
   MethodId method() const override { return call_->method; }
@@ -41,29 +34,31 @@ class ServerCallContext : public CallContext {
 
   void Call(ActorId target, MethodId method, uint32_t payload_bytes,
             ResponseFn on_response) override {
-    server_->IssueCall(self(), target, method, 0, payload_bytes, std::move(on_response));
+    CallWithData(target, method, 0, payload_bytes, std::move(on_response));
   }
 
   void CallWithData(ActorId target, MethodId method, uint64_t app_data, uint32_t payload_bytes,
                     ResponseFn on_response) override {
-    server_->IssueCall(self(), target, method, app_data, payload_bytes, std::move(on_response));
+    if (!stale()) {
+      server_->IssueCall(self(), target, method, app_data, payload_bytes,
+                         std::move(on_response));
+    }
   }
 
   void CallOneWay(ActorId target, MethodId method, uint32_t payload_bytes) override {
-    server_->IssueCall(self(), target, method, 0, payload_bytes, nullptr);
+    CallWithData(target, method, 0, payload_bytes, nullptr);
   }
 
   void Reply(uint32_t payload_bytes) override {
     ACTOP_CHECK(!replied_);
     replied_ = true;
-    // A retained context is kept alive until this frame returns even though
-    // the server drops its reference now. A synchronous reply (inside the
-    // turn) was never retained, so it skips the lookup.
-    std::shared_ptr<void> keep_alive;
-    if (retained_) {
-      keep_alive = server_->ReleaseContext(this);
+    if (stale()) {
+      return;
     }
     server_->CompleteReply(self(), *call_, payload_bytes);
+    if (retained_) {
+      server_->FreeContext(this);  // last use of *this
+    }
   }
 
   void AddCompute(SimDuration extra) override {
@@ -71,17 +66,14 @@ class ServerCallContext : public CallContext {
     extra_compute_ += extra;
   }
 
-  bool replied() const { return replied_; }
-  void mark_retained() { retained_ = true; }
-  SimDuration take_extra_compute() {
-    const SimDuration extra = extra_compute_;
-    extra_compute_ = 0;
-    return extra;
-  }
-
  private:
+  friend class Server;
+
+  bool stale() const { return epoch_ != server_->crash_epoch_; }
+
   Server* server_;
-  std::shared_ptr<Envelope> call_;
+  EnvelopePtr call_;
+  uint64_t epoch_;  // the server's crash epoch when the turn began
   bool replied_ = false;
   bool retained_ = false;
   SimDuration extra_compute_ = 0;
@@ -111,7 +103,12 @@ Server::Server(Simulation* sim, Cluster* cluster, ServerId id, ServerConfig conf
   sim_->SchedulePeriodic(config_.timeout_sweep_period, [this] { SweepTimeouts(); });
 }
 
-Server::~Server() = default;
+Server::~Server() {
+  // contexts_ destroys every context, parked ones included.
+  for (ServerCallContext* ctx : free_contexts_) {
+    ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(ServerCallContext));
+  }
+}
 
 void Server::ApplyThreadAllocation(const std::vector<int>& threads) {
   ACTOP_CHECK(threads.size() == static_cast<size_t>(kNumStages));
@@ -144,8 +141,7 @@ SimDuration Server::SerializeCost(uint32_t bytes) {
 // Receive path
 // ---------------------------------------------------------------------------
 
-void Server::OnNetworkMessage(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-  auto env = std::static_pointer_cast<Envelope>(msg);
+void Server::OnNetworkMessage(NodeId from, uint32_t bytes, EnvelopePtr env) {
   env->via_network = true;
   SimDuration compute = DeserializeCost(bytes);
   if (env->kind == MessageKind::kControl) {
@@ -153,13 +149,13 @@ void Server::OnNetworkMessage(NodeId from, uint32_t bytes, std::shared_ptr<void>
   }
   StageEvent ev;
   ev.compute = compute;
-  ev.done = [this, env = std::move(env), from] {
+  ev.done = [this, env = std::move(env), from]() mutable {
     switch (env->kind) {
       case MessageKind::kCall:
-        RouteCall(env);
+        RouteCall(std::move(env));
         break;
       case MessageKind::kResponse:
-        HandleResponse(env);
+        HandleResponse(std::move(env));
         break;
       case MessageKind::kControl:
         HandleControl(*env, from);
@@ -209,7 +205,7 @@ void Server::HandleControl(const Envelope& env, NodeId from) {
 // Call routing & activation
 // ---------------------------------------------------------------------------
 
-void Server::RouteCall(std::shared_ptr<Envelope> env) {
+void Server::RouteCall(EnvelopePtr env) {
   const ActorId target = env->target;
   if (activations_.Contains(target)) {
     DeliverLocalCall(std::move(env));
@@ -227,7 +223,7 @@ void Server::RouteCall(std::shared_ptr<Envelope> env) {
   ResolveViaDirectory(std::move(env));
 }
 
-void Server::ResolveViaDirectory(std::shared_ptr<Envelope> env) {
+void Server::ResolveViaDirectory(EnvelopePtr env) {
   const ActorId target = env->target;
   auto [park_it, inserted] = parked_calls_.try_emplace(target);
   ParkedCalls& parked = park_it->second;
@@ -322,7 +318,7 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
   // under this same key). Draining a moved-out local and erasing the map
   // entry first keeps that re-entry safe; iterating the live map here would
   // be invalidated by it.
-  std::vector<std::shared_ptr<Envelope>> envs = std::move(it->second.entries);
+  std::vector<EnvelopePtr> envs = std::move(it->second.entries);
   parked_calls_.erase(it);
   for (auto& env : envs) {
     if (owner == id_) {
@@ -335,7 +331,7 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
   parked_entry_pool_.push_back(std::move(envs));
 }
 
-void Server::ActivateAndDeliver(std::shared_ptr<Envelope> env, uint64_t token) {
+void Server::ActivateAndDeliver(EnvelopePtr env, uint64_t token) {
   const ActorId target = env->target;
   if (!activations_.Contains(target)) {
     Activation& act = activations_.Create(target);
@@ -346,13 +342,13 @@ void Server::ActivateAndDeliver(std::shared_ptr<Envelope> env, uint64_t token) {
   DeliverLocalCall(std::move(env));
 }
 
-void Server::ForwardCall(std::shared_ptr<Envelope> env, ServerId dest) {
+void Server::ForwardCall(EnvelopePtr env, ServerId dest) {
   ACTOP_CHECK(dest != id_);
   env->hops++;
   SendToServer(dest, std::move(env));
 }
 
-void Server::DeliverLocalCall(std::shared_ptr<Envelope> env) {
+void Server::DeliverLocalCall(EnvelopePtr env) {
   Activation* found = activations_.Find(env->target);
   ACTOP_CHECK(found != nullptr);
   Activation& act = *found;
@@ -364,7 +360,7 @@ void Server::DeliverLocalCall(std::shared_ptr<Envelope> env) {
   StartTurn(target, std::move(env));
 }
 
-void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
+void Server::StartTurn(ActorId actor, EnvelopePtr env) {
   Activation* found = activations_.Find(actor);
   ACTOP_CHECK(found != nullptr);
   Activation& act = *found;
@@ -389,7 +385,7 @@ void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
   ev.compute = compute;
   ev.blocking = costs.handler_blocking;
   const uint64_t epoch = crash_epoch_;
-  // [this, env, epoch] is 32 bytes — the actor id is re-read from the
+  // [this, env, epoch] is 24 bytes — the actor id is re-read from the
   // envelope so the capture stays inline in the event engine.
   ev.done = [this, env = std::move(env), epoch]() mutable {
     const ActorId actor = env->target;
@@ -400,15 +396,16 @@ void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
     // Hoist the instance pointer: OnCall may activate other actors, which
     // can grow the activation slab and invalidate `act`.
     Actor* instance = act->instance;
-    auto ctx = MakePooled<ServerCallContext>(CallContextBlockCache(), this, std::move(env));
+    ServerCallContext* ctx = AcquireContext(std::move(env));
     instance->OnCall(*ctx);
-    if (!ctx->replied()) {
-      // The actor will Reply from a sub-call continuation; keep the context
-      // alive until then.
-      ctx->mark_retained();
-      RetainContext(ctx.get(), ctx);
+    const SimDuration extra = ctx->extra_compute_;
+    if (ctx->replied_) {
+      FreeContext(ctx);
+    } else {
+      // The actor will Reply from a sub-call continuation, which frees the
+      // context; until then it stays out of the free list.
+      ctx->retained_ = true;
     }
-    const SimDuration extra = ctx->take_extra_compute();
     if (extra > 0) {
       StageEvent extra_ev;
       extra_ev.compute = extra;
@@ -434,7 +431,7 @@ void Server::FinishTurn(ActorId actor) {
   ACTOP_CHECK(act.busy);
   act.busy = false;
   if (!act.mailbox.empty()) {
-    std::shared_ptr<Envelope> next = std::move(act.mailbox.front());
+    EnvelopePtr next = std::move(act.mailbox.front());
     act.mailbox.pop_front();
     StartTurn(actor, std::move(next));
   }
@@ -525,7 +522,7 @@ void Server::CompleteReply(ActorId from_actor, const Envelope& original_call, ui
   }
 }
 
-void Server::HandleResponse(std::shared_ptr<Envelope> env) {
+void Server::HandleResponse(EnvelopePtr env) {
   ACTOP_CHECK(env->call_id.node == node_);
   const uint64_t seq = env->call_id.seq;
   ACTOP_CHECK(seq != 0);  // one-way calls get no response
@@ -605,24 +602,24 @@ void Server::FreeCallSlot(uint32_t slot) {
 // Sending
 // ---------------------------------------------------------------------------
 
-void Server::SendToServer(ServerId dest, std::shared_ptr<Envelope> env) {
+void Server::SendToServer(ServerId dest, EnvelopePtr env) {
   ACTOP_CHECK(dest != id_);
   const uint32_t bytes = env->kind == MessageKind::kControl ? config_.control_bytes
                                                             : env->payload_bytes;
   StageEvent ev;
   ev.compute = SerializeCost(bytes);
-  ev.done = [this, dest, bytes, env = std::move(env)] {
-    cluster_->network().Send(node_, cluster_->NodeOfServer(dest), bytes, env);
+  ev.done = [this, dest, bytes, env = std::move(env)]() mutable {
+    cluster_->network().Send(node_, cluster_->NodeOfServer(dest), bytes, std::move(env));
   };
   stages_[kServerSender]->Enqueue(std::move(ev));
 }
 
-void Server::SendToClient(NodeId client_node, std::shared_ptr<Envelope> env) {
+void Server::SendToClient(NodeId client_node, EnvelopePtr env) {
   const uint32_t bytes = env->payload_bytes;
   StageEvent ev;
   ev.compute = SerializeCost(bytes);
-  ev.done = [this, client_node, bytes, env = std::move(env)] {
-    cluster_->network().Send(node_, client_node, bytes, env);
+  ev.done = [this, client_node, bytes, env = std::move(env)]() mutable {
+    cluster_->network().Send(node_, client_node, bytes, std::move(env));
   };
   stages_[kClientSender]->Enqueue(std::move(ev));
 }
@@ -634,7 +631,7 @@ void Server::SendControl(ServerId dest, ControlPayload payload) {
     auto env = MakeEnvelope();
     env->kind = MessageKind::kControl;
     env->control = std::move(payload);
-    sim_->ScheduleAfter(0, [this, env] { HandleControl(*env, node_); });
+    sim_->ScheduleAfter(0, [this, env = std::move(env)] { HandleControl(*env, node_); });
     return;
   }
   auto env = MakeEnvelope();
@@ -739,24 +736,28 @@ void Server::Crash() {
     UnlinkPendingCall(slot);
     FreeCallSlot(slot);
   }
-  open_call_contexts_.Clear();
+  // Retained contexts are not freed: queued continuations may still hold
+  // them. The epoch bump above makes them inert.
   pending_unregisters_.clear();
   location_cache_.Clear();
 }
 
-void Server::RetainContext(void* key, std::shared_ptr<void> context) {
-  open_call_contexts_.Insert(reinterpret_cast<uintptr_t>(key), std::move(context));
+ServerCallContext* Server::AcquireContext(EnvelopePtr call) {
+  if (free_contexts_.empty()) {
+    contexts_.push_back(std::make_unique<ServerCallContext>(this, std::move(call), crash_epoch_));
+    return contexts_.back().get();
+  }
+  ServerCallContext* ctx = free_contexts_.back();
+  free_contexts_.pop_back();
+  ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(ServerCallContext));
+  *ctx = ServerCallContext(this, std::move(call), crash_epoch_);
+  return ctx;
 }
 
-std::shared_ptr<void> Server::ReleaseContext(void* key) {
-  const auto k = reinterpret_cast<uintptr_t>(key);
-  std::shared_ptr<void>* found = open_call_contexts_.Find(k);
-  if (found == nullptr) {
-    return nullptr;
-  }
-  std::shared_ptr<void> out = std::move(*found);
-  open_call_contexts_.Erase(k);
-  return out;
+void Server::FreeContext(ServerCallContext* ctx) {
+  ctx->call_.reset();  // the call's envelope goes back to its pool now
+  ASAN_POISON_MEMORY_REGION(ctx, sizeof(ServerCallContext));
+  free_contexts_.push_back(ctx);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/net/network.h"
+#include "src/runtime/envelope_pool.h"
 #include "src/runtime/message.h"
 #include "src/seda/cpu.h"
 #include "src/seda/stage.h"
@@ -45,6 +46,7 @@ namespace actop {
 
 class Cluster;
 class ClusterMetrics;
+class ServerCallContext;
 
 // How the directory places an actor that has never been activated. (After a
 // deactivation or migration, re-placement follows the paper's §4.3 rule:
@@ -135,7 +137,7 @@ class Server : public ThreadHost {
   void set_metrics(ClusterMetrics* metrics) { metrics_ = metrics; }
 
   // Network delivery entry point (wired by the Cluster).
-  void OnNetworkMessage(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnNetworkMessage(NodeId from, uint32_t bytes, EnvelopePtr env);
 
   // ThreadHost:
   int num_stages() override { return kNumStages; }
@@ -223,7 +225,7 @@ class Server : public ThreadHost {
     int open_contexts = 0;      // delivered calls not yet replied to
     int pending_subcalls = 0;   // sub-calls awaiting a response
     uint64_t dir_token = 0;     // token of the directory registration backing us
-    RingBuffer<std::shared_ptr<Envelope>> mailbox;
+    RingBuffer<EnvelopePtr> mailbox;
   };
 
   // Dense activation table: Activation records live in a slab of recycled
@@ -318,7 +320,7 @@ class Server : public ThreadHost {
   };
 
   struct ParkedCalls {
-    std::vector<std::shared_ptr<Envelope>> entries;
+    std::vector<EnvelopePtr> entries;
     SimTime since = 0;
   };
 
@@ -341,24 +343,23 @@ class Server : public ThreadHost {
   };
 
   // -- message paths --
-  void HandleAfterReceive(std::shared_ptr<Envelope> env);
   void HandleControl(const Envelope& env, NodeId from);
-  void RouteCall(std::shared_ptr<Envelope> env);
-  void ResolveViaDirectory(std::shared_ptr<Envelope> env);
+  void RouteCall(EnvelopePtr env);
+  void ResolveViaDirectory(EnvelopePtr env);
   void OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token);
-  void ActivateAndDeliver(std::shared_ptr<Envelope> env, uint64_t token);
+  void ActivateAndDeliver(EnvelopePtr env, uint64_t token);
   // Deactivates + unregisters, fencing the in-flight unregister so a racing
   // lookup answer cannot resurrect the doomed registration.
   void DropActivationAndUnregister(ActorId actor);
-  void DeliverLocalCall(std::shared_ptr<Envelope> env);
-  void StartTurn(ActorId actor, std::shared_ptr<Envelope> env);
+  void DeliverLocalCall(EnvelopePtr env);
+  void StartTurn(ActorId actor, EnvelopePtr env);
   void FinishTurn(ActorId actor);
-  void HandleResponse(std::shared_ptr<Envelope> env);
+  void HandleResponse(EnvelopePtr env);
 
   // -- sending --
-  void SendToServer(ServerId dest, std::shared_ptr<Envelope> env);
-  void SendToClient(NodeId client_node, std::shared_ptr<Envelope> env);
-  void ForwardCall(std::shared_ptr<Envelope> env, ServerId dest);
+  void SendToServer(ServerId dest, EnvelopePtr env);
+  void SendToClient(NodeId client_node, EnvelopePtr env);
+  void ForwardCall(EnvelopePtr env, ServerId dest);
 
   // -- sub-call issue (from call contexts) --
   void IssueCall(ActorId from_actor, ActorId target, MethodId method, uint64_t app_data,
@@ -371,8 +372,9 @@ class Server : public ThreadHost {
   void RunCallSlot(uint32_t slot);
   void FreeCallSlot(uint32_t slot);
 
-  void RetainContext(void* key, std::shared_ptr<void> context);
-  std::shared_ptr<void> ReleaseContext(void* key);
+  // -- call contexts --
+  ServerCallContext* AcquireContext(EnvelopePtr call);
+  void FreeContext(ServerCallContext* ctx);
 
   ServerId SuggestPlacement(ActorId actor);
   SimDuration SampleCost(SimDuration mean);
@@ -417,7 +419,7 @@ class Server : public ThreadHost {
   PooledNodeMap<ActorId, ParkedCalls> parked_calls_;
   // Retired parked-entry buffers, recycled by the next park so the
   // park/drain cycle stops allocating vectors in steady state.
-  std::vector<std::vector<std::shared_ptr<Envelope>>> parked_entry_pool_;
+  std::vector<std::vector<EnvelopePtr>> parked_entry_pool_;
   // Reused by SweepTimeouts' retry pass (collect-then-act; see the comment
   // there).
   std::vector<ActorId> sweep_retry_scratch_;
@@ -439,17 +441,16 @@ class Server : public ThreadHost {
   };
   PooledNodeMap<ActorId, UnregisterFence> pending_unregisters_;
 
-  // Unreplied call contexts: an actor may Reply() from a sub-call
-  // continuation long after its turn ended, so the runtime keeps the context
-  // alive until then. Keyed by the context pointer value. FlatHashMap, not
-  // unordered_map: touched once per retained context on the message hot
-  // path, never iterated (so open-addressing layout can never be
-  // determinism-load-bearing), and free of per-node allocation. Walks that
-  // ARE replay-load-bearing (ActiveActors, the SweepTimeouts retry loop) run
-  // over slab-ordered structures (ActivationTable::ForEach) or node maps
-  // whose iteration order is a deterministic function of the event history
-  // (parked_calls_).
-  FlatHashMap<uint64_t, std::shared_ptr<void>> open_call_contexts_;
+  // Every call context this server ever made; the server is their only
+  // owner. A context is parked on free_contexts_ (poisoned under ASan), held
+  // by the turn that delivers its call, or — when the actor did not reply
+  // within the turn — retained until its Reply() runs from a sub-call
+  // continuation, which parks it again. A retained context whose turn began
+  // before the latest Crash() is never parked again: continuations may still
+  // hold it, so it stays allocated (and inert) until the server is
+  // destroyed.
+  std::vector<std::unique_ptr<ServerCallContext>> contexts_;
+  std::vector<ServerCallContext*> free_contexts_;
 
   EdgeObserver edge_observer_;
   CallLatencyObserver call_latency_observer_;

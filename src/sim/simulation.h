@@ -8,7 +8,7 @@
 // Hot-path design (this is the substrate every figure bench, partitioning
 // sweep and chaos soak executes on):
 //   * Callbacks are InlineTask, not std::function: typical captures
-//     ([this, shared_ptr<Envelope>], [this, id, token]) stay inline, so
+//     ([this, EnvelopePtr, epoch], [this, id, token]) stay inline, so
 //     steady-state scheduling performs zero heap allocations.
 //   * Event state lives in a slab of reusable slots; the heap holds
 //     (when, seq, slot) triples with the sort key inline, so sift operations

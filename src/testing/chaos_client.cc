@@ -9,8 +9,8 @@ ChaosClient::ChaosClient(Simulation* sim, Cluster* cluster, ChaosClientConfig co
     : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(cluster != nullptr);
-  node_ = cluster_->AddClientNode([this](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-    OnDeliver(from, bytes, std::move(msg));
+  node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
+    OnDeliver(std::move(env));
   });
   sim_->SchedulePeriodic(config_.sweep_period, [this] { SweepTimeouts(); });
 }
@@ -34,13 +34,11 @@ void ChaosClient::Call(ActorId target, MethodId method, uint64_t app_data) {
 
   const auto gateway =
       static_cast<ServerId>(rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), env->payload_bytes, env);
+  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), config_.request_bytes,
+                           std::move(env));
 }
 
-void ChaosClient::OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-  (void)from;
-  (void)bytes;
-  auto env = std::static_pointer_cast<Envelope>(msg);
+void ChaosClient::OnDeliver(EnvelopePtr env) {
   ACTOP_CHECK(env->kind == MessageKind::kResponse);
   const uint64_t seq = env->call_id.seq;
   auto it = pending_.find(seq);

@@ -23,7 +23,7 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
-#include "src/runtime/message.h"
+#include "src/runtime/envelope_pool.h"
 
 namespace actop {
 
@@ -57,7 +57,7 @@ class ChaosClient {
   bool Settled() const { return pending_.empty(); }
 
  private:
-  void OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnDeliver(EnvelopePtr env);
   void SweepTimeouts();
 
   Simulation* sim_;

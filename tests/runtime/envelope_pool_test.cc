@@ -2,69 +2,51 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "src/common/recycling_pool.h"
 
 namespace actop {
 namespace {
 
+static_assert(!std::is_copy_constructible_v<EnvelopePtr>,
+              "an envelope has exactly one owner; EnvelopePtr must be move-only");
+static_assert(sizeof(EnvelopePtr) == sizeof(Envelope*), "the recycler is stateless");
+
 TEST(RecyclingPoolTest, RecyclesBlocksOfTheCachedSize) {
   RecyclingBlockCache cache;
-  struct Payload {
-    uint64_t a = 1;
-    uint64_t b = 2;
-  };
-  void* first = nullptr;
-  {
-    auto p = MakePooled<Payload>(cache);
-    first = p.get();
-    EXPECT_EQ(cache.fresh_allocations(), 1u);
-  }
+  void* first = cache.Allocate(16);
+  EXPECT_EQ(cache.fresh_allocations(), 1u);
+  cache.Release(first, 16);
   EXPECT_EQ(cache.cached_blocks(), 1u);
-  {
-    // Same type, freed block available: memory is reused, object is fresh.
-    auto p = MakePooled<Payload>(cache);
-    EXPECT_EQ(p.get(), first);
-    EXPECT_EQ(p->a, 1u);
-    EXPECT_EQ(cache.fresh_allocations(), 1u);
-    EXPECT_EQ(cache.recycled_allocations(), 1u);
-  }
+  // Same size, freed block available: the memory is reused.
+  void* again = cache.Allocate(16);
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(cache.fresh_allocations(), 1u);
+  EXPECT_EQ(cache.recycled_allocations(), 1u);
+  cache.Release(again, 16);
 }
 
 TEST(RecyclingPoolTest, OtherSizesPassThrough) {
   RecyclingBlockCache cache;
-  struct Small {
-    uint64_t a = 0;
-  };
-  struct Big {
-    uint64_t a[32] = {};
-  };
-  auto s = MakePooled<Small>(cache);  // fixes the cached block size
-  auto b = MakePooled<Big>(cache);    // different size: plain new/delete
+  void* small = cache.Allocate(8);  // fixes the cached block size
+  void* big = cache.Allocate(256);  // different size: plain new/delete
   EXPECT_EQ(cache.fresh_allocations(), 2u);
-  s.reset();
-  b.reset();
-  EXPECT_EQ(cache.cached_blocks(), 1u);  // only the Small block was cached
+  cache.Release(small, 8);
+  cache.Release(big, 256);
+  EXPECT_EQ(cache.cached_blocks(), 1u);  // only the small block was cached
 }
 
-TEST(RecyclingPoolTest, WeakPtrKeepsControlBlockAlive) {
-  // The combined block is released only when strong AND weak counts drop;
-  // the cache must not see the block until then.
-  RecyclingBlockCache cache;
-  struct Payload {
-    int x = 5;
-  };
-  std::weak_ptr<Payload> weak;
-  {
-    auto p = MakePooled<Payload>(cache);
-    weak = p;
-  }
-  EXPECT_TRUE(weak.expired());
-  EXPECT_EQ(cache.cached_blocks(), 0u);  // weak_ptr still pins the block
-  weak.reset();
+TEST(RecyclingPoolTest, FullCacheFreesReleasedBlocks) {
+  RecyclingBlockCache cache(/*max_cached=*/1);
+  void* a = cache.Allocate(32);
+  void* b = cache.Allocate(32);
+  cache.Release(a, 32);
+  cache.Release(b, 32);  // over the bound: deleted, not cached
   EXPECT_EQ(cache.cached_blocks(), 1u);
+  EXPECT_EQ(cache.Allocate(32), a);
+  cache.Release(a, 32);
 }
 
 TEST(EnvelopePoolTest, RecyclesEnvelopeObjects) {
@@ -154,7 +136,7 @@ TEST(EnvelopePoolTest, EnvelopesAreFreshlyConstructed) {
   env->hops = 9;
   env->payload_bytes = 123;
   env.reset();
-  // A recycled envelope must look exactly like make_shared<Envelope>().
+  // A recycled envelope must look exactly like a freshly constructed one.
   auto env2 = MakeEnvelope();
   EXPECT_EQ(env2->kind, MessageKind::kCall);
   EXPECT_EQ(env2->hops, 0);
@@ -164,17 +146,30 @@ TEST(EnvelopePoolTest, EnvelopesAreFreshlyConstructed) {
 }
 
 TEST(EnvelopePoolTest, SteadyStateTrafficRecycles) {
-  RecyclingBlockCache& cache = EnvelopeBlockCache();
   // Warm the pool, then measure: churning envelopes one at a time must not
-  // take fresh allocations.
+  // construct new ones.
   MakeEnvelope().reset();
-  const uint64_t fresh_before = cache.fresh_allocations();
+  const EnvelopePoolStats before = GetEnvelopePoolStats();
   for (int i = 0; i < 1000; i++) {
     auto env = MakeEnvelope();
     env->app_data = static_cast<uint64_t>(i);
   }
-  EXPECT_EQ(cache.fresh_allocations(), fresh_before);
-  EXPECT_GE(cache.recycled_allocations(), 1000u);
+  const EnvelopePoolStats after = GetEnvelopePoolStats();
+  EXPECT_EQ(after.fresh, before.fresh);
+  EXPECT_EQ(after.recycled, before.recycled + 1000);
+  EXPECT_EQ(after.cached, before.cached);
+}
+
+TEST(EnvelopePoolTest, MovingAnEnvelopeKeepsOneOwner) {
+  EnvelopePtr env = MakeEnvelope();
+  Envelope* raw = env.get();
+  const EnvelopePoolStats before = GetEnvelopePoolStats();
+  EnvelopePtr moved = std::move(env);
+  EXPECT_EQ(env, nullptr);  // NOLINT(bugprone-use-after-move): the point of the test
+  EXPECT_EQ(moved.get(), raw);
+  EXPECT_EQ(GetEnvelopePoolStats().cached, before.cached);
+  moved.reset();  // the one owner releases it: parked exactly once
+  EXPECT_EQ(GetEnvelopePoolStats().cached, before.cached + 1);
 }
 
 }  // namespace

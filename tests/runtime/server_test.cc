@@ -557,6 +557,7 @@ class CallTableTest : public ::testing::Test {
  protected:
   static constexpr ActorId kHold = MakeActorId(kHoldType, 1);
   static constexpr ActorId kIssuer = MakeActorId(kIssuerType, 1);
+  static constexpr ActorId kRelay = MakeActorId(kRelayType, 1);
 
   CallTableTest() {
     CostModel costs;
@@ -566,6 +567,8 @@ class CallTableTest : public ::testing::Test {
     cluster_.RegisterActorType(
         kIssuerType,
         [this](ActorId) { return std::make_unique<IssuerActor>(&sim_, &log_); }, costs);
+    cluster_.RegisterActorType(
+        kRelayType, [](ActorId) { return std::make_unique<RelayActor>(); }, costs);
   }
 
   static ClusterConfig Config() {
@@ -670,6 +673,53 @@ TEST_F(CallTableTest, CrashDropsPendingCallsButQueuedContinuationRuns) {
   EXPECT_EQ(log_[0].tag, 2);
   EXPECT_FALSE(log_[0].failed);
   EXPECT_GT(log_[0].at, crash_at);
+}
+
+TEST_F(CallTableTest, ContinuationQueuedBeforeCrashRepliesOnAnInertContext) {
+  // The relay calls the hold actor and, not having replied in its turn, will
+  // reply from the sub-call's continuation.
+  int first_responses = 0;
+  client_.Call(kRelay, 0, kHold, 100, [&](const Response&) { first_responses++; });
+  sim_.RunUntil(sim_.now() + Millis(100));
+  ASSERT_EQ(hold().num_held(), 1u);
+
+  // In one event: the hold actor replies, which queues the relay's
+  // continuation turn; the server crashes; the relay is active again at once
+  // and a new client call to it goes out. The continuation then replies on
+  // the context of a turn that began before the crash.
+  int second_responses = 0;
+  uint64_t sent_before = 0;
+  Server& server = cluster_.server(0);
+  sim_.ScheduleAt(sim_.now() + Millis(100), [&] {
+    hold().held(0).Reply(64);
+    cluster_.CrashServer(0);
+    server.ForceActivateForTest(kRelay);
+    sent_before = cluster_.network().total_messages();
+    client_.Call(kRelay, 1, 0, 100, [&](const Response&) { second_responses++; });
+  });
+  sim_.RunUntil(Seconds(10));
+
+  // The pre-crash reply sent nothing: the network carried only the new call
+  // and its response, and the new activation's counters balance.
+  EXPECT_EQ(first_responses, 0);
+  EXPECT_EQ(second_responses, 1);
+  EXPECT_EQ(cluster_.network().total_messages(), sent_before + 2);
+  EXPECT_TRUE(server.IsMigratable(kRelay));
+}
+
+TEST_F(CallTableTest, InertContextStillRejectsASecondReply) {
+  int responses = 0;
+  client_.Call(kHold, 0, 0, 100, [&](const Response&) { responses++; });
+  sim_.RunUntil(sim_.now() + Millis(100));
+  ASSERT_EQ(hold().num_held(), 1u);
+  cluster_.CrashServer(0);
+
+  const uint64_t sent_before = cluster_.network().total_messages();
+  hold().held(0).Reply(64);  // the turn began before the crash: sends nothing
+  sim_.RunUntil(sim_.now() + Millis(100));
+  EXPECT_EQ(cluster_.network().total_messages(), sent_before);
+  EXPECT_EQ(responses, 0);
+  EXPECT_DEATH(hold().held(0).Reply(64), "replied_");
 }
 
 }  // namespace

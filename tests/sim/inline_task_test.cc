@@ -27,7 +27,7 @@ TEST(InlineTaskTest, InvokesSmallLambdaInline) {
 }
 
 TEST(InlineTaskTest, ThisPlusSharedPtrPlusIntStaysInline) {
-  // The dominant hot-path capture shape: [this, shared_ptr<Envelope>, int].
+  // A shared fan-out counter plus two words, as in a broadcast continuation.
   auto payload = std::make_shared<int>(7);
   int* out = nullptr;
   int salt = 0;
