@@ -4,65 +4,31 @@
 
 namespace actop {
 
-uint32_t DirectoryShard::AllocSlot() {
-  if (free_head_ != kNilIndex) {
-    const uint32_t slot = free_head_;
-    free_head_ = slots_[slot].free_next;
-    return slot;
-  }
-  slots_.emplace_back();
-  return static_cast<uint32_t>(slots_.size() - 1);
-}
-
 DirEntry DirectoryShard::LookupOrRegister(ActorId actor, ServerId suggested_owner) {
   ACTOP_CHECK(suggested_owner != kNoServer);
-  if (const uint32_t* pos = index_.Find(actor)) {
-    return slots_[*pos].entry;
+  if (const DirEntry* entry = entries_.Find(actor)) {
+    return *entry;
   }
-  const uint32_t slot = AllocSlot();
-  Slot& s = slots_[slot];
-  s.actor = actor;
-  s.entry = DirEntry{suggested_owner, next_token_++};
-  s.live = true;
-  index_.Insert(actor, slot);
-  live_++;
-  return s.entry;
+  DirEntry& entry = entries_.Insert(actor);
+  entry = DirEntry{suggested_owner, next_token_++};
+  return entry;
 }
 
 ServerId DirectoryShard::Lookup(ActorId actor) const {
-  const uint32_t* pos = index_.Find(actor);
-  return pos == nullptr ? kNoServer : slots_[*pos].entry.owner;
+  const DirEntry* entry = entries_.Find(actor);
+  return entry == nullptr ? kNoServer : entry->owner;
 }
 
 void DirectoryShard::Unregister(ActorId actor, ServerId owner, uint64_t token) {
-  const uint32_t* pos = index_.Find(actor);
-  if (pos == nullptr) {
-    return;
-  }
-  Slot& s = slots_[*pos];
-  if (s.entry.owner == owner && (token == 0 || s.entry.token == token)) {
-    s.live = false;
-    s.free_next = free_head_;
-    free_head_ = *pos;
-    live_--;
-    index_.Erase(actor);
+  const DirEntry* entry = entries_.Find(actor);
+  if (entry != nullptr && entry->owner == owner && (token == 0 || entry->token == token)) {
+    entries_.Erase(actor);
   }
 }
 
 int DirectoryShard::EvictServer(ServerId server) {
-  int evicted = 0;
-  for (uint32_t i = 0; i < slots_.size(); i++) {
-    Slot& s = slots_[i];
-    if (s.live && s.entry.owner == server) {
-      s.live = false;
-      s.free_next = free_head_;
-      free_head_ = i;
-      live_--;
-      index_.Erase(s.actor);
-      evicted++;
-    }
-  }
-  return evicted;
+  return static_cast<int>(
+      entries_.EraseIf([server](ActorId, const DirEntry& entry) { return entry.owner == server; }));
 }
 
 }  // namespace actop

@@ -13,9 +13,9 @@
 // unregister arrives). Token 0 is a wildcard that matches any registration
 // by the right owner (legacy callers and crash-path eviction).
 //
-// Layout: registrations live in a dense slab of slots recycled through a
-// free list, with a FlatHashMap from actor id to slot index. At Halo scale
-// (10M actors over 1000 shards) this replaces one heap node + bucket
+// Layout: registrations live in a SlabMap (src/common/slab_map.h) — dense
+// slots recycled through a free list, indexed by a FlatHashMap. At Halo
+// scale (10M actors over 1000 shards) this replaces one heap node + bucket
 // pointer chase per actor with ~25 flat bytes per entry. Consumers that
 // need to walk the shard (chaos directory churn, invariant sweeps) use
 // ForEach, which visits slots in slot-index order — a pure function of the
@@ -25,12 +25,12 @@
 #ifndef SRC_ACTOR_DIRECTORY_H_
 #define SRC_ACTOR_DIRECTORY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "src/common/flat_hash_map.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
+#include "src/common/slab_map.h"
 
 namespace actop {
 
@@ -65,7 +65,7 @@ class DirectoryShard {
   // Returns how many entries were evicted.
   int EvictServer(ServerId server);
 
-  size_t size() const { return live_; }
+  size_t size() const { return entries_.size(); }
 
   // Visits every registration as fn(ActorId, const DirEntry&) in slot-index
   // order. Deterministic: the order is a function of the shard's
@@ -74,30 +74,11 @@ class DirectoryShard {
   // replay identically for a fixed seed.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.live) {
-        fn(s.actor, s.entry);
-      }
-    }
+    entries_.ForEach(fn);
   }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
-
-  struct Slot {
-    ActorId actor = 0;
-    DirEntry entry;
-    // Next-free link while on the free list.
-    uint32_t free_next = kNilIndex;
-    bool live = false;
-  };
-
-  uint32_t AllocSlot();
-
-  std::vector<Slot> slots_;
-  uint32_t free_head_ = kNilIndex;
-  size_t live_ = 0;
-  FlatHashMap<ActorId, uint32_t> index_;
+  SlabMap<ActorId, DirEntry> entries_;
   uint64_t next_token_ = 1;
 };
 

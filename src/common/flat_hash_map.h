@@ -13,8 +13,8 @@
 //     table is a function of the hash seed and resize history — nothing in
 //     deterministic-replay code should ever observe it.)
 //   * Not a drop-in for std::unordered_map where iteration order is
-//     load-bearing — pair it with a dense slab and iterate the slab in slot
-//     order instead (see src/actor/directory.h for the pattern).
+//     load-bearing — use SlabMap (src/common/slab_map.h), which pairs it
+//     with a dense slab walked in slot order.
 
 #ifndef SRC_COMMON_FLAT_HASH_MAP_H_
 #define SRC_COMMON_FLAT_HASH_MAP_H_

@@ -1,6 +1,6 @@
 // Flat CSR (compressed sparse row) snapshot of a WeightedGraph.
 //
-// The map-based WeightedGraph pays a hash node per vertex and a pooled node
+// The map-based WeightedGraph pays a hash node per vertex and a map node
 // per edge; at a million vertices that is gigabytes of pointer-chased slabs
 // and every planning pass walks them in hash order. This freezes the graph
 // into four arrays — sorted vertex ids, an offsets array, and neighbor/

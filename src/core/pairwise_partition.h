@@ -34,16 +34,11 @@
 
 #include "src/common/check.h"
 #include "src/common/ids.h"
-#include "src/common/pool_allocator.h"
 
 namespace actop {
 
 // Sparse weighted adjacency of one vertex: peer vertex -> edge weight.
-// Node-pooled: partition agents rebuild their sampled views every exchange
-// round, and recycling the map nodes keeps that rebuild off the allocator
-// (see pool_allocator.h — iteration order is unaffected, which the golden
-// tests depend on).
-using VertexAdjacency = PooledNodeMap<VertexId, double>;
+using VertexAdjacency = std::unordered_map<VertexId, double>;
 
 // What one server knows about the communication graph (possibly sampled and
 // partially stale).
@@ -53,15 +48,15 @@ struct LocalGraphView {
   // balance constraint is on actor counts (or on total size, below).
   int64_t num_local_vertices = 0;
   // Sampled adjacency for local vertices that have observed edges.
-  PooledNodeMap<VertexId, VertexAdjacency> adjacency;
+  std::unordered_map<VertexId, VertexAdjacency> adjacency;
   // Last-known location of every vertex referenced in `adjacency` (remote
   // endpoints; local vertices may be omitted and default to `self`).
-  PooledNodeMap<VertexId, ServerId> location;
+  std::unordered_map<VertexId, ServerId> location;
 
   // §4.2 extension — heterogeneous actors: per-vertex sizes (memory/compute
   // footprint) for local vertices. Empty = every vertex has size 1. When
   // used, `total_local_size` must be the sum over ALL local vertices.
-  PooledNodeMap<VertexId, double> vertex_size;
+  std::unordered_map<VertexId, double> vertex_size;
   double total_local_size = -1.0;  // < 0: use num_local_vertices
 
   // Location lookup with local default.

@@ -1,7 +1,7 @@
 // Million-vertex repartitioning data plane over a frozen CsrGraph.
 //
 // PartitionTestbed is the readable reference implementation: it materializes
-// a fresh LocalGraphView (hash maps, pooled nodes) for every protocol round,
+// a fresh LocalGraphView (node-based hash maps) for every protocol round,
 // which is fine at 10^4 vertices and hopeless at 10^6. RepartitionArena runs
 // the same pairwise exchange protocol over dense arrays:
 //

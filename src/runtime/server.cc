@@ -225,19 +225,20 @@ void Server::RouteCall(EnvelopePtr env) {
 
 void Server::ResolveViaDirectory(EnvelopePtr env) {
   const ActorId target = env->target;
-  auto [park_it, inserted] = parked_calls_.try_emplace(target);
-  ParkedCalls& parked = park_it->second;
-  if (inserted && !parked_entry_pool_.empty()) {
-    // Reuse a retired entry buffer (returned by the drain in
-    // OnDirectoryAnswer) instead of growing a fresh vector per lookup.
-    parked.entries = std::move(parked_entry_pool_.back());
-    parked_entry_pool_.pop_back();
-  }
-  parked.entries.push_back(std::move(env));
-  if (parked.entries.size() > 1) {
+  ParkedCalls* parked = parked_calls_.Find(target);
+  if (parked != nullptr) {
+    parked->entries.push_back(std::move(env));
     return;  // lookup already in flight
   }
-  parked.since = sim_->now();
+  parked = &parked_calls_.Insert(target);
+  if (!parked_entry_pool_.empty()) {
+    // Reuse a retired entry buffer (returned by the drain in
+    // OnDirectoryAnswer) instead of growing a fresh vector per lookup.
+    parked->entries = std::move(parked_entry_pool_.back());
+    parked_entry_pool_.pop_back();
+  }
+  parked->entries.push_back(std::move(env));
+  parked->since = sim_->now();
   const ServerId home = DirectoryHomeOf(target, cluster_->num_servers());
   const ServerId suggestion = SuggestPlacement(target);
   if (home == id_) {
@@ -279,19 +280,17 @@ ServerId Server::SuggestPlacement(ActorId actor) {
 
 void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
   if (owner == id_) {
-    auto fence = pending_unregisters_.find(actor);
-    if (fence != pending_unregisters_.end()) {
-      if (fence->second.token == token && sim_->now() < fence->second.expires) {
+    if (const UnregisterFence* fence = pending_unregisters_.Find(actor)) {
+      if (fence->token == token && sim_->now() < fence->expires) {
         // The answer names a registration we already unregistered; the
         // DirUnregister may still be in flight, so adopting it would hand
         // the activation a doomed directory entry. Leave the calls parked
         // and re-resolve once the unregister has landed (or the fence
         // expires, if the unregister was lost).
-        auto parked = parked_calls_.find(actor);
-        if (parked != parked_calls_.end() && !parked->second.entries.empty()) {
+        if (parked_calls_.Contains(actor)) {
           const ServerId home = DirectoryHomeOf(actor, cluster_->num_servers());
           sim_->ScheduleAfter(Millis(10), [this, actor, home] {
-            if (!parked_calls_.contains(actor)) {
+            if (!parked_calls_.Contains(actor)) {
               return;
             }
             SendControl(home, DirLookupRequest{.actor = actor,
@@ -304,12 +303,12 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
       // Either a different token supersedes the fenced registration (it is
       // gone for good) or the fence expired (the unregister is no longer in
       // flight anywhere): adopting is safe.
-      pending_unregisters_.erase(fence);
+      pending_unregisters_.Erase(actor);
     }
   }
   location_cache_.Put(actor, owner);
-  auto it = parked_calls_.find(actor);
-  if (it == parked_calls_.end()) {
+  ParkedCalls* parked = parked_calls_.Find(actor);
+  if (parked == nullptr) {
     return;
   }
   // Move-then-erase-before-dispatch: the dispatch below can re-enter server
@@ -318,8 +317,8 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
   // under this same key). Draining a moved-out local and erasing the map
   // entry first keeps that re-entry safe; iterating the live map here would
   // be invalidated by it.
-  std::vector<EnvelopePtr> envs = std::move(it->second.entries);
-  parked_calls_.erase(it);
+  std::vector<EnvelopePtr> envs = std::move(parked->entries);
+  parked_calls_.Erase(actor);
   for (auto& env : envs) {
     if (owner == id_) {
       ActivateAndDeliver(std::move(env), token);
@@ -334,12 +333,19 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
 void Server::ActivateAndDeliver(EnvelopePtr env, uint64_t token) {
   const ActorId target = env->target;
   if (!activations_.Contains(target)) {
-    Activation& act = activations_.Create(target);
-    act.instance = cluster_->GetOrCreateActor(target, shard_);
-    act.dir_token = token;
-    activations_started_++;
+    CreateActivation(target, token);
   }
   DeliverLocalCall(std::move(env));
+}
+
+void Server::CreateActivation(ActorId actor, uint64_t token) {
+  Activation& act = activations_.Insert(actor);
+  // Reset every field but the mailbox, whose (empty) buffer the recycled
+  // slot inherits from its previous occupant.
+  act = Activation{.instance = cluster_->GetOrCreateActor(actor, shard_),
+                   .dir_token = token,
+                   .mailbox = std::move(act.mailbox)};
+  activations_started_++;
 }
 
 void Server::ForwardCall(EnvelopePtr env, ServerId dest) {
@@ -680,6 +686,7 @@ void Server::DropActivationAndUnregister(ActorId actor) {
   Activation* act = activations_.Find(actor);
   ACTOP_CHECK(act != nullptr);
   const uint64_t token = act->dir_token;
+  ACTOP_CHECK(act->mailbox.empty());  // its buffer stays with the slot
   activations_.Erase(actor);
   const ServerId home = DirectoryHomeOf(actor, cluster_->num_servers());
   if (home == id_) {
@@ -689,7 +696,12 @@ void Server::DropActivationAndUnregister(ActorId actor) {
   SendControl(home, DirUnregister{.actor = actor, .owner = id_, .token = token});
   // Until that message lands, the shard still advertises the dead
   // registration; fence it so a racing lookup answer cannot re-adopt it.
-  pending_unregisters_[actor] = UnregisterFence{token, sim_->now() + config_.call_timeout};
+  const UnregisterFence fence{token, sim_->now() + config_.call_timeout};
+  if (UnregisterFence* held = pending_unregisters_.Find(actor)) {
+    *held = fence;
+  } else {
+    pending_unregisters_.Insert(actor) = fence;
+  }
 }
 
 bool Server::MigrateActor(ActorId actor, ServerId dest) {
@@ -717,18 +729,15 @@ bool Server::DeactivateActor(ActorId actor) {
 }
 
 void Server::ForceActivateForTest(ActorId actor) {
-  if (activations_.Contains(actor)) {
-    return;
+  if (!activations_.Contains(actor)) {
+    CreateActivation(actor, 0);
   }
-  Activation& act = activations_.Create(actor);
-  act.instance = cluster_->GetOrCreateActor(actor, shard_);
-  activations_started_++;
 }
 
 void Server::Crash() {
   crash_epoch_++;
   activations_.Clear();
-  parked_calls_.clear();
+  parked_calls_.Clear();
   // Drop every pending call. Slots whose continuation turn is already queued
   // are not pending (no seq) and stay parked until that turn runs.
   while (pending_head_ != kNilSlot) {
@@ -738,7 +747,7 @@ void Server::Crash() {
   }
   // Retained contexts are not freed: queued continuations may still hold
   // them. The epoch bump above makes them inert.
-  pending_unregisters_.clear();
+  pending_unregisters_.Clear();
   location_cache_.Clear();
 }
 
@@ -770,20 +779,21 @@ void Server::SweepTimeouts() {
          call_slots_[pending_head_].issued_at + config_.call_timeout <= now) {
     FailPendingCall(pending_head_);
   }
+  pending_unregisters_.EraseIf(
+      [now](ActorId, const UnregisterFence& fence) { return fence.expires <= now; });
   // Retry directory lookups whose answer was lost (e.g. dropped by a
-  // saturated receive queue or a crashed home shard). Collect-then-act: the
-  // retry actions below reach back into routing code (SendControl, the
-  // deferred directory answer) which may insert into parked_calls_, so the
-  // live map must not be under iteration while they run. The scratch vector
-  // preserves the map's iteration order and is reused across sweeps.
+  // saturated receive queue or a crashed home shard), in the slot order of
+  // parked_calls_. Collect-then-act: the retry actions below reach back into
+  // routing code (SendControl, the deferred directory answer) which may
+  // insert into parked_calls_, so the slab must not be under iteration while
+  // they run. The scratch vector is reused across sweeps.
   sweep_retry_scratch_.clear();
-  for (auto& [actor, parked] : parked_calls_) {
-    if (now - parked.since < config_.call_timeout / 3) {
-      continue;
+  parked_calls_.ForEach([&](ActorId actor, ParkedCalls& parked) {
+    if (now - parked.since >= config_.call_timeout / 3) {
+      parked.since = now;
+      sweep_retry_scratch_.push_back(actor);
     }
-    parked.since = now;
-    sweep_retry_scratch_.push_back(actor);
-  }
+  });
   for (const ActorId actor : sweep_retry_scratch_) {
     const ServerId home = DirectoryHomeOf(actor, cluster_->num_servers());
     const ServerId suggestion = SuggestPlacement(actor);

@@ -21,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,10 +29,10 @@
 #include "src/actor/location_cache.h"
 #include "src/common/flat_hash_map.h"
 #include "src/common/ids.h"
-#include "src/common/pool_allocator.h"
 #include "src/common/ring_buffer.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
+#include "src/common/slab_map.h"
 #include "src/net/network.h"
 #include "src/runtime/envelope_pool.h"
 #include "src/runtime/message.h"
@@ -153,7 +152,7 @@ class Server : public ThreadHost {
   // --- Activation queries ---
   bool IsActive(ActorId actor) const { return activations_.Contains(actor); }
   int64_t num_activations() const { return static_cast<int64_t>(activations_.size()); }
-  // Actors currently active on this server (stable order not guaranteed).
+  // Actors currently active on this server, in activation-slab slot order.
   std::vector<ActorId> ActiveActors() const;
 
   // --- Migration (used by the partition agent) ---
@@ -212,6 +211,8 @@ class Server : public ThreadHost {
   uint64_t remote_app_messages() const { return remote_app_messages_; }
   uint64_t local_app_messages() const { return local_app_messages_; }
   uint64_t activations_started() const { return activations_started_; }
+  // Unregister fences currently held (see pending_unregisters_).
+  size_t num_unregister_fences() const { return pending_unregisters_.size(); }
 
  private:
   friend class ServerCallContext;
@@ -226,97 +227,6 @@ class Server : public ThreadHost {
     int pending_subcalls = 0;   // sub-calls awaiting a response
     uint64_t dir_token = 0;     // token of the directory registration backing us
     RingBuffer<EnvelopePtr> mailbox;
-  };
-
-  // Dense activation table: Activation records live in a slab of recycled
-  // slots with a FlatHashMap index — flat bytes per activation instead of an
-  // unordered-map heap node (the dominant per-actor overhead at Halo scale),
-  // and a recycled slot keeps its mailbox RingBuffer storage, so
-  // deactivate/re-activate churn stops allocating mailboxes in steady state.
-  // Pointers returned by Find stay valid across Erase but are invalidated by
-  // Create (the slab may grow) — never hold one across an activation.
-  // ForEach visits slots in slot-index order: deterministic (a pure function
-  // of the server's activation history), independent of hash layout.
-  class ActivationTable {
-   public:
-    bool Contains(ActorId actor) const { return index_.Find(actor) != nullptr; }
-    Activation* Find(ActorId actor) {
-      const uint32_t* pos = index_.Find(actor);
-      return pos == nullptr ? nullptr : &slots_[*pos].act;
-    }
-    const Activation* Find(ActorId actor) const {
-      return const_cast<ActivationTable*>(this)->Find(actor);
-    }
-    size_t size() const { return live_; }
-
-    // The actor must not be active. Returns a freshly reset record (mailbox
-    // buffer inherited from the slot's previous occupant, empty).
-    Activation& Create(ActorId actor) {
-      uint32_t slot;
-      if (free_head_ != kNilSlot) {
-        slot = free_head_;
-        free_head_ = slots_[slot].free_next;
-      } else {
-        slots_.emplace_back();
-        slot = static_cast<uint32_t>(slots_.size() - 1);
-      }
-      Slot& s = slots_[slot];
-      s.actor = actor;
-      s.live = true;
-      s.act.instance = nullptr;
-      s.act.busy = false;
-      s.act.activation_pending = true;
-      s.act.open_contexts = 0;
-      s.act.pending_subcalls = 0;
-      s.act.dir_token = 0;
-      index_.Insert(actor, slot);
-      live_++;
-      return s.act;
-    }
-
-    // The mailbox must already be empty (only idle actors deactivate); its
-    // buffer stays with the slot for the next occupant.
-    void Erase(ActorId actor) {
-      const uint32_t* pos = index_.Find(actor);
-      ACTOP_CHECK(pos != nullptr);
-      Slot& s = slots_[*pos];
-      ACTOP_CHECK(s.act.mailbox.empty());
-      s.live = false;
-      s.free_next = free_head_;
-      free_head_ = *pos;
-      live_--;
-      index_.Erase(actor);
-    }
-
-    // Crash path: drops every record, queued mail included.
-    void Clear() {
-      slots_.clear();
-      free_head_ = kNilSlot;
-      live_ = 0;
-      index_.Clear();
-    }
-
-    template <typename Fn>
-    void ForEach(Fn&& fn) const {
-      for (const Slot& s : slots_) {
-        if (s.live) {
-          fn(s.actor, s.act);
-        }
-      }
-    }
-
-   private:
-    struct Slot {
-      ActorId actor = kNoActor;
-      Activation act;
-      uint32_t free_next = kNilSlot;
-      bool live = false;
-    };
-
-    std::vector<Slot> slots_;
-    uint32_t free_head_ = kNilSlot;
-    size_t live_ = 0;
-    FlatHashMap<ActorId, uint32_t> index_;
   };
 
   struct ParkedCalls {
@@ -348,6 +258,8 @@ class Server : public ThreadHost {
   void ResolveViaDirectory(EnvelopePtr env);
   void OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token);
   void ActivateAndDeliver(EnvelopePtr env, uint64_t token);
+  // Inserts a fresh activation record for `actor`, which must not be active.
+  void CreateActivation(ActorId actor, uint64_t token);
   // Deactivates + unregisters, fencing the in-flight unregister so a racing
   // lookup answer cannot resurrect the doomed registration.
   void DropActivationAndUnregister(ActorId actor);
@@ -396,7 +308,11 @@ class Server : public ThreadHost {
   std::unique_ptr<CpuModel> cpu_;
   std::vector<std::unique_ptr<Stage>> stages_;
 
-  ActivationTable activations_;
+  // Flat bytes per activation instead of a heap node (the dominant per-actor
+  // overhead at Halo scale), and a recycled slot keeps its mailbox buffer,
+  // so deactivate/re-activate churn stops allocating mailboxes. A Find
+  // pointer does not survive an activation (Insert may grow the slab).
+  SlabMap<ActorId, Activation> activations_;
   LocationCache location_cache_;
   DirectoryShard directory_shard_;
 
@@ -416,7 +332,9 @@ class Server : public ThreadHost {
   uint32_t pending_tail_ = kNilSlot;
 
   // Calls parked while a directory lookup is in flight, keyed by actor.
-  PooledNodeMap<ActorId, ParkedCalls> parked_calls_;
+  // SweepTimeouts retries lost lookups in slot order, so the retry order is
+  // a function of the server's park history, never of hash layout.
+  SlabMap<ActorId, ParkedCalls> parked_calls_;
   // Retired parked-entry buffers, recycled by the next park so the
   // park/drain cycle stops allocating vectors in steady state.
   std::vector<std::vector<EnvelopePtr>> parked_entry_pool_;
@@ -439,7 +357,11 @@ class Server : public ThreadHost {
     uint64_t token = 0;
     SimTime expires = 0;
   };
-  PooledNodeMap<ActorId, UnregisterFence> pending_unregisters_;
+  // An expired fence is inert, so SweepTimeouts erases it by walking the
+  // slab. A queue in expiry order would be no cheaper to sweep and would
+  // hold every fence for the full call_timeout, though most are cleared by
+  // a directory answer within milliseconds.
+  SlabMap<ActorId, UnregisterFence> pending_unregisters_;
 
   // Every call context this server ever made; the server is their only
   // owner. A context is parked on free_contexts_ (poisoned under ASan), held

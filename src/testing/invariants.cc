@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
 #include "src/actor/directory.h"
 #include "src/common/check.h"
@@ -31,19 +31,24 @@ std::vector<std::string> InvariantChecker::CheckInstant() {
   std::vector<std::string> violations;
   const int n = cluster_->num_servers();
 
-  // (a) at most one live activation per actor.
-  std::unordered_map<ActorId, std::vector<ServerId>> hosts;
+  // (a) at most one live activation per actor, reported in ascending actor
+  // order (servers ascending within an actor).
+  std::vector<std::pair<ActorId, ServerId>> hosts;
   for (int s = 0; s < n; s++) {
     for (ActorId actor : cluster_->server(s).ActiveActors()) {
-      hosts[actor].push_back(static_cast<ServerId>(s));
+      hosts.emplace_back(actor, static_cast<ServerId>(s));
     }
   }
-  for (const auto& [actor, where] : hosts) {
-    if (where.size() > 1) {
+  std::sort(hosts.begin(), hosts.end());
+  for (size_t i = 0, j = 0; i < hosts.size(); i = j) {
+    while (j < hosts.size() && hosts[j].first == hosts[i].first) {
+      j++;
+    }
+    if (j - i > 1) {
       std::ostringstream os;
-      os << "duplicate activation: actor " << actor << " live on servers";
-      for (ServerId s : where) {
-        os << ' ' << s;
+      os << "duplicate activation: actor " << hosts[i].first << " live on servers";
+      for (size_t k = i; k < j; k++) {
+        os << ' ' << hosts[k].second;
       }
       violations.push_back(os.str());
     }

@@ -421,6 +421,27 @@ TEST(ChaosBugDemoTest, InjectedDuplicateActivationIsCaught) {
   chaos.Stop();
 }
 
+TEST(InvariantCheckerTest, DuplicateActivationsReportInActorOrder) {
+  // A report must not depend on hash layout: duplicates are listed in
+  // ascending actor order, servers ascending within an actor.
+  Simulation sim;
+  Cluster cluster(&sim, ClusterConfig{.num_servers = 3, .seed = 1});
+  RegisterTestActors(&cluster);
+  const std::vector<uint64_t> keys = {40, 7, 93, 12, 65};
+  for (const int s : {2, 0}) {
+    for (const uint64_t k : keys) {
+      cluster.server(s).ForceActivateForTest(MakeActorId(kEchoType, k));
+    }
+  }
+  std::vector<std::string> expected;
+  for (const uint64_t k : {7, 12, 40, 65, 93}) {
+    expected.push_back("duplicate activation: actor " +
+                       std::to_string(MakeActorId(kEchoType, k)) + " live on servers 0 2");
+  }
+  InvariantChecker checker(&cluster);
+  EXPECT_EQ(checker.CheckInstant(), expected);
+}
+
 // Soak entry point: chaos_test --chaos_seeds=N sweeps N extra seeds beyond
 // the checked-in range. N=0 (the default) makes this a no-op.
 TEST(ChaosSoakTest, ExtraSeeds) {

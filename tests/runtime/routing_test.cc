@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/envelope_pool.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/test_actors.h"
 
@@ -120,6 +125,76 @@ TEST(RoutingTest, ControlLossRecoversViaParkedCallRetry) {
   cluster.CrashServer(home);
   sim.RunUntil(Seconds(10));
   EXPECT_EQ(responses, 1);
+}
+
+TEST(RoutingTest, SweepRetriesLostLookupsInParkOrder) {
+  // Calls for six actors homed on server 1 park at server 0 in an order that
+  // is neither their id order nor anything a hash layout would produce, and
+  // every first lookup is lost. The sweep must re-send the lookups in park
+  // order; the home shard mints registration tokens in arrival order, so
+  // the tokens show the order.
+  ClusterConfig cfg{.num_servers = 2, .seed = 3};
+  cfg.server.call_timeout = Seconds(3);  // a lookup is retried once 1 s old
+  cfg.server.exponential_costs = false;   // equal costs keep the sends in order
+  cfg.server.gc_mean_interval = 0;
+  Simulation sim;
+  Cluster cluster(&sim, cfg);
+  RegisterTestActors(&cluster);
+
+  std::vector<ActorId> homed;
+  for (uint64_t k = 1; homed.size() < 6; k++) {
+    const ActorId actor = MakeActorId(kEchoType, k);
+    if (DirectoryHomeOf(actor, 2) == 1) {
+      homed.push_back(actor);
+    }
+  }
+  const std::vector<ActorId> park_order = {homed[3], homed[0], homed[5],
+                                           homed[1], homed[4], homed[2]};
+
+  // Every control message from server 0 to server 1 in the first 100 ms is
+  // a first lookup: drop them all.
+  const NodeId gateway = cluster.NodeOfServer(0);
+  const NodeId home = cluster.NodeOfServer(1);
+  int dropped = 0;
+  cluster.network().set_fault_injector(
+      [&](NodeId from, NodeId to, uint32_t bytes, int, SimTime now) {
+        FaultDecision fate;
+        fate.drop = from == gateway && to == home && bytes == cfg.server.control_bytes &&
+                    now < Millis(100);
+        dropped += fate.drop ? 1 : 0;
+        return fate;
+      });
+
+  int responses = 0;
+  const NodeId client =
+      cluster.AddClientNode([&](NodeId, uint32_t, EnvelopePtr) { responses++; });
+  for (size_t i = 0; i < park_order.size(); i++) {
+    EnvelopePtr env = MakeEnvelope();
+    env->kind = MessageKind::kCall;
+    env->call_id = CallId{client, i + 1};
+    env->target = park_order[i];
+    env->method = 1;
+    env->payload_bytes = 100;
+    env->reply_to = client;
+    env->created_at = sim.now();
+    cluster.network().Send(client, gateway, 100, std::move(env));
+    sim.RunUntil(sim.now() + Millis(5));
+  }
+  sim.RunUntil(Seconds(1) + Millis(500));
+  EXPECT_EQ(dropped, 6);
+  EXPECT_EQ(cluster.server(1).directory_shard().size(), 0u);
+
+  sim.RunUntil(Seconds(3));
+  std::vector<std::pair<uint64_t, ActorId>> by_token;
+  cluster.server(1).directory_shard().ForEach(
+      [&](ActorId actor, const DirEntry& entry) { by_token.emplace_back(entry.token, actor); });
+  std::sort(by_token.begin(), by_token.end());
+  std::vector<ActorId> retry_order;
+  for (const auto& [token, actor] : by_token) {
+    retry_order.push_back(actor);
+  }
+  EXPECT_EQ(retry_order, park_order);
+  EXPECT_EQ(responses, 6);
 }
 
 TEST(RoutingTest, ActiveActorsListsEveryActivation) {

@@ -436,6 +436,42 @@ TEST(RuntimeTest, CrashReactivatesActorElsewhere) {
   EXPECT_EQ(cluster.total_activations(), 1);
 }
 
+TEST(RuntimeTest, ExpiredUnregisterFenceIsSweptAway) {
+  // Deactivating an actor whose home shard is remote fences its
+  // registration until the unregister has surely landed. An expired fence
+  // is inert, so the timeout sweep must drop it: otherwise every
+  // deactivation without a later directory answer holds one forever.
+  ClusterConfig cfg = SmallCluster();
+  cfg.server.call_timeout = Seconds(2);  // swept every second
+  Simulation sim;
+  Cluster cluster(&sim, cfg);
+  RegisterTestActors(&cluster);
+  DirectClient client(&sim, &cluster, 5);
+
+  ActorId echo = kNoActor;
+  ServerId host = kNoServer;
+  for (uint64_t k = 1; k <= 40 && echo == kNoActor; k++) {
+    const ActorId candidate = MakeActorId(kEchoType, k);
+    client.Call(candidate, 1, 0, 100, nullptr);
+    sim.RunUntil(sim.now() + Millis(100));
+    const ServerId where = HostOf(cluster, candidate);
+    if (where != kNoServer && where != DirectoryHomeOf(candidate, cluster.num_servers())) {
+      echo = candidate;
+      host = where;
+    }
+  }
+  ASSERT_NE(echo, kNoActor);
+  Server& server = cluster.server(host);
+  const size_t fences_before = server.num_unregister_fences();
+  ASSERT_TRUE(server.DeactivateActor(echo));
+  EXPECT_EQ(server.num_unregister_fences(), fences_before + 1);
+
+  sim.RunUntil(sim.now() + cfg.server.call_timeout + cfg.server.timeout_sweep_period);
+  for (int s = 0; s < cluster.num_servers(); s++) {
+    EXPECT_EQ(cluster.server(s).num_unregister_fences(), 0u) << "server " << s;
+  }
+}
+
 TEST(RuntimeTest, SubcallToCrashedServerFailsViaTimeout) {
   ClusterConfig cfg = SmallCluster();
   cfg.server.call_timeout = Seconds(2);
