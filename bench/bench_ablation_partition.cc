@@ -8,11 +8,11 @@
 #include <chrono>
 #include <cstdio>
 
+#include "oracles/offline_partitioner.h"
+#include "oracles/partition_testbed.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/core/offline_partitioner.h"
-#include "src/core/partition_testbed.h"
 #include "src/core/space_saving.h"
 #include "src/runtime/cluster.h"
 #include "src/sim/simulation.h"

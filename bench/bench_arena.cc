@@ -2,7 +2,7 @@
 //
 // Races the flat CSR repartitioning data plane (RepartitionArena) against
 // the retained map-based PartitionTestbed on million-vertex graphs, and
-// races the pluggable policies (src/core/repartition_policy.h) against each
+// races the pluggable policies (oracles/repartition_policy.h) against each
 // other on clustered, random, and churned topologies.
 //
 // Gated scenarios (compared against bench/baselines/BENCH_arena.baseline.json
@@ -46,12 +46,12 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/harness.h"
+#include "oracles/partition_testbed.h"
+#include "oracles/repartition_policy.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/csr_graph.h"
-#include "src/core/partition_testbed.h"
 #include "src/core/repartition_arena.h"
-#include "src/core/repartition_policy.h"
 
 namespace actop {
 namespace {
@@ -211,7 +211,7 @@ void RunRace(const std::string& race, const CsrGraph& csr, int servers,
 int RunSmoke() {
   Rng grng(7);
   const WeightedGraph graph = MakeClusteredGraph(200, 8, 1.0, 400, 0.5, &grng);
-  const CsrGraph csr = CsrGraph::FromWeighted(graph);
+  const CsrGraph csr = CsrFromWeighted(graph);
   PairwiseConfig config;
   config.candidate_set_size = 16;
   config.balance_delta = 8;
@@ -294,12 +294,12 @@ int main(int argc, char** argv) {
   Rng g100k_rng(0xa1ULL);
   const WeightedGraph g100k =
       MakeClusteredGraph(clusters_100k, 8, 1.0, clusters_100k * 2, 0.5, &g100k_rng);
-  const CsrGraph csr100k = CsrGraph::FromWeighted(g100k);
+  const CsrGraph csr100k = CsrFromWeighted(g100k);
 
   Rng g1m_rng(0xb2ULL);
   const WeightedGraph g1m =
       MakeClusteredGraph(clusters_1m, 8, 1.0, clusters_1m * 2, 0.5, &g1m_rng);
-  const CsrGraph csr1m = CsrGraph::FromWeighted(g1m);
+  const CsrGraph csr1m = CsrFromWeighted(g1m);
 
   std::vector<ScenarioResult> results;
   results.push_back(RunPairwiseRounds("pairwise_rounds_100k", g100k, csr100k, 8, 0x5eedULL));
@@ -311,13 +311,13 @@ int main(int argc, char** argv) {
     Rng rng(0xc3ULL);
     const int n = clusters_100k * 8;
     const WeightedGraph grand = MakeRandomGraph(n, n * 4, 2.0, &rng);
-    const CsrGraph csr = CsrGraph::FromWeighted(grand);
+    const CsrGraph csr = CsrFromWeighted(grand);
     RunRace("random_100k", csr, 8, 0x5eedULL, 40, &races);
   }
   {
     Rng rng(0xd4ULL);
     const WeightedGraph gchurn = MakeChurnedClusteredGraph(clusters_100k, 8, 1.0, 0.25, &rng);
-    const CsrGraph csr = CsrGraph::FromWeighted(gchurn);
+    const CsrGraph csr = CsrFromWeighted(gchurn);
     RunRace("churned_100k", csr, 8, 0x5eedULL, 40, &races);
   }
   RunRace("clustered_1m", csr1m, 16, 0x5eedULL, 6, &races);

@@ -5,7 +5,7 @@
 // 1. CPU-scheduler scenarios, measured TWICE in the same binary (the
 //    bench_partition pattern): once with the virtual-time CpuModel
 //    (src/seda/cpu.h) and once with the retained seed implementation
-//    (src/seda/cpu_reference.h, namespace sedaref). The two are held
+//    (oracles/cpu_reference.h, namespace sedaref). The two are held
 //    completion-for-completion equivalent by
 //    tests/seda/cpu_differential_test.cc, so the in-binary
 //    "speedup_vs_seed_impl" is a pure scheduler-data-structure comparison on
@@ -56,9 +56,9 @@
 #include "bench/alloc_counter.h"
 #include "bench/halo_common.h"
 #include "bench/harness.h"
+#include "oracles/cpu_reference.h"
 #include "src/common/sim_time.h"
 #include "src/seda/cpu.h"
-#include "src/seda/cpu_reference.h"
 #include "src/sim/simulation.h"
 
 namespace actop {

@@ -14,10 +14,10 @@
 #include <cstdio>
 
 #include "bench/halo_common.h"
+#include "oracles/partition_testbed.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/core/partition_testbed.h"
 
 namespace actop {
 namespace {

@@ -4,10 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "oracles/local_graph_planner.h"
+#include "oracles/partition_testbed.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
-#include "src/core/partition_testbed.h"
 #include "src/core/space_saving.h"
 #include "src/core/thread_allocator.h"
 #include "src/seda/cpu.h"

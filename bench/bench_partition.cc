@@ -4,12 +4,13 @@
 // exchange planner, here in its LocalGraphView form — and, unlike
 // bench_engine, measures each scenario TWICE in the same binary: once with
 // the optimized implementations (Stream-Summary SpaceSaving, indexed
-// ExchangeHeap + scratch-buffer BuildPeerPlans) and once with the retained
-// seed implementations (space_saving_reference.h,
-// pairwise_partition_reference.h). The two are proven decision-identical by
-// tests/core/space_saving_fuzz_test.cc and exchange_golden_test.cc, so the
-// in-binary "speedup_vs_seed_impl" is a pure data-structure comparison on
-// identical inputs producing identical outputs.
+// ExchangeHeap + scratch-buffer BuildPeerPlans from
+// oracles/local_graph_planner.h) and once with the retained seed
+// implementations (oracles/space_saving_reference.h,
+// oracles/pairwise_partition_reference.h). The two are proven
+// decision-identical by tests/core/space_saving_fuzz_test.cc and
+// exchange_golden_test.cc, so the in-binary "speedup_vs_seed_impl" is a pure
+// data-structure comparison on identical inputs producing identical outputs.
 //
 //   observe_stream   steady-state Observe() churn on a full sampler: skewed
 //                    (power-law-ish) keys over a key space far larger than
@@ -42,12 +43,12 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/harness.h"
+#include "oracles/local_graph_planner.h"
+#include "oracles/pairwise_partition_reference.h"
+#include "oracles/space_saving_reference.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
-#include "src/core/pairwise_partition_reference.h"
 #include "src/core/space_saving.h"
-#include "src/core/space_saving_reference.h"
 
 namespace actop {
 namespace {

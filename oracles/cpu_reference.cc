@@ -1,7 +1,7 @@
 // Retained seed implementation — see cpu_reference.h. Mirrors the seed's
 // cpu.cc line for line (only the namespace differs); keep it frozen.
 
-#include "src/seda/cpu_reference.h"
+#include "oracles/cpu_reference.h"
 
 #include <algorithm>
 #include <cmath>

@@ -13,8 +13,8 @@
 // orders up to the floating-point tolerance documented in the differential
 // test.
 
-#ifndef SRC_SEDA_CPU_REFERENCE_H_
-#define SRC_SEDA_CPU_REFERENCE_H_
+#ifndef ORACLES_CPU_REFERENCE_H_
+#define ORACLES_CPU_REFERENCE_H_
 
 #include <cstdint>
 #include <vector>
@@ -107,4 +107,4 @@ class CpuModel {
 
 }  // namespace actop::sedaref
 
-#endif  // SRC_SEDA_CPU_REFERENCE_H_
+#endif  // ORACLES_CPU_REFERENCE_H_

@@ -1,4 +1,4 @@
-#include "src/core/offline_partitioner.h"
+#include "oracles/offline_partitioner.h"
 
 #include <algorithm>
 #include <cstdlib>

@@ -10,13 +10,13 @@
 // then Kernighan–Lin-style refinement passes (best positive-gain single-vertex
 // moves under the balance constraint) until a pass makes no move.
 
-#ifndef SRC_CORE_OFFLINE_PARTITIONER_H_
-#define SRC_CORE_OFFLINE_PARTITIONER_H_
+#ifndef ORACLES_OFFLINE_PARTITIONER_H_
+#define ORACLES_OFFLINE_PARTITIONER_H_
 
 #include <unordered_map>
 
+#include "oracles/partition_testbed.h"
 #include "src/common/ids.h"
-#include "src/core/partition_testbed.h"
 
 namespace actop {
 
@@ -33,4 +33,4 @@ OfflinePartitionResult OfflinePartition(const WeightedGraph& graph, int servers,
 
 }  // namespace actop
 
-#endif  // SRC_CORE_OFFLINE_PARTITIONER_H_
+#endif  // ORACLES_OFFLINE_PARTITIONER_H_

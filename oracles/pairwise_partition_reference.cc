@@ -1,4 +1,4 @@
-#include "src/core/pairwise_partition_reference.h"
+#include "oracles/pairwise_partition_reference.h"
 
 #include <algorithm>
 #include <functional>

@@ -13,12 +13,12 @@
 // Both entry points operate on the public types and must keep producing
 // byte-identical plans and decisions to the optimized versions.
 
-#ifndef SRC_CORE_PAIRWISE_PARTITION_REFERENCE_H_
-#define SRC_CORE_PAIRWISE_PARTITION_REFERENCE_H_
+#ifndef ORACLES_PAIRWISE_PARTITION_REFERENCE_H_
+#define ORACLES_PAIRWISE_PARTITION_REFERENCE_H_
 
 #include <vector>
 
-#include "src/core/pairwise_partition.h"
+#include "oracles/local_graph_planner.h"
 
 namespace actop::seedref {
 
@@ -29,4 +29,4 @@ ExchangeDecision DecideExchange(const LocalGraphView& view, const ExchangeReques
 
 }  // namespace actop::seedref
 
-#endif  // SRC_CORE_PAIRWISE_PARTITION_REFERENCE_H_
+#endif  // ORACLES_PAIRWISE_PARTITION_REFERENCE_H_

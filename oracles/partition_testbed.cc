@@ -1,7 +1,8 @@
-#include "src/core/partition_testbed.h"
+#include "oracles/partition_testbed.h"
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -33,6 +34,26 @@ std::vector<VertexId> WeightedGraph::Vertices() const {
   }
   std::sort(out.begin(), out.end());  // deterministic iteration for callers
   return out;
+}
+
+CsrGraph CsrFromWeighted(const WeightedGraph& g) {
+  // Each span is gathered from the source hash map then sorted by neighbor
+  // id, erasing the map's bucket order from the frozen layout.
+  std::vector<VertexId> ids = g.Vertices();  // sorted
+  std::vector<CsrEdge> edges;
+  std::vector<std::pair<VertexId, double>> span;
+  for (const VertexId v : ids) {
+    span.clear();
+    for (const auto& [u, w] : g.NeighborsOf(v)) {
+      ACTOP_CHECK(g.adjacency().contains(u));
+      span.emplace_back(u, w);
+    }
+    std::sort(span.begin(), span.end());
+    for (const auto& [u, w] : span) {
+      edges.push_back(CsrEdge{v, u, w});
+    }
+  }
+  return CsrGraph::FromSortedEdges(std::move(ids), edges);
 }
 
 WeightedGraph MakeClusteredGraph(int clusters, int cluster_size, double intra_weight,

@@ -9,16 +9,17 @@
 //   * measure partitioning quality/scaling for Figure 10(f) without paying
 //     for full message-level simulation at 1M vertices.
 
-#ifndef SRC_CORE_PARTITION_TESTBED_H_
-#define SRC_CORE_PARTITION_TESTBED_H_
+#ifndef ORACLES_PARTITION_TESTBED_H_
+#define ORACLES_PARTITION_TESTBED_H_
 
 #include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "oracles/local_graph_planner.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
+#include "src/core/csr_graph.h"
 
 namespace actop {
 
@@ -40,6 +41,11 @@ class WeightedGraph {
   std::unordered_map<VertexId, VertexAdjacency> adjacency_;
   size_t num_edges_ = 0;
 };
+
+// Freezes `g` into a CsrGraph, isolated vertices included (they still occupy
+// balance slots during partitioning): dense indices follow ascending vertex
+// id over every vertex of `g`.
+CsrGraph CsrFromWeighted(const WeightedGraph& g);
 
 // Synthetic graph generators used by tests and benchmarks.
 //
@@ -143,4 +149,4 @@ class PartitionTestbed {
 
 }  // namespace actop
 
-#endif  // SRC_CORE_PARTITION_TESTBED_H_
+#endif  // ORACLES_PARTITION_TESTBED_H_

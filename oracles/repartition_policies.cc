@@ -1,4 +1,4 @@
-#include "src/core/repartition_policy.h"
+#include "oracles/repartition_policy.h"
 
 #include <string>
 #include <utility>

@@ -23,8 +23,8 @@
 // mechanics), then register it in MakeArenaPolicies so the bench race and
 // the smoke test pick it up automatically.
 
-#ifndef SRC_CORE_REPARTITION_POLICY_H_
-#define SRC_CORE_REPARTITION_POLICY_H_
+#ifndef ORACLES_REPARTITION_POLICY_H_
+#define ORACLES_REPARTITION_POLICY_H_
 
 #include <memory>
 #include <string>
@@ -61,4 +61,4 @@ std::vector<std::unique_ptr<RepartitionPolicy>> MakeArenaPolicies(
 
 }  // namespace actop
 
-#endif  // SRC_CORE_REPARTITION_POLICY_H_
+#endif  // ORACLES_REPARTITION_POLICY_H_

@@ -17,8 +17,8 @@
 // bit-identical to seed, which the decay-free golden digests in
 // space_saving_fuzz_test.cc pin down against the true seed binary.
 
-#ifndef SRC_CORE_SPACE_SAVING_REFERENCE_H_
-#define SRC_CORE_SPACE_SAVING_REFERENCE_H_
+#ifndef ORACLES_SPACE_SAVING_REFERENCE_H_
+#define ORACLES_SPACE_SAVING_REFERENCE_H_
 
 #include <cstdint>
 #include <map>
@@ -145,4 +145,4 @@ class SpaceSavingReference {
 
 }  // namespace actop
 
-#endif  // SRC_CORE_SPACE_SAVING_REFERENCE_H_
+#endif  // ORACLES_SPACE_SAVING_REFERENCE_H_

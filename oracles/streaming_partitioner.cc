@@ -1,4 +1,4 @@
-#include "src/core/streaming_partitioner.h"
+#include "oracles/streaming_partitioner.h"
 
 #include <algorithm>
 #include <cmath>

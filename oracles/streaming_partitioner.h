@@ -13,16 +13,16 @@
 //   * kFennel: maximize |N(v) ∩ P_i| − α·γ·|P_i|^(γ−1) (Tsourakakis et al.'s
 //     streaming objective, the common companion baseline).
 
-#ifndef SRC_CORE_STREAMING_PARTITIONER_H_
-#define SRC_CORE_STREAMING_PARTITIONER_H_
+#ifndef ORACLES_STREAMING_PARTITIONER_H_
+#define ORACLES_STREAMING_PARTITIONER_H_
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
+#include "oracles/local_graph_planner.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
 
 namespace actop {
 
@@ -77,4 +77,4 @@ class StreamingPartitioner {
 
 }  // namespace actop
 
-#endif  // SRC_CORE_STREAMING_PARTITIONER_H_
+#endif  // ORACLES_STREAMING_PARTITIONER_H_

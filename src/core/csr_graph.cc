@@ -3,58 +3,13 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/pairwise_partition.h"
-#include "src/core/partition_testbed.h"
-
 namespace actop {
 
-CsrGraph CsrGraph::FromWeighted(const WeightedGraph& g) {
+CsrGraph CsrGraph::FromSortedEdges(std::vector<VertexId> ids, const std::vector<CsrEdge>& edges) {
   CsrGraph out;
-  out.ids_ = g.Vertices();  // sorted
-  const size_t n = out.ids_.size();
-  out.index_.Reserve(n);
-  for (size_t i = 0; i < n; i++) {
-    out.index_.Insert(out.ids_[i], static_cast<int32_t>(i));
-  }
-  out.offsets_.assign(n + 1, 0);
-  for (size_t i = 0; i < n; i++) {
-    out.offsets_[i + 1] = out.offsets_[i] + g.NeighborsOf(out.ids_[i]).size();
-  }
-  out.nbr_.resize(out.offsets_[n]);
-  out.weight_.resize(out.offsets_[n]);
-  // Each span is filled from the source hash map then sorted by neighbor
-  // index, erasing the map's bucket order from the frozen layout.
-  std::vector<std::pair<int32_t, double>> span;
-  for (size_t i = 0; i < n; i++) {
-    span.clear();
-    for (const auto& [u, w] : g.NeighborsOf(out.ids_[i])) {
-      const int32_t* u_idx = out.index_.Find(u);
-      ACTOP_CHECK(u_idx != nullptr);
-      span.emplace_back(*u_idx, w);
-    }
-    std::sort(span.begin(), span.end());
-    size_t e = out.offsets_[i];
-    for (const auto& [u_idx, w] : span) {
-      out.nbr_[e] = u_idx;
-      out.weight_[e] = w;
-      e++;
-    }
-  }
-  return out;
-}
-
-CsrGraph CsrGraph::FromLocalView(const LocalGraphView& view) {
-  std::vector<CsrEdge> edges;
-  for (const auto& [v, adj] : view.adjacency) {
-    for (const auto& [u, w] : adj) {
-      edges.push_back(CsrEdge{v, u, w});
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const CsrEdge& a, const CsrEdge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  CsrGraph out;
-  out.RebuildFromEdgeList(edges);
+  out.ids_ = std::move(ids);
+  ACTOP_DCHECK(std::is_sorted(out.ids_.begin(), out.ids_.end()));
+  out.FillEdges(edges);
   return out;
 }
 
@@ -81,6 +36,10 @@ void CsrGraph::RebuildFromEdgeList(const std::vector<CsrEdge>& edges) {
              scratch_ids_.begin());
   ids_.swap(scratch_ids_);
   ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+  FillEdges(edges);
+}
+
+void CsrGraph::FillEdges(const std::vector<CsrEdge>& edges) {
   const size_t n = ids_.size();
   index_.Clear();
   index_.Reserve(n);

@@ -1,11 +1,11 @@
-// Flat CSR (compressed sparse row) snapshot of a WeightedGraph.
+// Flat CSR (compressed sparse row) snapshot of a communication graph.
 //
-// The map-based WeightedGraph pays a hash node per vertex and a map node
-// per edge; at a million vertices that is gigabytes of pointer-chased slabs
-// and every planning pass walks them in hash order. This freezes the graph
-// into four arrays — sorted vertex ids, an offsets array, and neighbor/
-// weight slabs — so a full planning sweep is one linear scan and a vertex's
-// adjacency is a contiguous span.
+// A map-based graph pays a hash node per vertex and a map node per edge; at
+// a million vertices that is gigabytes of pointer-chased slabs and every
+// planning pass walks them in hash order. This freezes the graph into four
+// arrays — sorted vertex ids, an offsets array, and neighbor/weight slabs —
+// so a full planning sweep is one linear scan and a vertex's adjacency is a
+// contiguous span.
 //
 // Layout invariants the arena's byte-identity proof leans on:
 //   * ids are ascending, so "dense index order" == "ascending vertex id
@@ -16,8 +16,10 @@
 //     any hash map's bucket layout.
 //
 // The structure is immutable: repartitioners move vertices, they never edit
-// edges mid-run. Rebuild from the mutable WeightedGraph when the graph
-// changes.
+// edges mid-run. Rebuild from the mutable source graph when the graph
+// changes. The adapters from the test/bench-only map types (CsrFromWeighted
+// for the testbed's WeightedGraph, CsrFromLocalView for a LocalGraphView)
+// live with those types under oracles/.
 
 #ifndef SRC_CORE_CSR_GRAPH_H_
 #define SRC_CORE_CSR_GRAPH_H_
@@ -32,10 +34,7 @@
 
 namespace actop {
 
-class WeightedGraph;
-struct LocalGraphView;
-
-// One directed sampled edge, the input unit of RebuildFromEdgeList.
+// One directed edge, the input unit of FromSortedEdges and RebuildFromEdgeList.
 struct CsrEdge {
   VertexId src = 0;
   VertexId dst = 0;
@@ -46,24 +45,20 @@ class CsrGraph {
  public:
   static constexpr int32_t kNoIndex = -1;
 
-  // Freezes `g` (including isolated vertices, which still occupy balance
-  // slots during partitioning).
-  static CsrGraph FromWeighted(const WeightedGraph& g);
+  // Freezes a symmetric graph. `ids` is the full vertex set, ascending, and
+  // includes isolated vertices (they still occupy balance slots during
+  // partitioning); `edges` holds both directions of every edge, sorted by
+  // (src, dst) with unique pairs and every endpoint in `ids`.
+  static CsrGraph FromSortedEdges(std::vector<VertexId> ids, const std::vector<CsrEdge>& edges);
 
-  // Freezes an agent-sampled LocalGraphView (pairwise_partition.h): the
-  // vertex set is the view's local vertices plus every referenced neighbor,
-  // but only local vertices carry adjacency spans — remote endpoints get
-  // empty spans. The result is therefore NOT symmetric: it supports the
-  // arena's planning scans (which only read spans of the initiating
-  // server's vertices) and nothing that maintains cut cost.
-  static CsrGraph FromLocalView(const LocalGraphView& view);
-
-  // In-place variant of FromLocalView over a raw directed edge list, reusing
+  // Rebuilds the graph in place from a sampled directed edge list, reusing
   // every internal buffer — the runtime PartitionAgent refreezes its sampled
   // view each round through this without allocating in steady state. `edges`
   // must be sorted by (src, dst) with unique pairs; the vertex set is
-  // sources plus destinations, and only sources carry spans (same
-  // asymmetric contract as FromLocalView).
+  // sources plus destinations, and only sources carry spans. The result is
+  // therefore NOT symmetric: it supports the arena's planning scans (which
+  // only read spans of the initiating server's vertices) and nothing that
+  // maintains cut cost.
   void RebuildFromEdgeList(const std::vector<CsrEdge>& edges);
 
   int32_t num_vertices() const { return static_cast<int32_t>(ids_.size()); }
@@ -89,6 +84,10 @@ class CsrGraph {
   double EdgeWeight(size_t e) const { return weight_[e]; }
 
  private:
+  // Builds the index, offsets and spans of `edges` (sorted by (src, dst))
+  // over the vertex set already in ids_.
+  void FillEdges(const std::vector<CsrEdge>& edges);
+
   std::vector<VertexId> ids_;      // ascending
   FlatHashMap<VertexId, int32_t> index_;
   std::vector<size_t> offsets_;    // n + 1 entries

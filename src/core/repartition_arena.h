@@ -1,9 +1,10 @@
 // Million-vertex repartitioning data plane over a frozen CsrGraph.
 //
-// PartitionTestbed is the readable reference implementation: it materializes
-// a fresh LocalGraphView (node-based hash maps) for every protocol round,
-// which is fine at 10^4 vertices and hopeless at 10^6. RepartitionArena runs
-// the same pairwise exchange protocol over dense arrays:
+// PartitionTestbed (oracles/partition_testbed.h, test/bench-only) is the
+// readable reference implementation: it materializes a fresh LocalGraphView
+// (node-based hash maps) for every protocol round, which is fine at 10^4
+// vertices and hopeless at 10^6. RepartitionArena runs the same pairwise
+// exchange protocol over dense arrays:
 //
 //   * vertex -> server in a flat vector indexed by CSR dense index;
 //   * planning scans the CSR slabs linearly (no view materialization);
@@ -28,9 +29,9 @@
 // planning-only constructor below.
 //
 // Beyond the paper's pairwise protocol the arena exposes the primitives the
-// competing policies (repartition_policy.h) are built from: k-way multi-peer
-// rounds, a greedy-unilateral sweep, an OBR-style lazy threshold sweep, and
-// an SDP-style streaming refinement sweep.
+// competing policies (oracles/repartition_policy.h) are built from: k-way
+// multi-peer rounds, a greedy-unilateral sweep, an OBR-style lazy threshold
+// sweep, and an SDP-style streaming refinement sweep.
 
 #ifndef SRC_CORE_REPARTITION_ARENA_H_
 #define SRC_CORE_REPARTITION_ARENA_H_
@@ -58,7 +59,7 @@ class RepartitionArena {
   // assignment (values in [0, servers)) instead of drawing a random
   // placement, and skips cut initialization — the runtime PartitionAgent's
   // only planner. It plans over an asymmetric sampled-view CSR
-  // (CsrGraph::RebuildFromEdgeList / FromLocalView; remote endpoints carry
+  // (CsrGraph::RebuildFromEdgeList / CsrFromLocalView; remote endpoints carry
   // empty spans) where cut maintenance would read garbage. Instances built this way may only call
   // ExportPeerPlans, DecideOffer, ResetPlanning, and the const accessors;
   // every mutating protocol entry point checks against it.
@@ -105,7 +106,7 @@ class RepartitionArena {
   // Pairwise sweeps until one moves nothing; returns sweeps executed.
   int RunToConvergence(int max_sweeps = 1000);
 
-  // --- k-way generalization and baselines (see repartition_policy.h) ----
+  // --- k-way generalization and baselines (oracles/repartition_policy.h) -
   // Multi-peer round: p plans once, then exchanges with its top `fanout`
   // peers in ranking order. Candidates that moved in an earlier exchange of
   // the same round are filtered out, and every surviving candidate is

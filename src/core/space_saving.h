@@ -37,7 +37,7 @@
 // detached node's former position, and the eviction victim is the tail of
 // the minimum bucket. tests/core/space_saving_fuzz_test.cc pins this down
 // with per-operation digests against goldens from the seed binary and
-// differentially against space_saving_reference.h.
+// differentially against oracles/space_saving_reference.h (test/bench-only).
 
 #ifndef SRC_CORE_SPACE_SAVING_H_
 #define SRC_CORE_SPACE_SAVING_H_

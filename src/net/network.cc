@@ -88,12 +88,19 @@ void Network::Send(NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg) {
   const auto wire = static_cast<SimDuration>(config_.ns_per_byte * static_cast<double>(bytes));
   const SimDuration delay = config_.one_way_latency + wire + fault_delay;
   const int dst_shard = node_shard_[static_cast<size_t>(to)];
-  if (dst_shard == src_shard) {
+  if (dst_shard == src_shard || !engine_->in_window()) {
     // Same-shard fast path: park the envelope in the lane slab; the event
     // capture is [this, shard, slot], which stays inline in the engine
     // ([this, from, to, bytes, msg] would overflow the inline buffer).
-    const uint32_t slot = AcquireSlot(lane, from, to, bytes, std::move(msg));
-    lane.sim->ScheduleAfter(delay, [this, src_shard, slot] { Deliver(src_shard, slot); });
+    // Outside a window (setup code, rail tasks) every shard is parked at
+    // the sender's clock, so a cross-shard message takes this path on its
+    // destination's lane too. Parked in an outbox instead, it would merge
+    // only at the barrier after the next window, which may already have run
+    // past its arrival.
+    Lane& dst_lane = lanes_[static_cast<size_t>(dst_shard)];
+    const uint32_t slot = AcquireSlot(dst_lane, from, to, bytes, std::move(msg));
+    dst_lane.sim->ScheduleAt(lane.sim->now() + delay,
+                             [this, dst_shard, slot] { Deliver(dst_shard, slot); });
     return;
   }
   // Cross-shard: arrival time delay >= one_way_latency >= lookahead past the

@@ -37,7 +37,11 @@
 // a new head arrives earlier), not B. The fixed one-way latency is the
 // engine's lookahead: every cross-shard arrival time is at least one latency
 // after its send, hence at or beyond the window end, so draining at barriers
-// can never deliver into a window already running.
+// can never deliver into a window already running. That argument needs the
+// send to happen inside a window: a cross-shard message sent outside one
+// (setup code before the first RunUntil, rail tasks) skips the outbox and is
+// scheduled directly on the destination lane, which is safe because every
+// shard is then parked at the same clock.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_

@@ -50,11 +50,6 @@ void Cluster::Init() {
     server->set_node(node);
     server->set_shard(shard);
     server->set_metrics(metrics_[static_cast<size_t>(shard)].get());
-    ClusterMetrics* shard_metrics = metrics_[static_cast<size_t>(shard)].get();
-    server->set_call_latency_observer(
-        [shard_metrics](SimDuration latency, bool remote) {
-          shard_metrics->RecordActorCall(latency, remote);
-        });
     servers_.push_back(std::move(server));
   }
 
@@ -63,19 +58,9 @@ void Cluster::Init() {
       Server* server = servers_[static_cast<size_t>(i)].get();
       const int shard = ShardOfServer(static_cast<ServerId>(i));
       Simulation* shard_sim = engine_ == nullptr ? sim_ : &engine_->shard(shard);
-      auto agent = std::make_unique<PartitionAgent>(shard_sim, this, server, config_.partition);
-      PartitionAgent* raw = agent.get();
-      server->set_edge_observer([raw](ActorId local, ActorId peer, ServerId dest) {
-        raw->ObserveEdge(local, peer, dest);
-      });
-      server->set_partition_handlers(
-          [raw](ServerId from, const PartitionExchangeRequest& request) {
-            raw->OnExchangeRequest(from, request);
-          },
-          [raw](ServerId from, const PartitionExchangeResponse& response) {
-            raw->OnExchangeResponse(from, response);
-          });
-      agents_.push_back(std::move(agent));
+      agents_.push_back(
+          std::make_unique<PartitionAgent>(shard_sim, this, server, config_.partition));
+      server->set_partition_agent(agents_.back().get());
     }
   }
 

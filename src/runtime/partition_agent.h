@@ -77,10 +77,10 @@ class PartitionAgent {
   void Start();
   void Stop();
 
-  // Wired to Server::set_edge_observer.
+  // Called by the Server for every actor-to-actor message its actors send.
   void ObserveEdge(ActorId local, ActorId peer, ServerId dest);
 
-  // Control-message entry points (wired by the Server).
+  // Control-message entry points (called by the Server).
   void OnExchangeRequest(ServerId from, const PartitionExchangeRequest& request);
   void OnExchangeResponse(ServerId from, const PartitionExchangeResponse& response);
 

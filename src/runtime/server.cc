@@ -7,6 +7,7 @@
 #include "src/common/check.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/envelope_pool.h"
+#include "src/runtime/partition_agent.h"
 
 namespace actop {
 
@@ -188,14 +189,14 @@ void Server::HandleControl(const Envelope& env, NodeId from) {
     return;
   }
   if (const auto* req = std::get_if<PartitionExchangeRequest>(&env.control)) {
-    if (partition_request_handler_) {
-      partition_request_handler_(from_server, *req);
+    if (partition_agent_ != nullptr) {
+      partition_agent_->OnExchangeRequest(from_server, *req);
     }
     return;
   }
   if (const auto* resp = std::get_if<PartitionExchangeResponse>(&env.control)) {
-    if (partition_response_handler_) {
-      partition_response_handler_(from_server, *resp);
+    if (partition_agent_ != nullptr) {
+      partition_agent_->OnExchangeResponse(from_server, *resp);
     }
     return;
   }
@@ -239,18 +240,22 @@ void Server::ResolveViaDirectory(EnvelopePtr env) {
   }
   parked->entries.push_back(std::move(env));
   parked->since = sim_->now();
-  const ServerId home = DirectoryHomeOf(target, cluster_->num_servers());
-  const ServerId suggestion = SuggestPlacement(target);
+  LookUpInDirectory(target);
+}
+
+void Server::LookUpInDirectory(ActorId actor) {
+  const ServerId home = DirectoryHomeOf(actor, cluster_->num_servers());
+  const ServerId suggestion = SuggestPlacement(actor);
   if (home == id_) {
-    const DirEntry entry = directory_shard_.LookupOrRegister(target, suggestion);
+    const DirEntry entry = directory_shard_.LookupOrRegister(actor, suggestion);
     // Defer via the event queue: the parked list must not be consumed
     // synchronously inside the caller's frame.
-    sim_->ScheduleAfter(0, [this, target, entry] {
-      OnDirectoryAnswer(target, entry.owner, entry.token);
+    sim_->ScheduleAfter(0, [this, actor, entry] {
+      OnDirectoryAnswer(actor, entry.owner, entry.token);
     });
     return;
   }
-  SendControl(home, DirLookupRequest{.actor = target, .suggested_owner = suggestion,
+  SendControl(home, DirLookupRequest{.actor = actor, .suggested_owner = suggestion,
                                      .request_id = next_exchange_token_++});
 }
 
@@ -288,14 +293,10 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
         // and re-resolve once the unregister has landed (or the fence
         // expires, if the unregister was lost).
         if (parked_calls_.Contains(actor)) {
-          const ServerId home = DirectoryHomeOf(actor, cluster_->num_servers());
-          sim_->ScheduleAfter(Millis(10), [this, actor, home] {
-            if (!parked_calls_.Contains(actor)) {
-              return;
+          sim_->ScheduleAfter(Millis(10), [this, actor] {
+            if (parked_calls_.Contains(actor)) {
+              LookUpInDirectory(actor);
             }
-            SendControl(home, DirLookupRequest{.actor = actor,
-                                               .suggested_owner = SuggestPlacement(actor),
-                                               .request_id = next_exchange_token_++});
           });
         }
         return;
@@ -544,9 +545,7 @@ void Server::HandleResponse(EnvelopePtr env) {
     ACTOP_CHECK(act->pending_subcalls > 0);
     act->pending_subcalls--;
   }
-  if (call_latency_observer_) {
-    call_latency_observer_(sim_->now() - call.issued_at, call.remote);
-  }
+  metrics_->RecordActorCall(sim_->now() - call.issued_at, call.remote);
 
   // Response continuations run as their own worker-stage turns (they may
   // interleave with the issuer's queued calls, matching Orleans' handling of
@@ -657,8 +656,8 @@ void Server::NoteAppSend(ActorId from, ActorId to, ServerId dest_server, bool re
     local_app_messages_++;
   }
   metrics_->CountAppMessage(remote);
-  if (edge_observer_) {
-    edge_observer_(from, to, dest_server);
+  if (partition_agent_ != nullptr) {
+    partition_agent_->ObserveEdge(from, to, dest_server);
   }
 }
 
@@ -795,17 +794,7 @@ void Server::SweepTimeouts() {
     }
   });
   for (const ActorId actor : sweep_retry_scratch_) {
-    const ServerId home = DirectoryHomeOf(actor, cluster_->num_servers());
-    const ServerId suggestion = SuggestPlacement(actor);
-    if (home == id_) {
-      const DirEntry entry = directory_shard_.LookupOrRegister(actor, suggestion);
-      sim_->ScheduleAfter(0, [this, actor, entry] {
-        OnDirectoryAnswer(actor, entry.owner, entry.token);
-      });
-    } else {
-      SendControl(home, DirLookupRequest{.actor = actor, .suggested_owner = suggestion,
-                                         .request_id = next_exchange_token_++});
-    }
+    LookUpInDirectory(actor);
   }
 }
 

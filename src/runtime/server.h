@@ -18,7 +18,6 @@
 #define SRC_RUNTIME_SERVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -45,6 +44,7 @@ namespace actop {
 
 class Cluster;
 class ClusterMetrics;
+class PartitionAgent;
 class ServerCallContext;
 
 // How the directory places an actor that has never been activated. (After a
@@ -181,27 +181,11 @@ class Server : public ThreadHost {
   // In-flight calls from other servers eventually fail via timeouts.
   void Crash();
 
-  // --- Observability hooks (set by Cluster/agents) ---
-  // Invoked for every actor-to-actor message this server's actors send:
-  // (local actor, peer actor, destination server at send time).
-  using EdgeObserver = std::function<void(ActorId, ActorId, ServerId)>;
-  void set_edge_observer(EdgeObserver observer) { edge_observer_ = std::move(observer); }
-
-  // Invoked at the origin server when an actor-to-actor call completes, with
-  // the call round-trip latency and whether the callee was remote.
-  using CallLatencyObserver = std::function<void(SimDuration, bool remote)>;
-  void set_call_latency_observer(CallLatencyObserver observer) {
-    call_latency_observer_ = std::move(observer);
-  }
-
-  // Partition-protocol control messages are dispatched to these handlers
-  // (wired by the Cluster to the server's PartitionAgent).
-  void set_partition_handlers(
-      std::function<void(ServerId, const PartitionExchangeRequest&)> on_request,
-      std::function<void(ServerId, const PartitionExchangeResponse&)> on_response) {
-    partition_request_handler_ = std::move(on_request);
-    partition_response_handler_ = std::move(on_response);
-  }
+  // The server's partition agent (wired by the Cluster; null when
+  // partitioning is off). The server reports every actor-to-actor message
+  // its actors send to it and dispatches partition-protocol control
+  // messages to it.
+  void set_partition_agent(PartitionAgent* agent) { partition_agent_ = agent; }
 
   // Sends a runtime control message to another server (or loops back to this
   // one); used by the partition agent for the exchange protocol.
@@ -256,6 +240,10 @@ class Server : public ThreadHost {
   void HandleControl(const Envelope& env, NodeId from);
   void RouteCall(EnvelopePtr env);
   void ResolveViaDirectory(EnvelopePtr env);
+  // Asks `actor`'s home directory shard where it lives: answered locally
+  // (deferred through the event queue) when this server is the home, else by
+  // a DirLookupRequest. The answer arrives at OnDirectoryAnswer.
+  void LookUpInDirectory(ActorId actor);
   void OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token);
   void ActivateAndDeliver(EnvelopePtr env, uint64_t token);
   // Inserts a fresh activation record for `actor`, which must not be active.
@@ -374,10 +362,7 @@ class Server : public ThreadHost {
   std::vector<std::unique_ptr<ServerCallContext>> contexts_;
   std::vector<ServerCallContext*> free_contexts_;
 
-  EdgeObserver edge_observer_;
-  CallLatencyObserver call_latency_observer_;
-  std::function<void(ServerId, const PartitionExchangeRequest&)> partition_request_handler_;
-  std::function<void(ServerId, const PartitionExchangeResponse&)> partition_response_handler_;
+  PartitionAgent* partition_agent_ = nullptr;
   uint64_t migrations_out_ = 0;
   uint64_t remote_app_messages_ = 0;
   uint64_t local_app_messages_ = 0;

@@ -41,7 +41,8 @@
 // Simulation::Reschedule (no Cancel + ScheduleAfter slot churn on every
 // arrival). Arrival and completion are O(log n) in the number of running
 // jobs; nothing on the steady-state path allocates. The retained seed
-// implementation lives in cpu_reference.h (namespace sedaref) and the two
+// implementation lives in oracles/cpu_reference.h (namespace sedaref,
+// test/bench-only) and the two
 // are held equivalent by tests/seda/cpu_differential_test.cc.
 
 #ifndef SRC_SEDA_CPU_H_

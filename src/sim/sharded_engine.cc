@@ -136,11 +136,13 @@ void ShardedEngine::WorkerMain(int shard) {
 }
 
 void ShardedEngine::RunWindow(SimTime end) {
+  in_window_ = true;
   if (sims_.size() == 1) {
     sims_[0]->RunWindow(end);
     if (exchange_hook_) {
       exchange_hook_(0);
     }
+    in_window_ = false;
     return;
   }
   window_end_ = end;
@@ -153,6 +155,7 @@ void ShardedEngine::RunWindow(SimTime end) {
   barrier_.Wait(0);
   // Workers are back to spinning on the epoch and no longer touch shard
   // state; the coordinator may now read every heap and run the barrier hook.
+  in_window_ = false;
 }
 
 void ShardedEngine::AdvanceAll(SimTime t) {
@@ -177,7 +180,9 @@ uint64_t ShardedEngine::RunUntil(SimTime deadline) {
   if (!parallel() && rail_.empty()) {
     // Serial fast path: defer entirely to the single shard — dispatch order,
     // clock movement, and hook timing are exactly the single-engine ones.
+    in_window_ = true;
     sims_[0]->RunUntil(deadline);
+    in_window_ = false;
     now_ = deadline;
     return events_executed() - before;
   }

@@ -86,6 +86,14 @@ class ShardedEngine {
   // deadline. Between barriers individual shard clocks trail it.
   SimTime now() const { return now_; }
 
+  // True while a window runs: shard events are executing or their exchange
+  // hooks are merging. False in coordinator context (setup code before or
+  // between RunUntil calls, rail tasks), where every shard is parked and
+  // every shard clock equals now() — and in the barrier hook, where they may
+  // differ. Safe to read from shard events: the flag is published before the
+  // window's epoch and cleared only after its last barrier.
+  bool in_window() const { return in_window_; }
+
   // Total events executed across all shards.
   uint64_t events_executed() const;
 
@@ -157,6 +165,7 @@ class ShardedEngine {
   uint64_t next_rail_id_ = 1;
 
   SimTime now_ = 0;
+  bool in_window_ = false;
 
   // Worker coordination. window_end_ is published by the epoch increment
   // (release) and read after the epoch load (acquire).

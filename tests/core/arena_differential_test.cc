@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "oracles/partition_testbed.h"
 #include "src/common/rng.h"
 #include "src/core/csr_graph.h"
-#include "src/core/partition_testbed.h"
 #include "src/core/repartition_arena.h"
 #include "tests/core/partition_golden_util.h"
 
@@ -103,7 +103,7 @@ void ExpectSameState(const PartitionTestbed& testbed, const RepartitionArena& ar
 TEST(ArenaDifferentialTest, PairwiseRoundsAreByteIdenticalToTestbed) {
   for (uint64_t seed = 1; seed <= 30; seed++) {
     const FuzzInstance fi = MakeInstance(seed);
-    const CsrGraph csr = CsrGraph::FromWeighted(fi.graph);
+    const CsrGraph csr = CsrFromWeighted(fi.graph);
     PartitionTestbed testbed(&fi.graph, fi.servers, fi.config, fi.placement_seed);
     RepartitionArena arena(&csr, fi.servers, fi.config, fi.placement_seed);
     if (fi.sized) {
@@ -130,7 +130,7 @@ TEST(ArenaDifferentialTest, PairwiseRoundsAreByteIdenticalToTestbed) {
 TEST(ArenaDifferentialTest, ConvergenceIsByteIdenticalToTestbed) {
   for (uint64_t seed = 100; seed <= 112; seed++) {
     const FuzzInstance fi = MakeInstance(seed);
-    const CsrGraph csr = CsrGraph::FromWeighted(fi.graph);
+    const CsrGraph csr = CsrFromWeighted(fi.graph);
     PartitionTestbed testbed(&fi.graph, fi.servers, fi.config, fi.placement_seed);
     RepartitionArena arena(&csr, fi.servers, fi.config, fi.placement_seed);
     if (fi.sized) {
@@ -150,7 +150,7 @@ TEST(ArenaDifferentialTest, ConvergenceIsByteIdenticalToTestbed) {
 TEST(ArenaDifferentialTest, UnilateralSweepMatchesTestbed) {
   for (uint64_t seed = 200; seed <= 212; seed++) {
     const FuzzInstance fi = MakeInstance(seed);
-    const CsrGraph csr = CsrGraph::FromWeighted(fi.graph);
+    const CsrGraph csr = CsrFromWeighted(fi.graph);
     PartitionTestbed testbed(&fi.graph, fi.servers, fi.config, fi.placement_seed);
     RepartitionArena arena(&csr, fi.servers, fi.config, fi.placement_seed);
     if (fi.sized) {

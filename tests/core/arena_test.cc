@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "oracles/partition_testbed.h"
+#include "oracles/repartition_policy.h"
 #include "src/common/rng.h"
 #include "src/core/csr_graph.h"
-#include "src/core/partition_testbed.h"
 #include "src/core/repartition_arena.h"
-#include "src/core/repartition_policy.h"
 #include "tests/core/partition_golden_util.h"
 
 namespace actop {
@@ -40,7 +40,7 @@ WeightedGraph MakeDyadicRandomGraph(int vertices, int edges, Rng* rng) {
 TEST(CsrGraphTest, MirrorsWeightedGraph) {
   Rng rng(3);
   const WeightedGraph g = MakeDyadicRandomGraph(80, 300, &rng);
-  const CsrGraph csr = CsrGraph::FromWeighted(g);
+  const CsrGraph csr = CsrFromWeighted(g);
   ASSERT_EQ(static_cast<size_t>(csr.num_vertices()), g.num_vertices());
   const std::vector<VertexId> ids = g.Vertices();
   for (int32_t idx = 0; idx < csr.num_vertices(); idx++) {
@@ -67,8 +67,11 @@ TEST(CsrGraphTest, IncludesIsolatedVertices) {
   g.AddVertex(5);
   g.AddVertex(9);
   g.AddEdge(1, 2, 1.0);
-  const CsrGraph csr = CsrGraph::FromWeighted(g);
+  const CsrGraph csr = CsrFromWeighted(g);
   ASSERT_EQ(csr.num_vertices(), 4);
+  // Dense indices follow ascending id over every vertex, isolated ones too.
+  EXPECT_EQ(csr.IndexOf(5), 2);
+  EXPECT_EQ(csr.IndexOf(9), 3);
   EXPECT_EQ(csr.DegreeOf(csr.IndexOf(5)), 0u);
   EXPECT_EQ(csr.DegreeOf(csr.IndexOf(1)), 1u);
 }
@@ -76,7 +79,7 @@ TEST(CsrGraphTest, IncludesIsolatedVertices) {
 TEST(ArenaTest, InitialPlacementMatchesTestbed) {
   Rng grng(17);
   const WeightedGraph g = MakeClusteredGraph(30, 6, 3.0, 120, 1.0, &grng);
-  const CsrGraph csr = CsrGraph::FromWeighted(g);
+  const CsrGraph csr = CsrFromWeighted(g);
   PairwiseConfig config;
   const PartitionTestbed testbed(&g, 6, config, 99);
   const RepartitionArena arena(&csr, 6, config, 99);
@@ -90,7 +93,7 @@ TEST(ArenaTest, InitialPlacementMatchesTestbed) {
 TEST(ArenaTest, IncrementalCostMatchesRecompute) {
   Rng grng(23);
   const WeightedGraph g = MakeDyadicRandomGraph(200, 900, &grng);
-  const CsrGraph csr = CsrGraph::FromWeighted(g);
+  const CsrGraph csr = CsrFromWeighted(g);
   PairwiseConfig config;
   RepartitionArena arena(&csr, 5, config, 4);
   EXPECT_EQ(arena.cost(), arena.RecomputeCost());
@@ -111,7 +114,7 @@ TEST(ArenaTest, KWayMonotoneCostDecreaseAndBalance) {
     for (const int fanout : {2, 4}) {
       Rng grng(seed);
       const WeightedGraph g = MakeChurnedClusteredGraph(25, 8, 4.0, 0.3, &grng);
-      const CsrGraph csr = CsrGraph::FromWeighted(g);
+      const CsrGraph csr = CsrFromWeighted(g);
       PairwiseConfig config;
       config.balance_delta = 12;
       RepartitionArena arena(&csr, 8, config, seed * 31 + 7);
@@ -148,7 +151,7 @@ TEST(ArenaTest, KWayMonotoneCostDecreaseAndBalance) {
 TEST(ArenaTest, ObrThresholdMonotoneAndBalanced) {
   Rng grng(5);
   const WeightedGraph g = MakeClusteredGraph(40, 8, 4.0, 200, 1.0, &grng);
-  const CsrGraph csr = CsrGraph::FromWeighted(g);
+  const CsrGraph csr = CsrFromWeighted(g);
   PairwiseConfig config;
   config.balance_delta = 16;
   RepartitionArena arena(&csr, 8, config, 12);
@@ -169,7 +172,7 @@ TEST(ArenaTest, AllPoliciesReduceCostOnClusteredGraph) {
   for (auto& policy : MakeArenaPolicies()) {
     Rng grng(29);
     const WeightedGraph g = MakeClusteredGraph(32, 8, 4.0, 150, 1.0, &grng);
-    const CsrGraph csr = CsrGraph::FromWeighted(g);
+    const CsrGraph csr = CsrFromWeighted(g);
     PairwiseConfig config;
     RepartitionArena arena(&csr, 8, config, 77);
     const double initial = arena.cost();
@@ -187,7 +190,7 @@ TEST(ArenaTest, AllPoliciesReduceCostOnClusteredGraph) {
 TEST(ArenaTest, SizedActorsKeepSizeBandUnderKWay) {
   Rng grng(41);
   const WeightedGraph g = MakeClusteredGraph(20, 8, 4.0, 80, 1.0, &grng);
-  const CsrGraph csr = CsrGraph::FromWeighted(g);
+  const CsrGraph csr = CsrFromWeighted(g);
   PairwiseConfig config;
   config.balance_delta = 24;
   RepartitionArena arena(&csr, 4, config, 8);
@@ -240,7 +243,7 @@ TEST(ArenaDeterminismTest, BakedAssignmentDigests) {
   {
     Rng grng(7);
     const WeightedGraph g = MakeClusteredGraph(50, 8, 4.0, 100, 1.0, &grng);
-    const CsrGraph csr = CsrGraph::FromWeighted(g);
+    const CsrGraph csr = CsrFromWeighted(g);
     RepartitionArena arena(&csr, 8, PairwiseConfig{}, 42);
     for (int i = 0; i < 3; i++) {
       arena.RunPairwiseSweep();
@@ -250,7 +253,7 @@ TEST(ArenaDeterminismTest, BakedAssignmentDigests) {
   {
     Rng grng(11);
     const WeightedGraph g = MakeChurnedClusteredGraph(40, 8, 2.0, 0.3, &grng);
-    const CsrGraph csr = CsrGraph::FromWeighted(g);
+    const CsrGraph csr = CsrFromWeighted(g);
     RepartitionArena arena(&csr, 5, PairwiseConfig{}, 9);
     for (int i = 0; i < 3; i++) {
       arena.RunKWaySweep(3);
@@ -260,7 +263,7 @@ TEST(ArenaDeterminismTest, BakedAssignmentDigests) {
   {
     Rng grng(19);
     const WeightedGraph g = MakeRandomGraph(300, 1200, 4.0, &grng);
-    const CsrGraph csr = CsrGraph::FromWeighted(g);
+    const CsrGraph csr = CsrFromWeighted(g);
     RepartitionArena arena(&csr, 6, PairwiseConfig{}, 31);
     arena.RunObrThresholdSweep(0.25);
     arena.RunStreamingRefineSweep(0.25);

@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pairwise_partition_reference.h"
+#include "oracles/pairwise_partition_reference.h"
 
 namespace actop {
 namespace {

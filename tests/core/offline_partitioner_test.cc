@@ -1,12 +1,12 @@
-#include "src/core/offline_partitioner.h"
+#include "oracles/offline_partitioner.h"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
+#include "oracles/partition_testbed.h"
 #include "src/common/rng.h"
-#include "src/core/partition_testbed.h"
 
 namespace actop {
 namespace {

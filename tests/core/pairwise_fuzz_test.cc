@@ -14,8 +14,8 @@
 
 #include <set>
 
+#include "oracles/local_graph_planner.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
 
 namespace actop {
 namespace {

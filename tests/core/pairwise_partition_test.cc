@@ -1,4 +1,4 @@
-#include "src/core/pairwise_partition.h"
+#include "oracles/local_graph_planner.h"
 
 #include <gtest/gtest.h>
 

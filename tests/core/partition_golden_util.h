@@ -19,8 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/local_graph_planner.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
 
 namespace actop {
 

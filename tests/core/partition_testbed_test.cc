@@ -1,4 +1,4 @@
-#include "src/core/partition_testbed.h"
+#include "oracles/partition_testbed.h"
 
 #include <gtest/gtest.h>
 

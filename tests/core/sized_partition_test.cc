@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/local_graph_planner.h"
+#include "oracles/partition_testbed.h"
 #include "src/common/rng.h"
-#include "src/core/pairwise_partition.h"
-#include "src/core/partition_testbed.h"
 
 namespace actop {
 namespace {

@@ -19,8 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/space_saving_reference.h"
 #include "src/core/space_saving.h"
-#include "src/core/space_saving_reference.h"
 
 namespace actop {
 namespace {

@@ -16,8 +16,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "oracles/streaming_partitioner.h"
 #include "src/common/rng.h"
-#include "src/core/streaming_partitioner.h"
 #include "tests/core/partition_golden_util.h"
 
 namespace actop {

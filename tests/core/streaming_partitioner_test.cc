@@ -1,9 +1,9 @@
-#include "src/core/streaming_partitioner.h"
+#include "oracles/streaming_partitioner.h"
 
 #include <gtest/gtest.h>
 
+#include "oracles/partition_testbed.h"
 #include "src/common/rng.h"
-#include "src/core/partition_testbed.h"
 #include "tests/core/stream_golden_util.h"
 
 namespace actop {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/runtime/envelope_pool.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
@@ -115,6 +117,61 @@ TEST(NetworkTest, DestroyingTheNetworkReleasesMessagesInFlight) {
   net.reset();
   EXPECT_EQ(GetEnvelopePoolStats().cached, before.cached + 2);
   // The delivery events stay queued in the engine; they are discarded, not run.
+}
+
+// A cross-shard message sent outside a window (setup code, rail tasks) must
+// land at send time + latency + wire even when the destination shard has an
+// event due soon after that, inside the first window that runs next.
+class CrossShardOutsideWindowTest : public ::testing::Test {
+ protected:
+  static constexpr SimDuration kLatency = Micros(250);
+  static constexpr uint32_t kBytes = 100;  // 800 ns of wire at 8 ns/byte
+
+  CrossShardOutsideWindowTest()
+      : engine_(ShardedEngineConfig{.shards = 2, .lookahead = kLatency}),
+        net_(&engine_, NetworkConfig{.one_way_latency = kLatency, .ns_per_byte = 8.0}) {
+    sender_ = net_.AddNode([](NodeId, uint32_t, EnvelopePtr) {}, 0);
+    receiver_ = net_.AddNode(
+        [this](NodeId, uint32_t, EnvelopePtr) { Record("message"); }, 1);
+  }
+
+  // Sends from the shard-0 node to the shard-1 node and puts an event on
+  // shard 1 between the message's arrival and arrival + lookahead. Returns
+  // the arrival time.
+  SimTime SendBeforeLocalEvent() {
+    const SimTime arrival = engine_.shard(0).now() + kLatency + Nanos(800);
+    engine_.shard(1).ScheduleAt(arrival + kLatency / 2, [this] { Record("event"); });
+    net_.Send(sender_, receiver_, kBytes, MakeEnvelope());
+    return arrival;
+  }
+
+  void Record(const char* what) {
+    order_.push_back(what);
+    times_.push_back(engine_.shard(1).now());
+  }
+
+  ShardedEngine engine_;
+  Network net_;
+  NodeId sender_ = kNoNode;
+  NodeId receiver_ = kNoNode;
+  std::vector<std::string> order_;
+  std::vector<SimTime> times_;
+};
+
+TEST_F(CrossShardOutsideWindowTest, SentBeforeTheFirstRunUntil) {
+  const SimTime arrival = SendBeforeLocalEvent();
+  engine_.RunUntil(Millis(5));
+  ASSERT_EQ(order_, (std::vector<std::string>{"message", "event"}));
+  EXPECT_EQ(times_[0], arrival);
+}
+
+TEST_F(CrossShardOutsideWindowTest, SentFromARailTask) {
+  SimTime arrival = -1;
+  engine_.ScheduleRailAt(Millis(1), [&] { arrival = SendBeforeLocalEvent(); });
+  engine_.RunUntil(Millis(5));
+  ASSERT_EQ(order_, (std::vector<std::string>{"message", "event"}));
+  EXPECT_EQ(arrival, Millis(1) + kLatency + Nanos(800));
+  EXPECT_EQ(times_[0], arrival);
 }
 
 }  // namespace

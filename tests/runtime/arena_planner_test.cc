@@ -5,7 +5,7 @@
 //
 // Plan level: fig10a-shaped clustered graphs (the Halo game/player clique
 // structure) — for each server's LocalGraphView the arena path
-// (CsrGraph::FromLocalView + planning-only RepartitionArena +
+// (CsrFromLocalView + planning-only RepartitionArena +
 // ExportPeerPlans) must emit exactly what BuildPeerPlansOrdered emits: the
 // same peers in the same order with the same total scores, candidates,
 // sizes, edges and location hints. Views with unknown neighbor locations
@@ -29,11 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/local_graph_planner.h"
+#include "oracles/partition_testbed.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/core/csr_graph.h"
-#include "src/core/pairwise_partition.h"
-#include "src/core/partition_testbed.h"
 #include "src/core/repartition_arena.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
@@ -50,7 +50,7 @@ namespace {
 // Mirrors PartitionAgent::RunRound's planning exactly.
 std::vector<PeerPlan> ArenaPlansFor(const LocalGraphView& view, const PairwiseConfig& config,
                                     int cluster_servers) {
-  const CsrGraph csr = CsrGraph::FromLocalView(view);
+  const CsrGraph csr = CsrFromLocalView(view);
   const auto unknown = static_cast<ServerId>(cluster_servers);
   std::vector<ServerId> assignment(static_cast<size_t>(csr.num_vertices()));
   for (int32_t i = 0; i < csr.num_vertices(); i++) {
@@ -170,7 +170,7 @@ void ExpectDecisionsEqual(const LocalGraphView& view, const ExchangeRequest& req
   const ExchangeDecision ref =
       DecideExchangeOrdered(view, request, config, AscendingKeys(view));
 
-  const CsrGraph csr = CsrGraph::FromLocalView(view);
+  const CsrGraph csr = CsrFromLocalView(view);
   const auto unknown = static_cast<ServerId>(cluster_servers);
   std::vector<ServerId> assignment(static_cast<size_t>(csr.num_vertices()));
   for (int32_t i = 0; i < csr.num_vertices(); i++) {

@@ -1,5 +1,5 @@
 // Differential tests: the virtual-time CpuModel (src/seda/cpu.{h,cc}) against
-// the retained seed implementation (src/seda/cpu_reference.{h,cc}).
+// the retained seed implementation (oracles/cpu_reference.{h,cc}).
 //
 // The two models compute the same real-valued schedule — under egalitarian
 // sharing a job's completion instant is fully determined by the rate
@@ -22,8 +22,8 @@
 //     scenarios below keep the CPU strictly oversubscribed so the
 //     park-or-start decision never depends on a shifted completion).
 
+#include "oracles/cpu_reference.h"
 #include "src/seda/cpu.h"
-#include "src/seda/cpu_reference.h"
 
 #include <algorithm>
 #include <cmath>
