@@ -248,7 +248,6 @@ ScenarioResult RunNetPingPong(double scale) {
       next->kind = MessageKind::kCall;
       next->target = MakeActorId(1, ctx.delivered);
       next->payload_bytes = bytes;
-      next->created_at = ctx.sim->now();
       const NodeId dest = ctx.nodes[static_cast<size_t>((self + 1) % kNodes)];
       ctx.net->Send(ctx.nodes[static_cast<size_t>(self)], dest, bytes, std::move(next));
     }));

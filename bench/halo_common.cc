@@ -78,7 +78,7 @@ HaloExperimentResult RunHaloExperiment(const HaloExperimentConfig& config) {
   }
   const double busy0 = snapshot_busy();
   const SimTime measure_start = engine.now();
-  const uint64_t migrations0 = cluster.MetricsTotalMigrations();
+  const uint64_t migrations0 = cluster.total_migrations();
 
   for (SimTime t = measure_start + config.window; t <= measure_start + config.measure;
        t += config.window) {
@@ -96,7 +96,7 @@ HaloExperimentResult RunHaloExperiment(const HaloExperimentConfig& config) {
   result.cpu_utilization = (busy1 - busy0) / (cores * window_ns);
   result.remote_fraction /=
       static_cast<double>(config.measure / config.window);
-  result.migrations = cluster.MetricsTotalMigrations() - migrations0;
+  result.migrations = cluster.total_migrations() - migrations0;
   result.client_latency = halo.clients().latency();
   result.actor_call_latency = cluster.MergedActorCallLatency();
   result.remote_call_latency = cluster.MergedRemoteActorCallLatency();

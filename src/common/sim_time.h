@@ -31,7 +31,6 @@ constexpr SimDuration MicrosF(double us) { return static_cast<SimDuration>(us * 
 constexpr SimDuration MillisF(double ms) { return static_cast<SimDuration>(ms * 1e6 + 0.5); }
 constexpr SimDuration SecondsF(double s) { return static_cast<SimDuration>(s * 1e9 + 0.5); }
 
-constexpr double ToMicros(SimDuration d) { return static_cast<double>(d) / 1e3; }
 constexpr double ToMillis(SimDuration d) { return static_cast<double>(d) / 1e6; }
 constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / 1e9; }
 

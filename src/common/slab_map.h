@@ -1,7 +1,7 @@
 // Keyed slab: the runtime's one design for keyed records that are walked.
 //
-// Values live in a dense vector of slots; freed slots are recycled through a
-// LIFO free list, and a FlatHashMap maps each key to its slot index. Three
+// Values live in a Slab (src/common/slab.h): index-stable slots recycled in
+// LIFO order. A FlatHashMap maps each key to its slot index. Three
 // properties follow from the layout, and the runtime relies on each:
 //   * ForEach and EraseIf visit live slots in slot-index order, a pure
 //     function of the map's insert/erase history. No walk depends on hash
@@ -11,7 +11,7 @@
 //     so buffers a Value owns — an activation's mailbox ring, say — are
 //     reused instead of reallocated.
 //   * Pointers returned by Find stay valid across Erase (slots never move)
-//     and are invalidated by Insert (the slot vector may grow).
+//     and are invalidated by Insert (the slab may grow).
 // Clear drops every slot and Value, resources included.
 
 #ifndef SRC_COMMON_SLAB_MAP_H_
@@ -19,10 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/flat_hash_map.h"
+#include "src/common/slab.h"
 
 namespace actop {
 
@@ -43,15 +43,7 @@ class SlabMap {
   // (or a new one) and returns that slot's Value as its last occupant left
   // it.
   Value& Insert(const Key& key) {
-    uint32_t pos;
-    if (free_head_ != kNil) {
-      pos = free_head_;
-      free_head_ = slots_[pos].free_next;
-    } else {
-      ACTOP_CHECK(slots_.size() < kNil);
-      slots_.emplace_back();
-      pos = static_cast<uint32_t>(slots_.size() - 1);
-    }
+    const uint32_t pos = slots_.Alloc();
     Slot& s = slots_[pos];
     s.key = key;
     s.live = true;
@@ -87,8 +79,7 @@ class SlabMap {
   }
 
   void Clear() {
-    slots_.clear();
-    free_head_ = kNil;
+    slots_.Clear();
     size_ = 0;
     index_.Clear();
   }
@@ -97,28 +88,25 @@ class SlabMap {
   // insert or erase.
   template <typename Fn>
   void ForEach(Fn&& fn) {
-    for (Slot& s : slots_) {
-      if (s.live) {
-        fn(s.key, s.value);
+    for (uint32_t i = 0; i < slots_.size(); i++) {
+      if (slots_[i].live) {
+        fn(slots_[i].key, slots_[i].value);
       }
     }
   }
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.live) {
-        fn(s.key, s.value);
+    for (uint32_t i = 0; i < slots_.size(); i++) {
+      if (slots_[i].live) {
+        fn(slots_[i].key, slots_[i].value);
       }
     }
   }
 
  private:
-  static constexpr uint32_t kNil = 0xFFFFFFFFu;
-
   struct Slot {
     Key key{};
     Value value{};
-    uint32_t free_next = kNil;
     bool live = false;
   };
 
@@ -126,13 +114,11 @@ class SlabMap {
     Slot& s = slots_[pos];
     index_.Erase(s.key);
     s.live = false;
-    s.free_next = free_head_;
-    free_head_ = pos;
+    slots_.Free(pos);
     size_--;
   }
 
-  std::vector<Slot> slots_;
-  uint32_t free_head_ = kNil;
+  Slab<Slot> slots_;
   size_t size_ = 0;
   FlatHashMap<Key, uint32_t, Hash> index_;
 };

@@ -3,7 +3,6 @@
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
-#include <cmath>
 #include <cstdint>
 
 namespace actop {
@@ -27,7 +26,6 @@ class OnlineStats {
   uint64_t count() const { return count_; }
   double mean() const { return mean_; }
   double variance() const { return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1); }
-  double stddev() const { return std::sqrt(variance()); }
 
  private:
   uint64_t count_ = 0;

@@ -62,8 +62,6 @@ class CsrGraph {
   void RebuildFromEdgeList(const std::vector<CsrEdge>& edges);
 
   int32_t num_vertices() const { return static_cast<int32_t>(ids_.size()); }
-  // Directed edge slots (2x the undirected edge count).
-  size_t num_edge_slots() const { return nbr_.size(); }
 
   VertexId IdOf(int32_t idx) const { return ids_[static_cast<size_t>(idx)]; }
   // Dense index of `v`, or kNoIndex if the vertex is not in the graph.

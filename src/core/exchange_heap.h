@@ -3,18 +3,20 @@
 // The seed used a lazy-deletion std::priority_queue plus two unordered_maps
 // per side (`current` for live scores, `candidates` for payload pointers):
 // every score update pushed a new heap entry and left the old one to be
-// skipped at the next PeekTop. This replaces all three with one slab of
-// slots, a FlatHashMap vertex->slot index, and a binary heap of slot ids
-// with true increase/decrease-key — Update sifts the slot in place, so the
-// heap never holds stale entries and PeekTop is O(1).
+// skipped at the next PeekTop. This replaces all three with one vector of
+// slots, a FlatHashMap vertex->slot index, and a QuadHeap
+// (src/common/quad_heap.h) of (score, vertex, slot) entries with true
+// increase/decrease-key — Update re-sifts the entry in place through the
+// slot's back-pointer, so the heap never holds stale entries and PeekTop is
+// O(1).
 //
 // Ordering is load-bearing for deterministic replay: the seed's
 // priority_queue<pair<double, VertexId>> compared pairs lexicographically,
-// i.e. max (score, vertex) — score ties go to the larger vertex id. Higher()
+// i.e. max (score, vertex) — score ties go to the larger vertex id. Higher
 // reproduces exactly that total order (candidate vertices are unique after
-// Init's last-wins dedup), so the greedy pick sequence is identical to seed.
-// Duplicate vertices in Init replicate the seed's map-overwrite semantics:
-// the last candidate's score and payload win.
+// Init's last-wins dedup), so the greedy pick sequence is identical to seed
+// whatever the heap's arity. Duplicate vertices in Init replicate the seed's
+// map-overwrite semantics: the last candidate's score and payload win.
 
 #ifndef SRC_CORE_EXCHANGE_HEAP_H_
 #define SRC_CORE_EXCHANGE_HEAP_H_
@@ -24,6 +26,7 @@
 
 #include "src/common/check.h"
 #include "src/common/flat_hash_map.h"
+#include "src/common/quad_heap.h"
 #include "src/core/pairwise_partition.h"
 
 namespace actop {
@@ -34,15 +37,19 @@ class ExchangeHeap {
 
   struct Slot {
     VertexId vertex = 0;
-    double score = 0.0;
     const Candidate* candidate = nullptr;
     int32_t heap_pos = kRemoved;
   };
 
+  ExchangeHeap() = default;
+  // The heap's position hook points into this object's slots.
+  ExchangeHeap(const ExchangeHeap&) = delete;
+  ExchangeHeap& operator=(const ExchangeHeap&) = delete;
+
   template <typename ScoreFn>
   void Init(const std::vector<Candidate>& cands, ScoreFn&& score_fn) {
     slots_.reserve(cands.size());
-    heap_.reserve(cands.size());
+    heap_.Reserve(cands.size());
     for (const Candidate& c : cands) {
       Add(c, score_fn(c));
     }
@@ -54,26 +61,26 @@ class ExchangeHeap {
   template <typename ScoreFn>
   void InitPtrs(const std::vector<const Candidate*>& cands, ScoreFn&& score_fn) {
     slots_.reserve(cands.size());
-    heap_.reserve(cands.size());
+    heap_.Reserve(cands.size());
     for (const Candidate* c : cands) {
       Add(*c, score_fn(*c));
     }
   }
 
-  // Pre-sizes every buffer (slot slab, heap array, index capacity) for up
-  // to n candidates, so Reset/Init cycles at or below that cardinality
-  // never allocate.
+  // Pre-sizes every buffer (slots, heap array, index capacity) for up to n
+  // candidates, so Reset/Init cycles at or below that cardinality never
+  // allocate.
   void Reserve(size_t n) {
     slots_.reserve(n);
-    heap_.reserve(n);
+    heap_.Reserve(n);
     index_.Reserve(n);
   }
 
-  // Forgets all slots but keeps every buffer (slot slab, heap array, index
+  // Forgets all slots but keeps every buffer (slots, heap array, index
   // capacity), so Reset/Init cycles of similar cardinality allocate nothing.
   void Reset() {
     slots_.clear();
-    heap_.clear();
+    heap_.Clear();
     index_.Clear();
   }
 
@@ -82,9 +89,8 @@ class ExchangeHeap {
     if (heap_.empty()) {
       return false;
     }
-    const Slot& s = slots_[heap_[0]];
-    *v = s.vertex;
-    *score = s.score;
+    *v = heap_.top().vertex;
+    *score = heap_.top().score;
     return true;
   }
 
@@ -99,15 +105,8 @@ class ExchangeHeap {
       return;
     }
     const int32_t pos = s.heap_pos;
+    heap_.RemoveAt(pos);
     s.heap_pos = kRemoved;
-    const int32_t last = heap_.back();
-    heap_.pop_back();
-    if (pos < static_cast<int32_t>(heap_.size())) {
-      heap_[pos] = last;
-      slots_[last].heap_pos = pos;
-      SiftDown(pos);
-      SiftUp(slots_[last].heap_pos);
-    }
   }
 
   // Adds `delta` to v's score, sifting in place. No-op for absent or removed
@@ -117,16 +116,12 @@ class ExchangeHeap {
     if (found == nullptr) {
       return;
     }
-    Slot& s = slots_[*found];
-    if (s.heap_pos == kRemoved) {
+    const int32_t pos = slots_[*found].heap_pos;
+    if (pos == kRemoved) {
       return;
     }
-    s.score += delta;
-    if (delta > 0.0) {
-      SiftUp(s.heap_pos);
-    } else {
-      SiftDown(s.heap_pos);
-    }
+    heap_.mutable_at(pos).score += delta;
+    heap_.Fix(pos);
   }
 
   const Candidate* CandidateOf(VertexId v) const {
@@ -140,85 +135,47 @@ class ExchangeHeap {
   static bool Live(const Slot& s) { return s.heap_pos != kRemoved; }
 
  private:
+  struct Entry {
+    double score;
+    VertexId vertex;
+    int32_t slot;
+  };
+
+  // Strict "a outranks b": lexicographic max on (score, vertex) — exactly
+  // std::pair<double, VertexId>'s operator< as used by the seed's heap.
+  struct Higher {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.score != b.score ? a.score > b.score : a.vertex > b.vertex;
+    }
+  };
+
+  struct TrackPosition {
+    std::vector<Slot>* slots;
+    void operator()(const Entry& e, size_t pos) const {
+      (*slots)[static_cast<size_t>(e.slot)].heap_pos = static_cast<int32_t>(pos);
+    }
+  };
+
   void Add(const Candidate& c, double s) {
     if (const int32_t* found = index_.Find(c.vertex)) {
       // Duplicate offer: last candidate wins wholesale (seed overwrote
       // both current[v] and candidates[v]).
-      slots_[*found].candidate = &c;
-      Rekey(*found, s);
+      Slot& slot = slots_[*found];
+      slot.candidate = &c;
+      if (slot.heap_pos != kRemoved) {
+        heap_.mutable_at(slot.heap_pos).score = s;
+        heap_.Fix(slot.heap_pos);
+      }
       return;
     }
     const auto slot = static_cast<int32_t>(slots_.size());
-    slots_.push_back(Slot{c.vertex, s, &c, static_cast<int32_t>(heap_.size())});
-    heap_.push_back(slot);
+    slots_.push_back(Slot{c.vertex, &c, kRemoved});
     index_.Insert(c.vertex, slot);
-    SiftUp(slots_[slot].heap_pos);
-  }
-
-  // Strict "a outranks b": lexicographic max on (score, vertex) — exactly
-  // std::pair<double, VertexId>'s operator< as used by the seed's heap.
-  bool Higher(int32_t a, int32_t b) const {
-    const Slot& x = slots_[a];
-    const Slot& y = slots_[b];
-    if (x.score != y.score) {
-      return x.score > y.score;
-    }
-    return x.vertex > y.vertex;
-  }
-
-  void SiftUp(int32_t pos) {
-    const int32_t slot = heap_[pos];
-    while (pos > 0) {
-      const int32_t parent = (pos - 1) / 2;
-      if (!Higher(slot, heap_[parent])) {
-        break;
-      }
-      heap_[pos] = heap_[parent];
-      slots_[heap_[pos]].heap_pos = pos;
-      pos = parent;
-    }
-    heap_[pos] = slot;
-    slots_[slot].heap_pos = pos;
-  }
-
-  void SiftDown(int32_t pos) {
-    const int32_t slot = heap_[pos];
-    const auto n = static_cast<int32_t>(heap_.size());
-    while (true) {
-      int32_t best = 2 * pos + 1;
-      if (best >= n) {
-        break;
-      }
-      if (best + 1 < n && Higher(heap_[best + 1], heap_[best])) {
-        best++;
-      }
-      if (!Higher(heap_[best], slot)) {
-        break;
-      }
-      heap_[pos] = heap_[best];
-      slots_[heap_[pos]].heap_pos = pos;
-      pos = best;
-    }
-    heap_[pos] = slot;
-    slots_[slot].heap_pos = pos;
-  }
-
-  void Rekey(int32_t slot, double score) {
-    Slot& s = slots_[slot];
-    const double old = s.score;
-    s.score = score;
-    if (s.heap_pos == kRemoved) {
-      return;
-    }
-    if (score > old) {
-      SiftUp(s.heap_pos);
-    } else if (score < old) {
-      SiftDown(s.heap_pos);
-    }
+    heap_.Push(Entry{s, c.vertex, slot});
   }
 
   std::vector<Slot> slots_;
-  std::vector<int32_t> heap_;  // heap of slot ids
+  QuadHeap<Entry, Higher, TrackPosition> heap_{Higher{}, TrackPosition{&slots_}};
   FlatHashMap<VertexId, int32_t> index_;
 };
 

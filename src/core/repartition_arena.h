@@ -139,7 +139,6 @@ class RepartitionArena {
   double MaxSizeImbalance() const;
   bool IsLocallyOptimal() const;
   ServerId LocationOf(VertexId v) const;
-  ServerId LocationOfIndex(int32_t idx) const { return loc_[static_cast<size_t>(idx)]; }
   int num_servers() const { return num_servers_; }
   int64_t total_migrations() const { return total_migrations_; }
   const CsrGraph& graph() const { return *graph_; }

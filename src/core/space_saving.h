@@ -10,10 +10,11 @@
 // every key with true count > N/m is present, and every reported count
 // over-estimates the true count by at most its recorded `error` <= N/m.
 //
-// Structure: each tracked key owns an index-stable slot. A FlatHashMap maps
-// key -> slot; the slot's 16-byte chain node (`nodes_`) links it into the
-// per-count bucket holding its count, and its key and error sit in parallel
-// arrays that Observe reads only on eviction. The buckets form an intrusive
+// Structure: each tracked key owns an index-stable slot (nodes and buckets
+// both live in Slabs, src/common/slab.h). A FlatHashMap maps key -> slot;
+// the slot's 16-byte chain node (`nodes_`) links it into the per-count
+// bucket holding its count, and its key and error sit in parallel arrays
+// that Observe reads only on eviction. The buckets form an intrusive
 // doubly-linked list ordered by ascending count (`min_bucket_` is the head),
 // and a key's count is its bucket's. A unit increment moves a node at most
 // one bucket forward and min-eviction pops the tail of the head bucket, so
@@ -48,6 +49,7 @@
 
 #include "src/common/check.h"
 #include "src/common/flat_hash_map.h"
+#include "src/common/slab.h"
 
 namespace actop {
 
@@ -112,7 +114,7 @@ class SpaceSaving {
   void PrefetchIndex(const Key& key) const { index_.Prefetch(key); }
   void PrefetchNode(const Key& key) const {
     if (const int32_t* slot = index_.Find(key)) {
-      __builtin_prefetch(&nodes_[static_cast<size_t>(*slot)]);
+      __builtin_prefetch(&nodes_[static_cast<uint32_t>(*slot)]);
     }
   }
 
@@ -122,13 +124,13 @@ class SpaceSaving {
   // without a successor only to Decay or Clear, after which SlotLive is
   // false.
   bool SlotLive(int32_t slot) const {
-    return static_cast<size_t>(slot) < nodes_.size() &&
-           nodes_[static_cast<size_t>(slot)].bucket != kNil;
+    return static_cast<uint32_t>(slot) < nodes_.size() &&
+           nodes_[static_cast<uint32_t>(slot)].bucket != kNil;
   }
   // Key and estimated count of a live slot.
   const Key& SlotKey(int32_t slot) const { return keys_[static_cast<size_t>(slot)]; }
   uint64_t SlotCount(int32_t slot) const {
-    return buckets_[static_cast<size_t>(nodes_[static_cast<size_t>(slot)].bucket)].count;
+    return buckets_[static_cast<uint32_t>(nodes_[static_cast<uint32_t>(slot)].bucket)].count;
   }
 
   // All tracked entries. Size <= capacity. Order is unspecified (currently
@@ -191,7 +193,7 @@ class SpaceSaving {
         if (half == 0) {
           index_.Erase(keys_[n]);
           nodes_[n].bucket = kNil;  // marks the slot free for SlotLive
-          free_nodes_.push_back(n);
+          nodes_.Free(n);
           size_--;
         } else if (merge) {
           Append(tail_bucket, n);
@@ -199,7 +201,7 @@ class SpaceSaving {
         n = next;
       }
       if (half == 0 || merge) {
-        free_buckets_.push_back(b);
+        buckets_.Free(b);
       } else {
         ACTOP_DCHECK(tail_bucket == kNil || buckets_[tail_bucket].count < half);
         Bucket& bk = buckets_[b];
@@ -218,12 +220,10 @@ class SpaceSaving {
   }
 
   void Clear() {
-    nodes_.clear();
+    nodes_.Clear();
     keys_.clear();
     errors_.clear();
-    free_nodes_.clear();
-    buckets_.clear();
-    free_buckets_.clear();
+    buckets_.Clear();
     min_bucket_ = kNil;
     index_.Clear();
     total_ = 0;
@@ -251,26 +251,16 @@ class SpaceSaving {
   };
 
   int32_t AllocNode() {
-    if (!free_nodes_.empty()) {
-      const int32_t n = free_nodes_.back();
-      free_nodes_.pop_back();
-      return n;
+    const uint32_t n = nodes_.Alloc();
+    if (n == keys_.size()) {  // a new slot: grow the parallel arrays
+      keys_.emplace_back();
+      errors_.emplace_back();
     }
-    nodes_.emplace_back();
-    keys_.emplace_back();
-    errors_.emplace_back();
-    return static_cast<int32_t>(nodes_.size()) - 1;
+    return static_cast<int32_t>(n);
   }
 
   int32_t AllocBucket(uint64_t count, int32_t prev, int32_t next) {
-    int32_t b;
-    if (!free_buckets_.empty()) {
-      b = free_buckets_.back();
-      free_buckets_.pop_back();
-    } else {
-      buckets_.emplace_back();
-      b = static_cast<int32_t>(buckets_.size()) - 1;
-    }
+    const auto b = static_cast<int32_t>(buckets_.Alloc());
     Bucket& bk = buckets_[b];
     bk.count = count;
     bk.head = bk.tail = kNil;
@@ -297,7 +287,7 @@ class SpaceSaving {
     if (bk.next != kNil) {
       buckets_[bk.next].prev = bk.prev;
     }
-    free_buckets_.push_back(b);
+    buckets_.Free(b);
   }
 
   // Seed Attach == push_back: append at the bucket tail.
@@ -376,12 +366,10 @@ class SpaceSaving {
   size_t capacity_;
   size_t size_ = 0;
   uint64_t total_ = 0;
-  std::vector<Node> nodes_;          // slab; grows lazily up to capacity_
-  std::vector<Key> keys_;            // per slot, parallel to nodes_
-  std::vector<uint64_t> errors_;     // per slot, parallel to nodes_
-  std::vector<int32_t> free_nodes_;  // slots freed by Decay
-  std::vector<Bucket> buckets_;
-  std::vector<int32_t> free_buckets_;
+  Slab<Node> nodes_;              // grows lazily up to capacity_
+  std::vector<Key> keys_;         // per slot, parallel to nodes_
+  std::vector<uint64_t> errors_;  // per slot, parallel to nodes_
+  Slab<Bucket> buckets_;
   int32_t min_bucket_ = kNil;
   FlatHashMap<Key, int32_t, Hash> index_;
 };

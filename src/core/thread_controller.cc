@@ -63,7 +63,6 @@ void ModelThreadController::CollectAndApply(SimDuration window_length) {
     // control) has to shed the load first.
     return;
   }
-  last_problem_ = problem;
 
   std::vector<int> alloc =
       IntegerAllocation(problem, config_.min_threads, config_.max_threads);

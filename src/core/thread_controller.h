@@ -49,8 +49,6 @@ class ModelThreadController {
   }
 
   const ParamEstimator& estimator() const { return estimator_; }
-  // Most recent solved problem (valid once the estimator is ready).
-  const AllocationProblem& last_problem() const { return last_problem_; }
 
  private:
   void CollectAndApply(SimDuration window_length);
@@ -59,7 +57,6 @@ class ModelThreadController {
   ThreadHost* host_;
   ModelControllerConfig config_;
   ParamEstimator estimator_;
-  AllocationProblem last_problem_;
   EventId periodic_id_ = 0;
   SimTime last_step_time_ = 0;
   std::function<void(const std::vector<int>&)> observer_;

@@ -76,7 +76,6 @@ class RateSchedule {
   // Sum of SyncBurst counts with `at` in [t0, t1).
   uint64_t BurstArrivals(SimTime t0, SimTime t1) const;
 
-  double base_rate() const { return base_rate_; }
   const std::vector<SyncBurst>& bursts() const { return bursts_; }
 
  private:

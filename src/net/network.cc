@@ -49,14 +49,7 @@ NodeId Network::AddNode(DeliverFn deliver, int shard) {
 
 uint32_t Network::AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes,
                               EnvelopePtr msg) {
-  uint32_t slot;
-  if (lane.in_flight_free != kNilIndex) {
-    slot = lane.in_flight_free;
-    lane.in_flight_free = lane.in_flight[slot].free_next;
-  } else {
-    lane.in_flight.emplace_back();
-    slot = static_cast<uint32_t>(lane.in_flight.size() - 1);
-  }
+  const uint32_t slot = lane.in_flight.Alloc();
   InFlight& f = lane.in_flight[slot];
   f.msg = std::move(msg);
   f.from = from;
@@ -131,8 +124,7 @@ void Network::Deliver(int shard, uint32_t slot) {
   const NodeId from = f.from;
   const NodeId to = f.to;
   const uint32_t bytes = f.bytes;
-  f.free_next = lane.in_flight_free;
-  lane.in_flight_free = slot;
+  lane.in_flight.Free(slot);
   nodes_[static_cast<size_t>(to)](from, bytes, std::move(msg));
 }
 

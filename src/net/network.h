@@ -16,7 +16,8 @@
 // Hot path: each in-flight message parks its envelope and routing fields in
 // a slab slot so the delivery event's capture is just [this, shard, slot] —
 // small enough to stay inline in the engine's InlineTask, making Send
-// allocation-free at steady state (slots are recycled through a free list).
+// allocation-free at steady state (slots recycle through a Slab,
+// src/common/slab.h).
 //
 // Sharded mode (Network over a ShardedEngine): each shard owns a "lane" —
 // its own in-flight slab, counters, and outbound sequence space. A message
@@ -54,6 +55,7 @@
 
 #include "src/common/ids.h"
 #include "src/common/sim_time.h"
+#include "src/common/slab.h"
 #include "src/runtime/envelope_pool.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
@@ -118,22 +120,16 @@ class Network {
   uint64_t total_bytes() const { return SumLanes(&Lane::total_bytes); }
   uint64_t dropped_messages() const { return SumLanes(&Lane::dropped_messages); }
   uint64_t delayed_messages() const { return SumLanes(&Lane::delayed_messages); }
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  int shard_of_node(NodeId node) const { return node_shard_[static_cast<size_t>(node)]; }
   int shards() const { return static_cast<int>(lanes_.size()); }
   const NetworkConfig& config() const { return config_; }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
-
-  // One message on the wire. Slots recycle through a free list threaded
-  // over free_next.
+  // One message on the wire.
   struct InFlight {
     EnvelopePtr msg;
     NodeId from = kNoNode;
-    uint32_t bytes = 0;
-    uint32_t free_next = kNilIndex;
     NodeId to = kNoNode;
+    uint32_t bytes = 0;
   };
 
   // A message crossing shards: parked in the src->dst outbox until the
@@ -152,8 +148,7 @@ class Network {
   // are written concurrently during a window.
   struct alignas(64) Lane {
     Simulation* sim = nullptr;
-    std::vector<InFlight> in_flight;
-    uint32_t in_flight_free = kNilIndex;
+    Slab<InFlight> in_flight;
     uint64_t next_out_seq = 0;
     uint64_t total_messages = 0;
     uint64_t total_bytes = 0;

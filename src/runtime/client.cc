@@ -74,7 +74,6 @@ void ClientPool::SendCall(ActorId target, MethodId method) {
   env->method = method;
   env->payload_bytes = config_.request_bytes;
   env->reply_to = node_;
-  env->created_at = sim_->now();
 
   pending_.Insert(seq, sim_->now());
   timeout_queue_.push_back({sim_->now() + config_.timeout, seq});
@@ -129,7 +128,6 @@ void DirectClient::Call(ActorId target, MethodId method, uint64_t app_data, uint
   env->app_data = app_data;
   env->payload_bytes = bytes;
   env->reply_to = node_;
-  env->created_at = sim_->now();
   if (on_response != nullptr) {
     pending_.emplace(seq, std::move(on_response));
   }

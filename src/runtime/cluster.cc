@@ -200,8 +200,6 @@ ClusterMetrics::Window Cluster::TakeMetricsWindow() {
     merged.remote_msgs += w.remote_msgs;
     merged.local_msgs += w.local_msgs;
     merged.migrations += w.migrations;
-    merged.latency_sum_ns += w.latency_sum_ns;
-    merged.latency_count += w.latency_count;
   }
   return merged;
 }
@@ -226,14 +224,6 @@ Histogram Cluster::MergedRemoteActorCallLatency() const {
     merged.Merge(m->remote_actor_call_latency());
   }
   return merged;
-}
-
-uint64_t Cluster::MetricsTotalMigrations() const {
-  uint64_t total = 0;
-  for (const auto& m : metrics_) {
-    total += m->total_migrations();
-  }
-  return total;
 }
 
 double Cluster::RemoteMessageFraction() const {

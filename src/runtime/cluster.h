@@ -94,7 +94,6 @@ class Cluster {
   // accessor keeps its historical meaning; parallel-aware consumers use the
   // merged views below.
   ClusterMetrics& metrics() { return *metrics_[0]; }
-  ClusterMetrics& metrics_of_shard(int shard) { return *metrics_[static_cast<size_t>(shard)]; }
 
   // Cluster-level metric views: sum/merge across shards. With one shard they
   // are exactly the direct calls on metrics().
@@ -102,7 +101,6 @@ class Cluster {
   void ResetMetricsLatencies();
   Histogram MergedActorCallLatency() const;
   Histogram MergedRemoteActorCallLatency() const;
-  uint64_t MetricsTotalMigrations() const;
 
   int num_servers() const { return static_cast<int>(servers_.size()); }
   Server& server(int i) { return *servers_[static_cast<size_t>(i)]; }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/common/ids.h"
-#include "src/common/sim_time.h"
 #include "src/core/pairwise_partition.h"
 
 namespace actop {
@@ -30,12 +29,6 @@ struct CallId {
   bool operator==(const CallId&) const = default;
 };
 
-struct CallIdHash {
-  size_t operator()(const CallId& id) const {
-    return static_cast<size_t>((static_cast<uint64_t>(id.node) << 48) ^ id.seq * 0x9E3779B97F4A7C15ULL);
-  }
-};
-
 // ---- Control payloads (runtime-internal, small messages) ----
 
 // Ask the directory shard for an actor's owner; register `suggested_owner`
@@ -43,14 +36,12 @@ struct CallIdHash {
 struct DirLookupRequest {
   ActorId actor = kNoActor;
   ServerId suggested_owner = kNoServer;
-  uint64_t request_id = 0;
 };
 
 struct DirLookupResponse {
   ActorId actor = kNoActor;
   ServerId owner = kNoServer;
   uint64_t token = 0;  // registration token backing this answer
-  uint64_t request_id = 0;
 };
 
 // Remove the directory entry (deactivation / migration), but only if it
@@ -108,10 +99,6 @@ struct Envelope {
   // The node the response must return to (issuing client or server).
   NodeId reply_to = kNoNode;
 
-  // Timestamp when the originating request entered the system (for
-  // end-to-end latency accounting).
-  SimTime created_at = 0;
-
   // kControl:
   ControlPayload control;
 
@@ -124,7 +111,7 @@ struct Envelope {
   // heap capacity inside the control payload. Called by the envelope pool
   // when an envelope is recycled (see src/runtime/envelope_pool.h): a reused
   // envelope must be indistinguishable from a fresh one to its next user —
-  // kind, hops, via_network, created_at and the control variant's *values*
+  // kind, hops, via_network and the control variant's *values*
   // are all reset — but the partition-exchange vectors keep their capacity
   // so steady-state exchange traffic stops reallocating them. The variant's
   // active alternative is the one place reuse is visible (an exchange
@@ -142,7 +129,6 @@ struct Envelope {
     app_data = 0;
     hops = 0;
     reply_to = kNoNode;
-    created_at = 0;
     via_network = false;
     if (auto* req = std::get_if<PartitionExchangeRequest>(&control)) {
       req->from_num_vertices = 0;

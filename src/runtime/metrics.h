@@ -21,8 +21,6 @@ class ClusterMetrics {
   // without a map lookup or heap traffic.
   void RecordActorCall(SimDuration latency, bool remote) {
     actor_call_latency_.Record(latency);
-    window_latency_sum_ns_ += static_cast<double>(latency);
-    window_latency_count_++;
     if (remote) {
       remote_actor_call_latency_.Record(latency);
     }
@@ -31,10 +29,7 @@ class ClusterMetrics {
   // Counts one actor-to-actor application message (call or response leg).
   void CountAppMessage(bool remote) { (remote ? window_remote_msgs_ : window_local_msgs_)++; }
 
-  void CountMigration() {
-    window_migrations_++;
-    total_migrations_++;
-  }
+  void CountMigration() { window_migrations_++; }
 
   const Histogram& actor_call_latency() const { return actor_call_latency_; }
   const Histogram& remote_actor_call_latency() const { return remote_actor_call_latency_; }
@@ -44,29 +39,18 @@ class ClusterMetrics {
     uint64_t remote_msgs = 0;
     uint64_t local_msgs = 0;
     uint64_t migrations = 0;
-    double latency_sum_ns = 0.0;
-    uint64_t latency_count = 0;
 
     double remote_fraction() const {
       const uint64_t total = remote_msgs + local_msgs;
       return total == 0 ? 0.0 : static_cast<double>(remote_msgs) / static_cast<double>(total);
     }
-
-    // Mean actor-call round-trip over the window, without touching the
-    // histogram (which aggregates across the whole measurement phase).
-    double mean_latency_ns() const {
-      return latency_count == 0 ? 0.0 : latency_sum_ns / static_cast<double>(latency_count);
-    }
   };
 
   Window TakeWindow() {
-    Window w{window_remote_msgs_, window_local_msgs_, window_migrations_,
-             window_latency_sum_ns_, window_latency_count_};
+    Window w{window_remote_msgs_, window_local_msgs_, window_migrations_};
     window_remote_msgs_ = 0;
     window_local_msgs_ = 0;
     window_migrations_ = 0;
-    window_latency_sum_ns_ = 0.0;
-    window_latency_count_ = 0;
     return w;
   }
 
@@ -75,17 +59,12 @@ class ClusterMetrics {
     remote_actor_call_latency_.Reset();
   }
 
-  uint64_t total_migrations() const { return total_migrations_; }
-
  private:
   Histogram actor_call_latency_;
   Histogram remote_actor_call_latency_;
   uint64_t window_remote_msgs_ = 0;
   uint64_t window_local_msgs_ = 0;
   uint64_t window_migrations_ = 0;
-  uint64_t total_migrations_ = 0;
-  double window_latency_sum_ns_ = 0.0;
-  uint64_t window_latency_count_ = 0;
 };
 
 }  // namespace actop

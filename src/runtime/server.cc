@@ -173,7 +173,7 @@ void Server::HandleControl(const Envelope& env, NodeId from) {
     const DirEntry entry = directory_shard_.LookupOrRegister(req->actor, req->suggested_owner);
     SendControl(from_server,
                 DirLookupResponse{.actor = req->actor, .owner = entry.owner,
-                                  .token = entry.token, .request_id = req->request_id});
+                                  .token = entry.token});
     return;
   }
   if (const auto* resp = std::get_if<DirLookupResponse>(&env.control)) {
@@ -255,8 +255,7 @@ void Server::LookUpInDirectory(ActorId actor) {
     });
     return;
   }
-  SendControl(home, DirLookupRequest{.actor = actor, .suggested_owner = suggestion,
-                                     .request_id = next_exchange_token_++});
+  SendControl(home, DirLookupRequest{.actor = actor, .suggested_owner = suggestion});
 }
 
 ServerId Server::SuggestPlacement(ActorId actor) {
@@ -458,7 +457,6 @@ void Server::IssueCall(ActorId from_actor, ActorId target, MethodId method, uint
   env->payload_bytes = bytes;
   env->app_data = app_data;
   env->reply_to = node_;
-  env->created_at = sim_->now();
   env->via_network = false;
 
   const bool local = activations_.Contains(target);
@@ -466,7 +464,7 @@ void Server::IssueCall(ActorId from_actor, ActorId target, MethodId method, uint
   NoteAppSend(from_actor, target, dest_guess, !local);
 
   if (on_response != nullptr) {
-    const uint32_t slot = AcquireCallSlot();
+    const uint32_t slot = call_slots_.Alloc();
     ACTOP_CHECK(next_call_seq_ <= 0xFFFFFFFFu);  // the counter fills the high 32 bits
     const uint64_t seq = (next_call_seq_++ << 32) | slot;
     env->call_id = CallId{node_, seq};
@@ -507,7 +505,6 @@ void Server::CompleteReply(ActorId from_actor, const Envelope& original_call, ui
   env->target = original_call.source_actor;
   env->source_actor = from_actor;
   env->payload_bytes = bytes;
-  env->created_at = original_call.created_at;
   env->reply_to = original_call.reply_to;
 
   const NodeId dest_node = original_call.reply_to;
@@ -560,18 +557,6 @@ void Server::HandleResponse(EnvelopePtr env) {
   stages_[kWorker]->Enqueue(std::move(ev));
 }
 
-uint32_t Server::AcquireCallSlot() {
-  if (call_free_ != kNilSlot) {
-    const uint32_t slot = call_free_;
-    call_free_ = call_slots_[slot].next;
-    return slot;
-  }
-  // The slot index must fit the low 32 bits of a seq and stay below kNilSlot.
-  ACTOP_CHECK(call_slots_.size() < kNilSlot);
-  call_slots_.emplace_back();
-  return static_cast<uint32_t>(call_slots_.size() - 1);
-}
-
 void Server::UnlinkPendingCall(uint32_t slot) {
   CallSlot& call = call_slots_[slot];
   if (call.prev != kNilSlot) {
@@ -597,10 +582,8 @@ void Server::RunCallSlot(uint32_t slot) {
 }
 
 void Server::FreeCallSlot(uint32_t slot) {
-  CallSlot& call = call_slots_[slot];
-  call.on_response = nullptr;
-  call.next = call_free_;
-  call_free_ = slot;
+  call_slots_[slot].on_response = nullptr;
+  call_slots_.Free(slot);
 }
 
 // ---------------------------------------------------------------------------

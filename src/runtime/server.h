@@ -31,6 +31,7 @@
 #include "src/common/ring_buffer.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
+#include "src/common/slab.h"
 #include "src/common/slab_map.h"
 #include "src/net/network.h"
 #include "src/runtime/envelope_pool.h"
@@ -223,8 +224,7 @@ class Server : public ThreadHost {
   // *pending*: `seq` is the call's call_id.seq and the slot is linked into
   // the pending FIFO. HandleResponse/FailPendingCall unlink it, clear `seq`
   // and park the Response beside the continuation; the turn's event captures
-  // only [this, slot], so it stays inline in the event engine. Freed slots
-  // recycle through a free list threaded over `next`.
+  // only [this, slot], so it stays inline in the event engine.
   struct CallSlot {
     uint64_t seq = 0;  // nonzero exactly while pending
     SimTime issued_at = 0;
@@ -232,7 +232,7 @@ class Server : public ThreadHost {
     ResponseFn on_response;
     Response response;
     uint32_t prev = kNilSlot;  // pending FIFO (doubly linked: answers unlink anywhere)
-    uint32_t next = kNilSlot;  // pending FIFO, or free list
+    uint32_t next = kNilSlot;
     bool remote = false;
   };
 
@@ -267,7 +267,6 @@ class Server : public ThreadHost {
   void CompleteReply(ActorId from_actor, const Envelope& original_call, uint32_t bytes);
 
   // -- call slab --
-  uint32_t AcquireCallSlot();
   void UnlinkPendingCall(uint32_t slot);
   void RunCallSlot(uint32_t slot);
   void FreeCallSlot(uint32_t slot);
@@ -311,8 +310,7 @@ class Server : public ThreadHost {
   // response to a call that timed out, was dropped by a crash, or whose slot
   // now holds a newer call is ignored without any lookup. The counter starts
   // at 1, so no seq is 0 (the one-way marker).
-  std::vector<CallSlot> call_slots_;
-  uint32_t call_free_ = kNilSlot;
+  Slab<CallSlot> call_slots_;
   uint64_t next_call_seq_ = 1;
   // Pending slots in issue order. call_timeout is constant, so issue order
   // is deadline order: SweepTimeouts pops expired calls off the head.
@@ -329,7 +327,6 @@ class Server : public ThreadHost {
   // Reused by SweepTimeouts' retry pass (collect-then-act; see the comment
   // there).
   std::vector<ActorId> sweep_retry_scratch_;
-  uint64_t next_exchange_token_ = 1;
 
   // Registration tokens this server has unregistered but whose DirUnregister
   // message may still be in flight to a remote home shard. A directory

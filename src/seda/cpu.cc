@@ -66,65 +66,6 @@ void CpuModel::AdvanceTo(SimTime t) {
   last_update_ = t;
 }
 
-// --- job heap ---------------------------------------------------------------
-//
-// Plain 4-ary min-heap over (finish tag, link seq); children of node i live
-// at 4i+1..4i+4. Unlike the engine's event heap no back-pointers are needed:
-// under virtual time a running job's tag never changes and jobs are never
-// cancelled, so entries only enter at the bottom and leave at the root.
-
-size_t CpuModel::MinChild(size_t first, size_t n) const {
-  if (first + 4 <= n) {
-    const size_t a = Before(heap_[first + 1], heap_[first]) ? first + 1 : first;
-    const size_t b = Before(heap_[first + 3], heap_[first + 2]) ? first + 3 : first + 2;
-    return Before(heap_[b], heap_[a]) ? b : a;
-  }
-  size_t best = first;
-  for (size_t c = first + 1; c < n; c++) {
-    if (Before(heap_[c], heap_[best])) best = c;
-  }
-  return best;
-}
-
-void CpuModel::SiftUp(size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  while (pos > 0) {
-    const size_t parent = (pos - 1) / 4;
-    if (!Before(entry, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    pos = parent;
-  }
-  heap_[pos] = entry;
-}
-
-void CpuModel::SiftDown(size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  const size_t n = heap_.size();
-  for (;;) {
-    const size_t first = 4 * pos + 1;
-    if (first >= n) break;
-    const size_t best = MinChild(first, n);
-    if (!Before(heap_[best], entry)) break;
-    heap_[pos] = heap_[best];
-    pos = best;
-  }
-  heap_[pos] = entry;
-}
-
-void CpuModel::HeapPush(double finish_v, uint32_t slot) {
-  ACTOP_CHECK(next_seq_ <= kMaxSeq);
-  heap_.push_back(HeapEntry{finish_v, (next_seq_++ << kSlotBits) | slot});
-  SiftUp(heap_.size() - 1);
-}
-
-void CpuModel::HeapPopRoot() {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (heap_.empty()) return;
-  heap_[0] = last;
-  SiftDown(0);
-}
-
 // --- scheduling -------------------------------------------------------------
 
 void CpuModel::Reschedule() {
@@ -139,7 +80,7 @@ void CpuModel::Reschedule() {
   ACTOP_CHECK(rate > 0.0);
   // The heap root holds the smallest finish tag — the seed's full
   // min-remaining rescan reduced to a peek.
-  const double wait = std::max(0.0, heap_[0].finish_v - vtime_) / rate;
+  const double wait = std::max(0.0, heap_.top().finish_v - vtime_) / rate;
   const SimTime when = sim_->now() + static_cast<SimDuration>(std::ceil(wait));
   if (pending_completion_ != 0 && sim_->Reschedule(pending_completion_, when)) {
     return;
@@ -153,9 +94,9 @@ void CpuModel::OnCompletion() {
   batch_scratch_.clear();
   done_scratch_.clear();
   const double cutoff = vtime_ + kDoneEpsilon;
-  while (!heap_.empty() && heap_[0].finish_v <= cutoff) {
-    batch_scratch_.push_back(heap_[0].key);
-    HeapPopRoot();
+  while (!heap_.empty() && heap_.top().finish_v <= cutoff) {
+    batch_scratch_.push_back(heap_.top().key);
+    heap_.PopRoot();
   }
   // Key order is link-seq order, which is the seed's insertion order: ties
   // complete, free their slots, and fire their callbacks exactly as the
@@ -165,10 +106,8 @@ void CpuModel::OnCompletion() {
   }
   for (const uint64_t key : batch_scratch_) {
     const auto slot = static_cast<uint32_t>(key & kSlotMask);
-    Job& j = jobs_[slot];
-    done_scratch_.push_back(std::move(j.done));
-    j.free_next = jobs_free_;
-    jobs_free_ = slot;
+    done_scratch_.push_back(std::move(jobs_[slot].done));
+    jobs_.Free(slot);
   }
   if (heap_.empty()) {
     vtime_ = 0.0;  // idle: rebase so V never outgrows double precision
@@ -203,20 +142,12 @@ void CpuModel::BeginCompute(SimDuration demand, InlineTask done) {
 }
 
 uint32_t CpuModel::AllocJob(SimDuration demand, InlineTask done) {
-  uint32_t slot;
-  if (jobs_free_ != kNilIndex) {
-    slot = jobs_free_;
-    jobs_free_ = jobs_[slot].free_next;
-  } else {
-    // Slot indices must fit the low kSlotBits of a heap key.
-    ACTOP_CHECK(jobs_.size() < (1ULL << kSlotBits));
-    jobs_.emplace_back();
-    slot = static_cast<uint32_t>(jobs_.size() - 1);
-  }
+  const uint32_t slot = jobs_.Alloc();
+  // Slot indices must fit the low kSlotBits of a heap key.
+  ACTOP_CHECK(slot <= kSlotMask);
   Job& j = jobs_[slot];
   j.finish_v = static_cast<double>(demand);  // raw demand until linked
   j.done = std::move(done);
-  j.free_next = kNilIndex;
   return slot;
 }
 
@@ -224,7 +155,8 @@ void CpuModel::StartParkedJob(uint32_t slot) {
   AdvanceTo(sim_->now());
   Job& j = jobs_[slot];
   j.finish_v = vtime_ + j.finish_v;  // demand -> finish tag at link time
-  HeapPush(j.finish_v, slot);
+  ACTOP_CHECK(next_seq_ <= kMaxSeq);
+  heap_.Push(HeapEntry{j.finish_v, (next_seq_++ << kSlotBits) | slot});
   Reschedule();
 }
 

@@ -36,8 +36,9 @@
 // between. The model therefore advances a single accumulator per rate
 // segment (O(1), replacing the seed's per-job remaining-demand decrement
 // loop), keeps each job's immutable finish tag V_start + demand in a 4-ary
-// min-heap ordered by (finish tag, link seq) (peek replaces the seed's full
-// min-remaining rescan), and re-arms one standing completion event via
+// min-heap (src/common/quad_heap.h) ordered by (finish tag, link seq) (peek
+// replaces the seed's full min-remaining rescan), parks jobs in a Slab
+// (src/common/slab.h), and re-arms one standing completion event via
 // Simulation::Reschedule (no Cancel + ScheduleAfter slot churn on every
 // arrival). Arrival and completion are O(log n) in the number of running
 // jobs; nothing on the steady-state path allocates. The retained seed
@@ -52,8 +53,10 @@
 #include <vector>
 
 #include "src/common/inline_task.h"
+#include "src/common/quad_heap.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
+#include "src/common/slab.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
@@ -107,7 +110,6 @@ class CpuModel {
   bool paused() const { return paused_; }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
   // Slot index bits in a heap key; bounds simultaneous jobs per CPU at 2^24
   // (real runs peak at a few hundred — the thread allocation).
   static constexpr uint32_t kSlotBits = 24;
@@ -115,14 +117,12 @@ class CpuModel {
   // 2^40 job links per CpuModel before the packed seq would wrap — checked.
   static constexpr uint64_t kMaxSeq = (1ULL << (64 - kSlotBits)) - 1;
 
-  // Jobs live in a slab; freed slots recycle through a free list threaded
-  // over `free_next`. A parked job (dispatch-latency wait) occupies a slot
-  // but is not yet in the heap; until it links, `finish_v` holds the raw
-  // demand (the finish tag can only be computed against V at link time).
+  // A parked job (dispatch-latency wait) occupies a slot but is not yet in
+  // the heap; until it links, `finish_v` holds the raw demand (the finish
+  // tag can only be computed against V at link time).
   struct Job {
     double finish_v = 0.0;  // V_link + demand once linked; demand while parked
     InlineTask done;
-    uint32_t free_next = kNilIndex;
   };
 
   // Heap entries carry the full sort key so sift operations compare within
@@ -138,9 +138,11 @@ class CpuModel {
     uint32_t slot() const { return static_cast<uint32_t>(key & kSlotMask); }
   };
 
-  static bool Before(const HeapEntry& a, const HeapEntry& b) {
-    return a.finish_v != b.finish_v ? a.finish_v < b.finish_v : a.key < b.key;
-  }
+  struct Before {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return a.finish_v != b.finish_v ? a.finish_v < b.finish_v : a.key < b.key;
+    }
+  };
 
   double Efficiency() const;
   double Rate() const;  // per-job progress per wallclock ns
@@ -156,12 +158,6 @@ class CpuModel {
   void BeginPause();
   void EndPause();
 
-  size_t MinChild(size_t first, size_t n) const;
-  void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
-  void HeapPush(double finish_v, uint32_t slot);
-  void HeapPopRoot();
-
   Simulation* sim_;
   const int cores_;
   const double kappa_;
@@ -169,9 +165,8 @@ class CpuModel {
   Rng rng_;
   int total_threads_;
   int ready_jobs_ = 0;
-  std::vector<Job> jobs_;
-  uint32_t jobs_free_ = kNilIndex;
-  std::vector<HeapEntry> heap_;  // running jobs, min (finish_v, seq)
+  Slab<Job> jobs_;
+  QuadHeap<HeapEntry, Before> heap_;  // running jobs, min (finish_v, seq)
   // Cumulative virtual service V(t); rebased to 0 whenever the CPU idles so
   // the accumulator never outgrows double precision within a busy period.
   double vtime_ = 0.0;

@@ -69,14 +69,7 @@ void Stage::MaybeStartService() {
 
 void Stage::StartService(SimDuration compute, SimDuration blocking, InlineTask&& done) {
   busy_++;
-  uint32_t slot;
-  if (in_service_free_ != kNilIndex) {
-    slot = in_service_free_;
-    in_service_free_ = in_service_[slot].free_next;
-  } else {
-    in_service_.emplace_back();
-    slot = static_cast<uint32_t>(in_service_.size() - 1);
-  }
+  const uint32_t slot = in_service_.Alloc();
   InService& s = in_service_[slot];
   s.service_start = sim_->now();
   s.compute = compute;
@@ -101,8 +94,7 @@ void Stage::FinishService(uint32_t slot) {
   const SimDuration compute = in_service_[slot].compute;
   const SimDuration blocking = in_service_[slot].blocking;
   InlineTask done = std::move(in_service_[slot].done);
-  in_service_[slot].free_next = in_service_free_;
-  in_service_free_ = slot;
+  in_service_.Free(slot);
 
   const SimTime now = sim_->now();
   window_.completions++;

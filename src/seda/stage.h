@@ -16,12 +16,12 @@
 //
 // Direct start: an event that arrives while the queue is empty and a thread
 // is idle skips the queue and goes straight into service, its continuation
-// moved once into the in-service slab. Its accounting is exactly what a push
-// followed by an immediate pop would record: one arrival, zero queue wait,
-// nothing added to the queue-length integral. The ring therefore holds
-// events only while every thread is busy (on most stages of a lightly loaded
-// server it stays empty), and a queued event starts in place at the front of
-// the ring before being popped.
+// moved once into the in-service Slab (src/common/slab.h). Its accounting is
+// exactly what a push followed by an immediate pop would record: one
+// arrival, zero queue wait, nothing added to the queue-length integral. The
+// ring therefore holds events only while every thread is busy (on most
+// stages of a lightly loaded server it stays empty), and a queued event
+// starts in place at the front of the ring before being popped.
 
 #ifndef SRC_SEDA_STAGE_H_
 #define SRC_SEDA_STAGE_H_
@@ -29,11 +29,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "src/common/inline_task.h"
 #include "src/common/ring_buffer.h"
 #include "src/common/sim_time.h"
+#include "src/common/slab.h"
 #include "src/seda/cpu.h"
 #include "src/sim/simulation.h"
 
@@ -63,9 +63,6 @@ struct StageWindow {
                                //   kept for test oracles and debugging)
   double queue_len_time_integral = 0.0;  // for time-averaged queue length
 
-  double mean_queue_wait() const {
-    return completions == 0 ? 0.0 : sum_queue_wait / static_cast<double>(completions);
-  }
   double mean_wallclock() const {
     return completions == 0 ? 0.0 : sum_wallclock / static_cast<double>(completions);
   }
@@ -93,7 +90,6 @@ class Stage {
   int threads() const { return threads_; }
 
   size_t queue_length() const { return queue_.size(); }
-  int busy_threads() const { return busy_; }
   const std::string& name() const { return name_; }
 
   // Returns the aggregates accumulated since the previous TakeWindow() (or
@@ -108,8 +104,6 @@ class Stage {
   uint64_t total_rejections() const { return total_rejections_; }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
-
   // An accepted event waiting for a thread. `rejected` is consumed inside
   // Enqueue, so only what service needs is stored (64 bytes).
   struct QueuedEvent {
@@ -121,13 +115,12 @@ class Stage {
 
   // One event being serviced by a stage thread. Parked in a slab so the
   // compute/blocking continuations capture only [this, slot] and stay inline
-  // in the event engine; slots recycle through a free list (free_next).
+  // in the event engine.
   struct InService {
     SimTime service_start = 0;
     SimDuration compute = 0;
     SimDuration blocking = 0;
     InlineTask done;
-    uint32_t free_next = kNilIndex;
   };
 
   void MaybeStartService();
@@ -144,8 +137,7 @@ class Stage {
   // Ring, not deque: steady-state enqueue/dequeue touches one contiguous
   // array and never allocates once the queue has seen its high-water mark.
   RingBuffer<QueuedEvent> queue_;
-  std::vector<InService> in_service_;
-  uint32_t in_service_free_ = kNilIndex;
+  Slab<InService> in_service_;
   int busy_ = 0;
   StageWindow window_;
   SimTime last_queue_account_ = 0;

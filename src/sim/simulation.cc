@@ -4,131 +4,21 @@
 
 namespace actop {
 
-// --- indexed 4-ary heap -----------------------------------------------------
-//
-// heap_ is an array-embedded 4-ary min-heap ordered by (when, seq); children
-// of node i live at 4i+1..4i+4. Every move of a HeapEntry updates the owning
-// slot's heap_pos back-pointer, which is what makes O(log n) removal by
-// EventId possible.
-
-void Simulation::SiftUp(size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  while (pos > 0) {
-    const size_t parent = (pos - 1) / 4;
-    if (!Before(entry, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot()].heap_pos = static_cast<uint32_t>(pos);
-    pos = parent;
-  }
-  heap_[pos] = entry;
-  slots_[entry.slot()].heap_pos = static_cast<uint32_t>(pos);
-}
-
-// Index of the least of the sibling group starting at `first`. The
-// full-group case is a 3-comparison tournament over two independent pairs —
-// branch-light and instruction-parallel, which matters because this runs on
-// every level of every sift.
-size_t Simulation::MinChild(size_t first, size_t n) const {
-  if (first + 4 <= n) {
-    const size_t a = Before(heap_[first + 1], heap_[first]) ? first + 1 : first;
-    const size_t b = Before(heap_[first + 3], heap_[first + 2]) ? first + 3 : first + 2;
-    return Before(heap_[b], heap_[a]) ? b : a;
-  }
-  size_t best = first;
-  for (size_t c = first + 1; c < n; c++) {
-    if (Before(heap_[c], heap_[best])) best = c;
-  }
-  return best;
-}
-
-void Simulation::SiftDown(size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  const size_t n = heap_.size();
-  for (;;) {
-    const size_t first = 4 * pos + 1;
-    if (first >= n) break;
-    const size_t best = MinChild(first, n);
-    if (!Before(heap_[best], entry)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot()].heap_pos = static_cast<uint32_t>(pos);
-    pos = best;
-  }
-  heap_[pos] = entry;
-  slots_[entry.slot()].heap_pos = static_cast<uint32_t>(pos);
-}
-
-// Removes the root. This is the engine's hottest loop (half of bench_engine's
-// cycles live here), so it uses bottom-up deletion instead of plain SiftDown:
-// percolate the root hole along the min-child chain all the way to a leaf —
-// three comparisons per level, never comparing against the refill entry —
-// then drop the former last element into the leaf hole and bubble it up.
-// The refill comes from the bottom of the heap, so the bubble-up almost
-// always terminates in one comparison; plain SiftDown would have paid a
-// fourth comparison on every level to discover the same thing. Dispatch
-// order is unaffected: (when, seq) is a total order, so every valid heap
-// arrangement pops the identical sequence.
-void Simulation::PopRoot() {
-  const size_t n = heap_.size() - 1;
-  const HeapEntry refill = heap_[n];
-  heap_.pop_back();
-  if (n == 0) return;
-  size_t hole = 0;
-  for (;;) {
-    const size_t first = 4 * hole + 1;
-    if (first >= n) break;
-    const size_t best = MinChild(first, n);
-    heap_[hole] = heap_[best];
-    slots_[heap_[hole].slot()].heap_pos = static_cast<uint32_t>(hole);
-    hole = best;
-  }
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / 4;
-    if (!Before(refill, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    slots_[heap_[hole].slot()].heap_pos = static_cast<uint32_t>(hole);
-    hole = parent;
-  }
-  heap_[hole] = refill;
-  slots_[refill.slot()].heap_pos = static_cast<uint32_t>(hole);
-}
-
-void Simulation::RemoveHeapAt(size_t pos) {
-  const size_t last = heap_.size() - 1;
-  if (pos == last) {
-    heap_.pop_back();
-    return;
-  }
-  heap_[pos] = heap_[last];
-  heap_.pop_back();
-  // The hole-filling entry can belong either above or below `pos`.
-  if (pos > 0 && Before(heap_[pos], heap_[(pos - 1) / 4])) {
-    SiftUp(pos);
-  } else {
-    SiftDown(pos);
-  }
-}
-
 // --- event slot slab --------------------------------------------------------
-
-uint32_t Simulation::AllocSlot() {
-  if (free_head_ != kNilIndex) {
-    const uint32_t slot = free_head_;
-    free_head_ = slots_[slot].heap_pos;
-    return slot;
-  }
-  // Slot indices must fit the low kSlotBits of a HeapEntry key: at most
-  // 2^24 simultaneously pending events (the largest soaks peak ~1e6).
-  ACTOP_CHECK(slots_.size() < (1ULL << kSlotBits));
-  slots_.emplace_back();
-  return static_cast<uint32_t>(slots_.size() - 1);
-}
 
 void Simulation::FreeSlot(uint32_t slot) {
   EventSlot& s = slots_[slot];
   s.fn = InlineTask();  // release captures now, not at slot reuse
   s.gen = NextGen(s.gen);
-  s.heap_pos = free_head_;
-  free_head_ = slot;
+  slots_.Free(slot);
+}
+
+bool Simulation::LiveSlot(EventId id, uint32_t* slot) const {
+  *slot = static_cast<uint32_t>(id);
+  const uint32_t gen = static_cast<uint32_t>(id >> 32) & kGenMask;
+  // Generation advances on every free, so fired / already-cancelled / foreign
+  // ids fail this check (id 0 carries gen 0, which no slot ever holds).
+  return *slot < slots_.size() && slots_[*slot].gen == gen;
 }
 
 // --- scheduling -------------------------------------------------------------
@@ -137,61 +27,43 @@ EventId Simulation::ScheduleAt(SimTime when, InlineTask fn) {
   ACTOP_CHECK(when >= now_);
   ACTOP_CHECK(static_cast<bool>(fn));
   ACTOP_CHECK(next_seq_ <= kMaxSeq);
-  const uint32_t slot = AllocSlot();
+  const uint32_t slot = slots_.Alloc();
+  // Slot indices must fit the low kSlotBits of a HeapEntry key: at most
+  // 2^24 simultaneously pending events (the largest soaks peak ~1e6).
+  ACTOP_CHECK(slot <= kSlotMask);
   slots_[slot].fn = std::move(fn);
-  heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
-  SiftUp(heap_.size() - 1);
+  heap_.Push(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
   return PackId(slots_[slot].gen, slot, 0);
 }
 
 bool Simulation::Cancel(EventId id) {
   if ((id & kPeriodicTag) != 0) return CancelPeriodic(id);
-  const uint32_t slot = static_cast<uint32_t>(id);
-  const uint32_t gen = static_cast<uint32_t>(id >> 32) & kGenMask;
-  // Generation advances on every free, so fired / already-cancelled / foreign
-  // ids fail this check (id 0 carries gen 0, which no slot ever holds).
-  if (slot >= slots_.size() || slots_[slot].gen != gen) return false;
-  RemoveHeapAt(slots_[slot].heap_pos);
+  uint32_t slot;
+  if (!LiveSlot(id, &slot)) return false;
+  heap_.RemoveAt(slots_[slot].heap_pos);
   FreeSlot(slot);
   return true;
 }
 
 bool Simulation::Reschedule(EventId id, SimTime when) {
-  if ((id & kPeriodicTag) != 0) return false;
-  const uint32_t slot = static_cast<uint32_t>(id);
-  const uint32_t gen = static_cast<uint32_t>(id >> 32) & kGenMask;
-  if (slot >= slots_.size() || slots_[slot].gen != gen) return false;
+  uint32_t slot;
+  if ((id & kPeriodicTag) != 0 || !LiveSlot(id, &slot)) return false;
   ACTOP_CHECK(when >= now_);
   ACTOP_CHECK(next_seq_ <= kMaxSeq);
   const size_t pos = slots_[slot].heap_pos;
-  heap_[pos].when = when;
-  heap_[pos].key = (next_seq_++ << kSlotBits) | slot;
+  heap_.mutable_at(pos) = HeapEntry{when, (next_seq_++ << kSlotBits) | slot};
   // The fresh seq is the largest in the heap, so among equal timestamps the
   // entry only sinks; across timestamps it can move either way.
-  if (pos > 0 && Before(heap_[pos], heap_[(pos - 1) / 4])) {
-    SiftUp(pos);
-  } else {
-    SiftDown(pos);
-  }
+  heap_.Fix(pos);
   return true;
 }
 
 // --- periodic tasks ---------------------------------------------------------
 
-uint32_t Simulation::AllocPeriodicSlot() {
-  if (periodic_free_head_ != kNilIndex) {
-    const uint32_t slot = periodic_free_head_;
-    periodic_free_head_ = periodic_slots_[slot].free_next;
-    return slot;
-  }
-  periodic_slots_.emplace_back();
-  return static_cast<uint32_t>(periodic_slots_.size() - 1);
-}
-
 EventId Simulation::SchedulePeriodic(SimDuration period, InlineTask fn) {
   ACTOP_CHECK(period > 0);
   ACTOP_CHECK(static_cast<bool>(fn));
-  const uint32_t slot = AllocPeriodicSlot();
+  const uint32_t slot = periodic_slots_.Alloc();
   PeriodicSlot& p = periodic_slots_[slot];
   p.fn = std::move(fn);
   p.period = period;
@@ -233,16 +105,15 @@ bool Simulation::CancelPeriodic(EventId id) {
   p.live = false;
   p.fn = InlineTask();
   p.gen = NextGen(p.gen);
-  p.free_next = periodic_free_head_;
-  periodic_free_head_ = slot;
+  periodic_slots_.Free(slot);
   return true;
 }
 
 // --- dispatch ---------------------------------------------------------------
 
 void Simulation::DispatchTop() {
-  const HeapEntry top = heap_[0];
-  PopRoot();
+  const HeapEntry top = heap_.top();
+  heap_.PopRoot();
   // Free the slot before invoking: a cancel of this id from inside its own
   // callback sees a stale generation and correctly returns false, and the
   // callback may schedule freely (possibly reusing this very slot).
@@ -266,7 +137,7 @@ uint64_t Simulation::Run() {
 uint64_t Simulation::RunUntil(SimTime deadline) {
   ACTOP_CHECK(deadline >= now_);
   uint64_t n = 0;
-  while (!heap_.empty() && heap_[0].when <= deadline) {
+  while (!heap_.empty() && heap_.top().when <= deadline) {
     DispatchTop();
     n++;
   }
@@ -276,7 +147,7 @@ uint64_t Simulation::RunUntil(SimTime deadline) {
 
 uint64_t Simulation::RunWindow(SimTime end) {
   uint64_t n = 0;
-  while (!heap_.empty() && heap_[0].when < end) {
+  while (!heap_.empty() && heap_.top().when < end) {
     DispatchTop();
     n++;
   }

@@ -1,25 +1,25 @@
 // Discrete-event simulation engine.
 //
-// The engine owns an indexed 4-ary min-heap of timestamped events. Events
-// scheduled at the same instant run in scheduling order (a monotone sequence
-// number breaks ties), which makes every run bit-for-bit deterministic for a
-// fixed seed.
+// The engine owns an indexed 4-ary min-heap of timestamped events
+// (src/common/quad_heap.h). Events scheduled at the same instant run in
+// scheduling order (a monotone sequence number breaks ties), which makes
+// every run bit-for-bit deterministic for a fixed seed.
 //
 // Hot-path design (this is the substrate every figure bench, partitioning
 // sweep and chaos soak executes on):
 //   * Callbacks are InlineTask, not std::function: typical captures
 //     ([this, EnvelopePtr, epoch], [this, id, token]) stay inline, so
 //     steady-state scheduling performs zero heap allocations.
-//   * Event state lives in a slab of reusable slots; the heap holds
-//     (when, seq, slot) triples with the sort key inline, so sift operations
-//     touch only the contiguous heap array. A 4-ary layout halves the tree
-//     depth of a binary heap and keeps children in one cache line.
+//   * Event state lives in a Slab of reusable slots (src/common/slab.h); the
+//     heap holds (when, seq, slot) triples with the sort key inline, so sift
+//     operations touch only the contiguous heap array, and a position hook
+//     keeps each slot's back-pointer to its heap entry.
 //   * EventIds are generation-stamped slot references. Cancel(id) removes
 //     the event from the heap in O(log n) — no lazy-deletion garbage — and
 //     returns false for ids that already fired or were already cancelled
 //     (the slot's generation advances on every free, invalidating old ids).
 //     pending_events() is therefore exact.
-//   * Periodic tasks occupy their own generation-stamped slab; their ticks
+//   * Periodic tasks occupy their own generation-stamped Slab; their ticks
 //     are ordinary events, rescheduled after each callback returns, so the
 //     (when, seq) dispatch order is identical to scheduling the next tick by
 //     hand. Cancelling a periodic removes its in-flight tick directly.
@@ -33,11 +33,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/inline_task.h"
+#include "src/common/quad_heap.h"
 #include "src/common/sim_time.h"
+#include "src/common/slab.h"
 
 namespace actop {
 
@@ -48,7 +49,9 @@ namespace actop {
 // a collision would require the same slot to be reused 2^31 times.
 using EventId = uint64_t;
 
-class Simulation {
+// Cache-line aligned: the sharded engine allocates its per-shard engines
+// back to back, and each is written on every event by its own thread.
+class alignas(64) Simulation {
  public:
   Simulation() = default;
   Simulation(const Simulation&) = delete;
@@ -104,7 +107,7 @@ class Simulation {
   // Timestamp of the earliest pending event, or kSimTimeMax when the queue
   // is empty. The sharded engine uses this to compute conservative window
   // bounds across shards.
-  SimTime next_event_time() const { return heap_.empty() ? kSimTimeMax : heap_[0].when; }
+  SimTime next_event_time() const { return heap_.empty() ? kSimTimeMax : heap_.top().when; }
 
   // Runs events with timestamp strictly < `end` and leaves the clock at the
   // last dispatched event (it does NOT advance to `end`): the window owner
@@ -117,7 +120,7 @@ class Simulation {
   // been fully executed.
   void AdvanceClockTo(SimTime t) {
     ACTOP_CHECK(t >= now_);
-    ACTOP_CHECK(heap_.empty() || heap_[0].when >= t);
+    ACTOP_CHECK(heap_.empty() || heap_.top().when >= t);
     now_ = t;
   }
 
@@ -135,7 +138,6 @@ class Simulation {
   uint64_t events_executed() const { return events_executed_; }
 
  private:
-  static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
   static constexpr uint64_t kPeriodicTag = 1ULL << 63;
   static constexpr uint32_t kGenMask = 0x7FFFFFFFu;
 
@@ -157,11 +159,12 @@ class Simulation {
   // ~1e9) before the packed seq would wrap — checked, not assumed.
   static constexpr uint64_t kMaxSeq = (1ULL << (64 - kSlotBits)) - 1;
 
+  // A slot keeps its generation across reuse (the Slab hands it back as
+  // the last occupant left it), which is what invalidates stale ids.
   struct EventSlot {
     InlineTask fn;
     uint32_t gen = 1;
-    // Position in heap_ while pending; next-free link while on the free list.
-    uint32_t heap_pos = kNilIndex;
+    uint32_t heap_pos = 0;  // position in heap_ while pending
   };
 
   struct PeriodicSlot {
@@ -169,15 +172,23 @@ class Simulation {
     SimDuration period = 0;
     EventId next_event = 0;  // pending tick; 0 while the callback is running
     uint32_t gen = 1;
-    uint32_t free_next = kNilIndex;
     bool live = false;
   };
 
   // (when, seq) order. Sequence numbers are unique, so for equal timestamps
   // comparing the packed keys (seq in the high bits) is exactly seq order.
-  static bool Before(const HeapEntry& a, const HeapEntry& b) {
-    return a.when != b.when ? a.when < b.when : a.key < b.key;
-  }
+  struct Before {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return a.when != b.when ? a.when < b.when : a.key < b.key;
+    }
+  };
+  // Keeps each pending slot's heap_pos in step with its entry.
+  struct TrackPosition {
+    Slab<EventSlot>* slots;
+    void operator()(const HeapEntry& e, size_t pos) const {
+      (*slots)[e.slot()].heap_pos = static_cast<uint32_t>(pos);
+    }
+  };
   static uint32_t NextGen(uint32_t gen) {
     gen = (gen + 1) & kGenMask;
     return gen == 0 ? 1 : gen;
@@ -186,23 +197,16 @@ class Simulation {
     return tag | (static_cast<uint64_t>(gen) << 32) | slot;
   }
 
-  size_t MinChild(size_t first, size_t n) const;
-  void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
-  void PopRoot();
-  void RemoveHeapAt(size_t pos);
-  uint32_t AllocSlot();
+  // Resolves an event id to its live slot, or returns false.
+  bool LiveSlot(EventId id, uint32_t* slot) const;
   void FreeSlot(uint32_t slot);
-  uint32_t AllocPeriodicSlot();
   void DispatchTop();
   void PeriodicTick(uint32_t slot, uint32_t gen);
 
-  std::vector<HeapEntry> heap_;
-  std::vector<EventSlot> slots_;
-  uint32_t free_head_ = kNilIndex;
+  Slab<EventSlot> slots_;
+  QuadHeap<HeapEntry, Before, TrackPosition> heap_{Before{}, TrackPosition{&slots_}};
 
-  std::vector<PeriodicSlot> periodic_slots_;
-  uint32_t periodic_free_head_ = kNilIndex;
+  Slab<PeriodicSlot> periodic_slots_;
 
   std::function<void()> after_event_hook_;
   SimTime now_ = 0;

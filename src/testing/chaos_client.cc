@@ -26,7 +26,6 @@ void ChaosClient::Call(ActorId target, MethodId method, uint64_t app_data) {
   env->app_data = app_data;
   env->payload_bytes = config_.request_bytes;
   env->reply_to = node_;
-  env->created_at = sim_->now();
 
   pending_.emplace(seq, sim_->now());
   timeout_queue_.emplace_back(sim_->now() + config_.timeout, seq);

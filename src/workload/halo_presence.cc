@@ -139,15 +139,8 @@ class GameActor : public Actor {
 
 void HaloState::PutRoster(uint64_t key, const std::vector<ActorId>& members) {
   std::lock_guard<std::mutex> lock(mu_);
-  uint32_t slot;
-  if (roster_free_ != kNilSlot) {
-    slot = roster_free_;
-    roster_free_ = roster_slots_[slot].free_next;
-  } else {
-    roster_slots_.emplace_back();
-    slot = static_cast<uint32_t>(roster_slots_.size() - 1);
-  }
-  roster_slots_[slot].members.assign(members.begin(), members.end());
+  const uint32_t slot = rosters_.Alloc();
+  rosters_[slot].assign(members.begin(), members.end());
   roster_index_.Insert(key, slot);
 }
 
@@ -155,8 +148,8 @@ void HaloState::ReadRoster(uint64_t key, std::vector<ActorId>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const uint32_t* slot = roster_index_.Find(key);
   ACTOP_CHECK(slot != nullptr);
-  const RosterSlot& s = roster_slots_[*slot];
-  out->assign(s.members.begin(), s.members.end());
+  const std::vector<ActorId>& roster = rosters_[*slot];
+  out->assign(roster.begin(), roster.end());
 }
 
 void HaloState::TakeRoster(uint64_t key, std::vector<ActorId>* out) {
@@ -164,13 +157,11 @@ void HaloState::TakeRoster(uint64_t key, std::vector<ActorId>* out) {
   const uint32_t* found = roster_index_.Find(key);
   ACTOP_CHECK(found != nullptr);
   const uint32_t slot = *found;
-  RosterSlot& s = roster_slots_[slot];
   // Swap instead of move: the caller's old buffer stays with the slot, so
   // both sides of the take recycle their storage.
-  std::swap(*out, s.members);
-  s.members.clear();
-  s.free_next = roster_free_;
-  roster_free_ = slot;
+  std::swap(*out, rosters_[slot]);
+  rosters_[slot].clear();
+  rosters_.Free(slot);
   roster_index_.Erase(key);
 }
 

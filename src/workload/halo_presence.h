@@ -31,6 +31,7 @@
 #include "src/common/flat_hash_map.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
+#include "src/common/slab.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
 
@@ -97,20 +98,12 @@ struct HaloState {
   std::atomic<uint64_t> updates{0};     // player Update turns executed
 
  private:
-  static constexpr uint32_t kNilSlot = 0xFFFFFFFFu;
-
-  // Rosters live in a slab of recycled slots — each slot keeps its member
+  // Rosters live in a Slab of recycled slots — each slot keeps its member
   // vector's buffer across the games it hosts, so the continuous game churn
   // allocates nothing at steady state — indexed by an open-addressing map.
   // The table is never iterated; at Halo scale it holds ~players/8 entries.
-  struct RosterSlot {
-    std::vector<ActorId> members;
-    uint32_t free_next = kNilSlot;
-  };
-
   mutable std::mutex mu_;
-  std::vector<RosterSlot> roster_slots_;
-  uint32_t roster_free_ = kNilSlot;
+  Slab<std::vector<ActorId>> rosters_;
   FlatHashMap<uint64_t, uint32_t> roster_index_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -43,6 +44,14 @@ struct TestbedCase {
   int servers;
   uint64_t seed;
 };
+
+// gtest_discover_tests names each ctest case after the printed parameter;
+// without this it would print the struct's raw bytes, padding included,
+// and the names would change from build to build.
+void PrintTo(const TestbedCase& tc, std::ostream* os) {
+  *os << "clusters" << tc.clusters << "_size" << tc.cluster_size << "_servers" << tc.servers
+      << "_seed" << tc.seed;
+}
 
 class TheoremOneTest : public ::testing::TestWithParam<TestbedCase> {};
 

@@ -71,7 +71,7 @@ TEST(EnvelopePoolTest, RecyclesEnvelopeObjects) {
 TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
   // Regression: an envelope that carried a populated kControl
   // PartitionExchangeRequest, recycled into a kCall, must present fully
-  // reset state — kind, hops, via_network, created_at AND the control
+  // reset state — kind, hops, via_network AND the control
   // variant's values (the exchange vectors keep capacity only).
   Envelope* raw = nullptr;
   {
@@ -80,7 +80,6 @@ TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
     env->kind = MessageKind::kControl;
     env->hops = 3;
     env->via_network = true;
-    env->created_at = 12345;
     env->reply_to = 7;
     PartitionExchangeRequest req;
     req.from_num_vertices = 99;
@@ -95,7 +94,6 @@ TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
   EXPECT_EQ(env2->kind, MessageKind::kCall);
   EXPECT_EQ(env2->hops, 0);
   EXPECT_FALSE(env2->via_network);
-  EXPECT_EQ(env2->created_at, 0);
   EXPECT_EQ(env2->reply_to, kNoNode);
   EXPECT_EQ(env2->call_id, CallId{});
   // The variant stays on the exchange alternative (capacity retention), but

@@ -176,7 +176,6 @@ TEST(RoutingTest, SweepRetriesLostLookupsInParkOrder) {
     env->method = 1;
     env->payload_bytes = 100;
     env->reply_to = client;
-    env->created_at = sim.now();
     cluster.network().Send(client, gateway, 100, std::move(env));
     sim.RunUntil(sim.now() + Millis(5));
   }
