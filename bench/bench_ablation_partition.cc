@@ -15,6 +15,7 @@
 #include "src/common/table.h"
 #include "src/core/space_saving.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "src/workload/halo_presence.h"
 
@@ -117,7 +118,8 @@ void EdgeSamplingSweep(uint64_t seed) {
   std::printf("\n-- edge-sample capacity (Space-Saving top-k) in the full runtime --\n");
   Table t({"capacity", "steady remote fraction"});
   for (size_t capacity : {size_t{256}, size_t{1024}, size_t{4096}, size_t{16384}}) {
-    Simulation sim;
+    ShardedEngine engine{{}};
+    Simulation& sim = engine.sim();
     ClusterConfig cfg;
     cfg.num_servers = 8;
     cfg.seed = seed;
@@ -129,7 +131,7 @@ void EdgeSamplingSweep(uint64_t seed) {
     cfg.partition.pairwise.balance_delta = 200;
     cfg.partition.edge_sample_capacity = capacity;
     cfg.partition.edge_decay_period = Seconds(10);
-    Cluster cluster(&sim, cfg);
+    Cluster cluster(&engine, cfg);
     HaloWorkloadConfig w;
     w.target_players = 4000;
     w.idle_pool_target = 40;

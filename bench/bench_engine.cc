@@ -35,6 +35,7 @@
 #include "src/net/network.h"
 #include "src/runtime/envelope_pool.h"
 #include "src/runtime/message.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
@@ -230,8 +231,9 @@ ScenarioResult RunNetPingPong(double scale) {
   ScenarioResult out;
   out.name = "net_ping_pong";
 
-  Simulation sim;
-  Network net(&sim, NetworkConfig{});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Network net(&engine, NetworkConfig{});
   RingCtx ctx;
   ctx.sim = &sim;
   ctx.net = &net;

@@ -12,6 +12,7 @@
 #include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "src/workload/heartbeat.h"
 
@@ -24,7 +25,8 @@ struct RunResult {
 };
 
 RunResult Run(double load, bool optimized, const Flags& flags) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg;
   cfg.num_servers = 1;
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed"));
@@ -35,7 +37,7 @@ RunResult Run(double load, bool optimized, const Flags& flags) {
   cfg.enable_thread_optimization = optimized;
   cfg.thread_controller.period = Seconds(1);
   cfg.thread_controller.eta = 100e-6;
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
 
   HeartbeatWorkloadConfig w;
   w.num_monitors = static_cast<int>(flags.GetInt("monitors"));

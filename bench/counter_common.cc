@@ -1,5 +1,6 @@
 #include "bench/counter_common.h"
 
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
@@ -19,8 +20,9 @@ ClusterConfig MakeCounterClusterConfig(const CounterExperimentConfig& config) {
 }
 
 CounterExperimentResult RunCounterExperiment(const CounterExperimentConfig& config) {
-  Simulation sim;
-  Cluster cluster(&sim, MakeCounterClusterConfig(config));
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, MakeCounterClusterConfig(config));
   CounterWorkloadConfig w;
   w.num_actors = config.num_actors;
   w.request_rate = config.request_rate;

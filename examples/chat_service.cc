@@ -11,7 +11,7 @@
 #include "src/common/sim_time.h"
 #include "src/common/table.h"
 #include "src/runtime/cluster.h"
-#include "src/sim/simulation.h"
+#include "src/sim/sharded_engine.h"
 #include "src/workload/chat.h"
 
 namespace {
@@ -25,14 +25,14 @@ struct RunStats {
 };
 
 RunStats RunChat(bool actop_enabled) {
-  actop::Simulation sim;
+  actop::ShardedEngine engine{{}};
   actop::ClusterConfig config;
   config.num_servers = 4;
   config.seed = 2024;
   config.enable_partitioning = actop_enabled;
   config.partition.exchange_period = actop::Seconds(2);
   config.partition.exchange_min_gap = actop::Seconds(2);
-  actop::Cluster cluster(&sim, config);
+  actop::Cluster cluster(&engine, config);
 
   actop::ChatWorkloadConfig chat_config;
   chat_config.num_users = 1000;
@@ -45,15 +45,15 @@ RunStats RunChat(bool actop_enabled) {
   cluster.StartOptimizers();
 
   // Warm up (placement, convergence), then measure a steady window.
-  sim.RunUntil(actop::Seconds(30));
+  engine.RunUntil(actop::Seconds(30));
   chat.clients().ResetStats();
   cluster.metrics().TakeWindow();
   double busy0 = 0;
   for (int s = 0; s < cluster.num_servers(); s++) {
     busy0 += cluster.server(s).cpu().busy_core_nanos();
   }
-  const actop::SimTime t0 = sim.now();
-  sim.RunUntil(t0 + actop::Seconds(30));
+  const actop::SimTime t0 = engine.now();
+  engine.RunUntil(t0 + actop::Seconds(30));
   double busy1 = 0;
   for (int s = 0; s < cluster.num_servers(); s++) {
     busy1 += cluster.server(s).cpu().busy_core_nanos();
@@ -64,7 +64,7 @@ RunStats RunChat(bool actop_enabled) {
   stats.remote_fraction = window.remote_fraction();
   stats.median_ms = actop::ToMillis(chat.clients().latency().p50());
   stats.p99_ms = actop::ToMillis(chat.clients().latency().p99());
-  stats.cpu = (busy1 - busy0) / (4.0 * 8.0 * static_cast<double>(sim.now() - t0));
+  stats.cpu = (busy1 - busy0) / (4.0 * 8.0 * static_cast<double>(engine.now() - t0));
   stats.migrations = cluster.total_migrations();
   return stats;
 }

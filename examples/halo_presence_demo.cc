@@ -11,11 +11,11 @@
 
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
-#include "src/sim/simulation.h"
+#include "src/sim/sharded_engine.h"
 #include "src/workload/halo_presence.h"
 
 int main() {
-  actop::Simulation sim;
+  actop::ShardedEngine engine{{}};
   actop::ClusterConfig config;
   config.num_servers = 8;
   config.seed = 7;
@@ -27,7 +27,7 @@ int main() {
   config.partition.pairwise.balance_delta = 200;
   config.partition.edge_decay_period = actop::Seconds(10);
   config.enable_thread_optimization = true;
-  actop::Cluster cluster(&sim, config);
+  actop::Cluster cluster(&engine, config);
 
   actop::HaloWorkloadConfig workload_config;
   workload_config.target_players = 8000;
@@ -46,16 +46,16 @@ int main() {
   actop::SimTime prev_t = 0;
   for (int t = 5; t <= 90; t += 5) {
     halo.clients().ResetStats();
-    sim.RunUntil(actop::Seconds(t));
+    engine.RunUntil(actop::Seconds(t));
     const auto window = cluster.metrics().TakeWindow();
     double busy = 0.0;
     for (int s = 0; s < cluster.num_servers(); s++) {
       busy += cluster.server(s).cpu().busy_core_nanos();
     }
     const double cpu = (busy - prev_busy) /
-                       (8.0 * 8.0 * static_cast<double>(sim.now() - prev_t));
+                       (8.0 * 8.0 * static_cast<double>(engine.now() - prev_t));
     prev_busy = busy;
-    prev_t = sim.now();
+    prev_t = engine.now();
     std::printf("%6d %8lld %10.1f%% %10llu %10.2f %8.2f %7.1f%%\n", t,
                 static_cast<long long>(halo.active_games()), window.remote_fraction() * 100.0,
                 static_cast<unsigned long long>(window.migrations),

@@ -16,7 +16,7 @@
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
-#include "src/sim/simulation.h"
+#include "src/sim/sharded_engine.h"
 
 namespace {
 
@@ -68,7 +68,7 @@ int main() {
   constexpr int kRegions = 24;
   constexpr int kDevicesPerRegion = 100;
 
-  actop::Simulation sim;
+  actop::ShardedEngine engine{{}};
   actop::ClusterConfig config;
   config.num_servers = 4;
   config.seed = 99;
@@ -77,7 +77,7 @@ int main() {
   config.partition.exchange_min_gap = actop::Seconds(2);
   config.partition.pairwise.candidate_set_size = 256;
   config.partition.pairwise.balance_delta = 120;
-  actop::Cluster cluster(&sim, config);
+  actop::Cluster cluster(&engine, config);
 
   cluster.RegisterActorType(
       kDeviceType, [](actop::ActorId) { return std::make_unique<DeviceActor>(); },
@@ -88,7 +88,7 @@ int main() {
 
   // Ingest frontend: each arrival is a random device pushing one reading.
   actop::ClientPool ingest(
-      &sim, &cluster, actop::ClientConfig{.request_rate = 2000.0, .request_bytes = 160},
+      &cluster, actop::ClientConfig{.request_rate = 2000.0, .request_bytes = 160},
       [](actop::Rng& rng, actop::ActorId* target, actop::MethodId* method) {
         const uint64_t region = rng.NextBounded(kRegions) + 1;
         const uint64_t device = region * 1000 + rng.NextBounded(kDevicesPerRegion) + 1;
@@ -99,9 +99,9 @@ int main() {
   ingest.Start();
   cluster.StartOptimizers();
 
-  sim.RunUntil(actop::Seconds(45));
+  engine.RunUntil(actop::Seconds(45));
   cluster.metrics().TakeWindow();
-  sim.RunUntil(actop::Seconds(60));
+  engine.RunUntil(actop::Seconds(60));
   const auto before_crash = cluster.metrics().TakeWindow();
   std::printf("after 60 s: %lld activations, remote messages %.1f%% (started ~75%%)\n",
               static_cast<long long>(cluster.total_activations()),
@@ -111,7 +111,7 @@ int main() {
   const long long before = cluster.server(1).num_activations();
   cluster.CrashServer(1);
   std::printf("crashed server 1 (%lld activations lost)\n", before);
-  sim.RunUntil(actop::Seconds(90));
+  engine.RunUntil(actop::Seconds(90));
 
   int64_t readings = 0;
   for (uint64_t region = 1; region <= kRegions; region++) {

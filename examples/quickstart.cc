@@ -15,7 +15,7 @@
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
-#include "src/sim/simulation.h"
+#include "src/sim/sharded_engine.h"
 
 namespace {
 
@@ -40,12 +40,14 @@ class GreeterActor : public actop::Actor {
 }  // namespace
 
 int main() {
-  actop::Simulation sim;
+  // A one-shard engine is the serial simulator; more shards run the servers
+  // in parallel.
+  actop::ShardedEngine engine{{}};
 
   // A simulated cluster: 4 servers, each an 8-core SEDA silo.
   actop::ClusterConfig config;
   config.num_servers = 4;
-  actop::Cluster cluster(&sim, config);
+  actop::Cluster cluster(&engine, config);
 
   // Register the actor type; the factory runs on first activation.
   cluster.RegisterActorType(
@@ -53,7 +55,7 @@ int main() {
       actop::CostModel{.handler_compute = actop::Micros(20)});
 
   // A client issues calls through random gateway servers.
-  actop::DirectClient client(&sim, &cluster, /*seed=*/1);
+  actop::DirectClient client(&cluster, /*seed=*/1);
   for (uint64_t key = 1; key <= 3; key++) {
     const actop::ActorId greeter = actop::MakeActorId(kGreeterType, key);
     client.Call(greeter, /*method=*/0, /*app_data=*/0, /*bytes=*/128,
@@ -65,7 +67,7 @@ int main() {
   }
 
   // Run the simulation to completion.
-  sim.RunUntil(actop::Seconds(1));
+  engine.RunUntil(actop::Seconds(1));
 
   std::printf("\ncluster hosted %lld activations across %d servers:\n",
               static_cast<long long>(cluster.total_activations()), cluster.num_servers());

@@ -14,11 +14,11 @@
 #include "src/common/sim_time.h"
 #include "src/common/table.h"
 #include "src/runtime/cluster.h"
-#include "src/sim/simulation.h"
+#include "src/sim/sharded_engine.h"
 #include "src/workload/social.h"
 
 int main() {
-  actop::Simulation sim;
+  actop::ShardedEngine engine{{}};
   actop::ClusterConfig config;
   config.num_servers = 4;
   config.seed = 5;
@@ -26,7 +26,7 @@ int main() {
   config.partition.exchange_period = actop::Seconds(1);
   config.partition.exchange_min_gap = actop::Seconds(1);
   config.partition.pairwise.candidate_set_size = 256;
-  actop::Cluster cluster(&sim, config);
+  actop::Cluster cluster(&engine, config);
 
   actop::SocialWorkloadConfig workload_config;
   workload_config.num_users = 2000;
@@ -44,7 +44,7 @@ int main() {
   actop::Table t({"t(s)", "remote msgs", "posts", "deliveries", "read median (ms)"});
   for (int ts = 10; ts <= 60; ts += 10) {
     social.clients().ResetStats();
-    sim.RunUntil(actop::Seconds(ts));
+    engine.RunUntil(actop::Seconds(ts));
     const auto window = cluster.metrics().TakeWindow();
     t.AddRow({std::to_string(ts), actop::FormatPercent(window.remote_fraction()),
               std::to_string(social.state().posts), std::to_string(social.state().deliveries),

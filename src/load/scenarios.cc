@@ -350,7 +350,6 @@ ScenarioReport RunHotKey(const ScenarioOptions& opt) {
   const ClusterConfig cfg = BaseCluster(8, opt.seed);
   ShardedEngine engine(EngineConfigFor(opt, cfg));
   Cluster cluster(&engine, cfg);
-  Simulation& sim = engine.sim();
 
   HeartbeatWorkloadConfig wl;
   wl.num_monitors = users;
@@ -367,7 +366,7 @@ ScenarioReport RunHotKey(const ScenarioOptions& opt) {
   // hottest monitor, with P(k) ~ k^-1.1.
   ZipfSampler zipf(static_cast<uint64_t>(users), 1.1);
   ClientPool hot_pool(
-      &sim, &cluster,
+      &cluster,
       ClientConfig{.request_rate = rate,
                    .request_bytes = wl.request_bytes,
                    .timeout = kClientTimeout,

@@ -19,15 +19,15 @@
 // allocation-free at steady state (slots recycle through a Slab,
 // src/common/slab.h).
 //
-// Sharded mode (Network over a ShardedEngine): each shard owns a "lane" —
-// its own in-flight slab, counters, and outbound sequence space. A message
-// between nodes on the same shard takes exactly the serial path on that
-// shard's Simulation. A cross-shard message is appended to the per-(src,dst)
-// outbox with its precomputed arrival time; the first push into an empty
-// outbox also registers the source on the destination's pending-inbox
-// worklist (an atomic slot reservation), so the per-window drain visits only
-// sources that actually sent — O(active sources), not O(K) — which matters
-// when K reaches the hundreds. At the window barrier each destination sorts
+// The network runs over a ShardedEngine: each shard owns a "lane" — its own
+// in-flight slab, counters, and outbound sequence space. A message between
+// nodes on the same shard (with one shard: every message) is one delivery
+// event on that shard's Simulation. A cross-shard message is appended to
+// the per-(src,dst) outbox with its precomputed arrival time; the first push
+// into an empty outbox also registers the source on the destination's
+// pending-inbox worklist (an atomic slot reservation), so the per-window
+// drain visits only sources that actually sent — O(active sources), not
+// O(K) — which matters when K reaches the hundreds. At the window barrier each destination sorts
 // its worklist (ascending src restores the deterministic gather order),
 // gathers the outboxes, and merges the batch into a per-lane `staged` run
 // ordered by (when, drain epoch, src_shard, seq) — deterministic for a fixed
@@ -80,36 +80,29 @@ class Network {
   using DeliverFn = std::function<void(NodeId from, uint32_t bytes, EnvelopePtr msg)>;
   // Inspects a message about to be sent and decides its fate. The injector
   // sees every message (application and control, server and client links).
-  // `src_shard` is the shard issuing the send (0 in serial mode) and `now`
+  // `src_shard` is the shard issuing the send (0 with one shard) and `now`
   // its current simulated time; in parallel mode the injector runs
   // concurrently on every shard and must draw from per-shard streams.
   using FaultFn = std::function<FaultDecision(NodeId from, NodeId to, uint32_t bytes,
                                               int src_shard, SimTime now)>;
 
-  // Serial network: one lane on one engine (byte-identical to the
-  // pre-sharding implementation).
-  Network(Simulation* sim, NetworkConfig config);
-
-  // Sharded network: one lane per engine shard. Registers the engine's
-  // exchange hook; the engine must outlive this network. Requires
-  // one_way_latency >= engine lookahead (the conservative-window guarantee).
+  // One lane per engine shard. Registers the engine's exchange hook; the
+  // engine must outlive this network. Requires one_way_latency >= 0 and, on
+  // a parallel engine, one_way_latency >= engine lookahead (the
+  // conservative-window guarantee).
   Network(ShardedEngine* engine, NetworkConfig config);
 
   ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Registers a node on shard 0 (serial mode: the only shard); `deliver` is
-  // invoked (via the event queue) for each message addressed to it. Returns
-  // the node's id.
-  NodeId AddNode(DeliverFn deliver) { return AddNode(std::move(deliver), 0); }
-
-  // Registers a node on the given shard. Its handler runs on that shard's
-  // event loop. Setup-time only.
-  NodeId AddNode(DeliverFn deliver, int shard);
+  // Registers a node on the given shard; `deliver` is invoked (via that
+  // shard's event queue) for each message addressed to it. Returns the
+  // node's id. Setup-time only.
+  NodeId AddNode(DeliverFn deliver, int shard = 0);
 
   // Sends a message of the given (modeled) size from `from` to `to`. Must be
-  // called from `from`'s shard (serial mode: trivially true).
+  // called from `from`'s shard (with one shard: trivially true).
   void Send(NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg);
 
   // Installs (or, with nullptr, removes) the chaos fault injector.
@@ -192,7 +185,7 @@ class Network {
     return total;
   }
 
-  ShardedEngine* engine_ = nullptr;  // null in serial mode
+  ShardedEngine* engine_;
   NetworkConfig config_;
   std::vector<DeliverFn> nodes_;
   std::vector<int32_t> node_shard_;

@@ -8,14 +8,12 @@
 
 namespace actop {
 
-ClientPool::ClientPool(Simulation* sim, Cluster* cluster, ClientConfig config, TargetFn target_fn)
-    : sim_(sim),
+ClientPool::ClientPool(Cluster* cluster, ClientConfig config, TargetFn target_fn)
+    : sim_(&cluster->sim()),
       cluster_(cluster),
       config_(config),
       target_fn_(std::move(target_fn)),
       rng_(config.seed) {
-  ACTOP_CHECK(sim != nullptr);
-  ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(target_fn_ != nullptr);
   ACTOP_CHECK(config_.request_rate > 0.0);
   node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
@@ -108,9 +106,7 @@ void ClientPool::SweepTimeouts() {
   }
 }
 
-DirectClient::DirectClient(Simulation* sim, Cluster* cluster, uint64_t seed)
-    : sim_(sim), cluster_(cluster), rng_(seed) {
-  ACTOP_CHECK(sim != nullptr);
+DirectClient::DirectClient(Cluster* cluster, uint64_t seed) : cluster_(cluster), rng_(seed) {
   ACTOP_CHECK(cluster != nullptr);
   node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
     OnDeliver(std::move(env));

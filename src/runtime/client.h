@@ -37,7 +37,8 @@ class ClientPool {
   // skips this arrival (e.g. no eligible actor yet).
   using TargetFn = std::function<bool(Rng&, ActorId*, MethodId*)>;
 
-  ClientPool(Simulation* sim, Cluster* cluster, ClientConfig config, TargetFn target_fn);
+  // The pool's node and timers live on the cluster's driver shard.
+  ClientPool(Cluster* cluster, ClientConfig config, TargetFn target_fn);
 
   void Start();
   void Stop();
@@ -93,7 +94,8 @@ class ClientPool {
 // drivers (e.g. Halo's matchmaking service) to invoke actors on demand.
 class DirectClient {
  public:
-  DirectClient(Simulation* sim, Cluster* cluster, uint64_t seed);
+  // The client's node lives on the cluster's driver shard.
+  DirectClient(Cluster* cluster, uint64_t seed);
 
   // Issues a call through a random gateway; `on_response` may be null.
   void Call(ActorId target, MethodId method, uint64_t app_data, uint32_t bytes,
@@ -102,7 +104,6 @@ class DirectClient {
  private:
   void OnDeliver(EnvelopePtr env);
 
-  Simulation* sim_;
   Cluster* cluster_;
   Rng rng_;
   NodeId node_ = kNoNode;

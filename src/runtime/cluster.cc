@@ -6,27 +6,14 @@
 
 namespace actop {
 
-Cluster::Cluster(Simulation* sim, ClusterConfig config)
-    : sim_(sim), config_(std::move(config)), rng_(config_.seed) {
-  ACTOP_CHECK(sim != nullptr);
-  ACTOP_CHECK(config_.num_servers >= 1);
-  network_ = std::make_unique<Network>(sim_, config_.network);
-  Init();
-}
-
 Cluster::Cluster(ShardedEngine* engine, ClusterConfig config)
-    : sim_(&engine->sim()), engine_(engine), config_(std::move(config)), rng_(config_.seed) {
+    : engine_(engine), config_(std::move(config)), rng_(config_.seed) {
+  ACTOP_CHECK(engine != nullptr);
   ACTOP_CHECK(config_.num_servers >= 1);
   // Each shard needs at least one server to own.
   ACTOP_CHECK(engine_->shards() <= config_.num_servers);
   network_ = std::make_unique<Network>(engine_, config_.network);
-  Init();
-  if (parallel()) {
-    engine_->set_barrier_hook([this] { SnapshotGlobals(); });
-  }
-}
 
-void Cluster::Init() {
   const int num_shards = shards();
   metrics_.reserve(static_cast<size_t>(num_shards));
   state_seen_.reserve(static_cast<size_t>(num_shards));
@@ -37,8 +24,7 @@ void Cluster::Init() {
 
   for (int i = 0; i < config_.num_servers; i++) {
     const int shard = ShardOfServer(static_cast<ServerId>(i));
-    Simulation* shard_sim = engine_ == nullptr ? sim_ : &engine_->shard(shard);
-    auto server = std::make_unique<Server>(shard_sim, this, static_cast<ServerId>(i),
+    auto server = std::make_unique<Server>(&engine_->shard(shard), this, static_cast<ServerId>(i),
                                            config_.server, rng_.NextU64());
     Server* raw = server.get();
     const NodeId node = network_->AddNode(
@@ -56,8 +42,7 @@ void Cluster::Init() {
   if (config_.enable_partitioning) {
     for (int i = 0; i < config_.num_servers; i++) {
       Server* server = servers_[static_cast<size_t>(i)].get();
-      const int shard = ShardOfServer(static_cast<ServerId>(i));
-      Simulation* shard_sim = engine_ == nullptr ? sim_ : &engine_->shard(shard);
+      Simulation* shard_sim = &engine_->shard(ShardOfServer(static_cast<ServerId>(i)));
       agents_.push_back(
           std::make_unique<PartitionAgent>(shard_sim, this, server, config_.partition));
       server->set_partition_agent(agents_.back().get());
@@ -66,18 +51,21 @@ void Cluster::Init() {
 
   if (config_.enable_thread_optimization) {
     for (int i = 0; i < config_.num_servers; i++) {
-      const int shard = ShardOfServer(static_cast<ServerId>(i));
-      Simulation* shard_sim = engine_ == nullptr ? sim_ : &engine_->shard(shard);
+      Simulation* shard_sim = &engine_->shard(ShardOfServer(static_cast<ServerId>(i)));
       ModelControllerConfig cc = config_.thread_controller;
       cc.no_blocking.assign(static_cast<size_t>(Server::kNumStages), true);
       thread_controllers_.push_back(std::make_unique<ModelThreadController>(
           shard_sim, servers_[static_cast<size_t>(i)].get(), cc));
     }
   }
+
+  if (parallel()) {
+    engine_->set_barrier_hook([this] { SnapshotGlobals(); });
+  }
 }
 
 Cluster::~Cluster() {
-  if (engine_ != nullptr && parallel()) {
+  if (parallel()) {
     engine_->set_barrier_hook(nullptr);
   }
 }
@@ -122,20 +110,12 @@ NodeId Cluster::AddClientNode(Network::DeliverFn deliver) {
 }
 
 Actor* Cluster::GetOrCreateActor(ActorId actor, int shard) {
+  // Activation creation can race across shards in parallel mode; one shard
+  // runs lock-free.
+  std::unique_lock<std::mutex> lock(state_mu_, std::defer_lock);
   if (parallel()) {
     state_seen_[static_cast<size_t>(shard)]->Insert(actor, 1);
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (auto* slot = state_store_.Find(actor)) {
-      return slot->get();
-    }
-    const ActorType type = ActorTypeOf(actor);
-    auto type_it = actor_types_.find(type);
-    ACTOP_CHECK(type_it != actor_types_.end());
-    auto instance = type_it->second.factory(actor);
-    ACTOP_CHECK(instance != nullptr);
-    Actor* raw = instance.get();
-    state_store_.Insert(actor, std::move(instance));
-    return raw;
+    lock.lock();
   }
   if (auto* slot = state_store_.Find(actor)) {
     return slot->get();
@@ -151,9 +131,9 @@ Actor* Cluster::GetOrCreateActor(ActorId actor, int shard) {
 }
 
 bool Cluster::HasActorState(ActorId actor) const {
+  std::unique_lock<std::mutex> lock(state_mu_, std::defer_lock);
   if (parallel()) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return state_store_.Find(actor) != nullptr;
+    lock.lock();
   }
   return state_store_.Find(actor) != nullptr;
 }

@@ -7,18 +7,18 @@
 // does through storage), and hosts the optional ActOp components — one
 // PartitionAgent and one ModelThreadController per server.
 //
-// Sharded mode (construct with a ShardedEngine): servers are block-mapped
-// onto shards (server i -> shard i*K/N), each server's events — SEDA stages,
-// CPU model, partition agent, thread controller — run on its shard's
-// Simulation, and clients/drivers live on shard 0. Cross-shard coupling is
-// confined to:
+// The cluster runs on a ShardedEngine: servers are block-mapped onto shards
+// (server i -> shard i*K/N), each server's events — SEDA stages, CPU model,
+// partition agent, thread controller — run on its shard's Simulation, and
+// clients/drivers live on shard 0. Cross-shard coupling is confined to:
 //   * the actor state store (mutex-guarded creation; per-shard "seen" sets
 //     answer placement queries so a shard's decision depends only on its own
 //     history — deterministic for a fixed shard count),
 //   * per-shard ClusterMetrics instances with merged cluster-level views,
 //   * total_activations(), which in parallel mode reads a snapshot taken at
 //     each window barrier (the live sum would race mid-window).
-// With shards == 1 every path reduces to the serial one, byte-for-byte.
+// With shards == 1 the engine is the serial engine: one Simulation, no
+// locks, no snapshots.
 
 #ifndef SRC_RUNTIME_CLUSTER_H_
 #define SRC_RUNTIME_CLUSTER_H_
@@ -59,10 +59,8 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  // Serial cluster on a single engine (the pre-sharding construction).
-  Cluster(Simulation* sim, ClusterConfig config);
-  // Sharded cluster: servers block-mapped across the engine's shards.
-  // Requires shards <= num_servers. The engine must outlive the cluster.
+  // Servers block-mapped across the engine's shards. Requires
+  // shards <= num_servers. The engine must outlive the cluster.
   Cluster(ShardedEngine* engine, ClusterConfig config);
   ~Cluster();
 
@@ -77,22 +75,20 @@ class Cluster {
   void StartOptimizers();
 
   // Shard 0's engine: the driver shard (clients, workloads, setup code).
-  Simulation& sim() { return *sim_; }
-  // Non-null in sharded mode.
-  ShardedEngine* engine() { return engine_; }
-  bool parallel() const { return engine_ != nullptr && engine_->parallel(); }
-  int shards() const { return engine_ == nullptr ? 1 : engine_->shards(); }
+  Simulation& sim() { return engine_->sim(); }
+  bool parallel() const { return engine_->parallel(); }
+  int shards() const { return engine_->shards(); }
   // Block map: server i runs on shard i*K/N. Uses the config count, not
-  // servers_.size(): Init() needs the map while servers_ is still filling.
+  // servers_.size(): the constructor needs the map while servers_ is still
+  // filling.
   int ShardOfServer(ServerId id) const {
     return static_cast<int>(static_cast<int64_t>(id) * shards() / config_.num_servers);
   }
 
   Network& network() { return *network_; }
 
-  // Shard 0's metrics instance. In serial mode this is the only one, so the
-  // accessor keeps its historical meaning; parallel-aware consumers use the
-  // merged views below.
+  // Shard 0's metrics instance. With one shard this is the only one;
+  // parallel-aware consumers use the merged views below.
   ClusterMetrics& metrics() { return *metrics_[0]; }
 
   // Cluster-level metric views: sum/merge across shards. With one shard they
@@ -122,8 +118,8 @@ class Cluster {
   bool HasActorState(ActorId actor) const;
   // Placement-policy variant of HasActorState: in parallel mode it answers
   // from the calling shard's own history only, so the answer cannot depend
-  // on what another shard did concurrently in the same window. Serial mode:
-  // identical to HasActorState.
+  // on what another shard did concurrently in the same window. With one
+  // shard: identical to HasActorState.
   bool HasActorStateForPlacement(ActorId actor, int shard) const;
   const CostModel& CostsFor(ActorId actor) const;
 
@@ -156,12 +152,10 @@ class Cluster {
   Rng& rng() { return rng_; }
 
  private:
-  void Init();
   // Window-barrier hook (parallel mode): refreshes cross-shard snapshots.
   void SnapshotGlobals();
 
-  Simulation* sim_;
-  ShardedEngine* engine_ = nullptr;
+  ShardedEngine* engine_;
   ClusterConfig config_;
   Rng rng_;
   std::unique_ptr<Network> network_;
@@ -171,7 +165,7 @@ class Cluster {
   std::unordered_map<ActorType, ActorTypeInfo> actor_types_;
 
   // Guards state_store_ in parallel mode (activation creation can race
-  // across shards); uncontended in serial mode. FlatHashMap: one flat slot
+  // across shards); not taken with one shard. FlatHashMap: one flat slot
   // per actor instead of a heap node + bucket chain — at 10M actors the
   // per-entry overhead is what dominates the footprint. Never iterated, and
   // unique_ptr values move safely through rehash.

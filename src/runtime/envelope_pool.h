@@ -15,9 +15,9 @@
 // a destroy-and-reconstruct scheme would free the
 // PartitionExchangeRequest/Response vectors on every round trip.
 //
-// The pool is a function-local thread_local: in serial mode that is the one
-// main-thread pool; under the sharded engine each shard worker owns a
-// private pool, and an envelope released on a different thread than it was
+// The pool is a function-local thread_local: with one engine shard that is
+// the one main-thread pool; with several, each shard worker owns a private
+// pool, and an envelope released on a different thread than it was
 // created on (a cross-shard message) parks in the releasing thread's pool.
 // Pools outlive every simulation object and free their envelopes at thread
 // exit. Under AddressSanitizer a parked envelope is poisoned, so any use of

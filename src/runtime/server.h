@@ -130,8 +130,8 @@ class Server : public ThreadHost {
   ServerId id() const { return id_; }
 
   // Wired by the Cluster: the engine shard this server runs on, and the
-  // shard-local metrics instance it counts into (shard 0 / the only instance
-  // in serial mode).
+  // shard-local metrics instance it counts into (with one shard, the only
+  // instance).
   void set_shard(int shard) { shard_ = shard; }
   int shard() const { return shard_; }
   void set_metrics(ClusterMetrics* metrics) { metrics_ = metrics; }

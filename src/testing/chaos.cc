@@ -8,24 +8,13 @@
 
 namespace actop {
 
-ChaosController::ChaosController(Simulation* sim, Cluster* cluster, ChaosConfig config)
-    : sim_(sim),
-      cluster_(cluster),
-      config_(config),
-      tick_rng_(SplitMix64(config.seed)),
-      message_rng_(SplitMix64(config.seed ^ 0x6368616f732d6d73ULL)),  // "chaos-ms"
-      checker_(cluster) {
-  ACTOP_CHECK(sim != nullptr);
-  ACTOP_CHECK(config_.faults_start <= config_.faults_end);
-}
-
 ChaosController::ChaosController(ShardedEngine* engine, Cluster* cluster, ChaosConfig config)
     : sim_(&engine->sim()),
       engine_(engine),
       cluster_(cluster),
       config_(config),
       tick_rng_(SplitMix64(config.seed)),
-      message_rng_(SplitMix64(config.seed ^ 0x6368616f732d6d73ULL)),
+      message_rng_(SplitMix64(config.seed ^ 0x6368616f732d6d73ULL)),  // "chaos-ms"
       checker_(cluster) {
   ACTOP_CHECK(config_.faults_start <= config_.faults_end);
   if (engine_->parallel()) {

@@ -12,7 +12,7 @@
 // The controller also runs the InvariantChecker's instant checks every
 // `check_every_events` dispatched events and accumulates violations.
 //
-// Parallel mode (construct with a ShardedEngine that has shards > 1):
+// Parallel mode (a ShardedEngine with shards > 1):
 //   * tick-level faults (crashes, churn, forced migrations) and the instant
 //     invariant sweeps move to the engine's coordinator rail, so they always
 //     observe a consistent cross-shard cut; the cadence of both is the tick
@@ -21,8 +21,10 @@
 //   * per-message fault draws come from counter-based per-shard streams
 //     (CounterRng keyed (seed, shard)) so decisions depend only on each
 //     shard's own message order — deterministic for a fixed shard count.
-// With shards == 1 the controller behaves byte-identically to the serial
-// constructor: same xoshiro draws, same hooks, same schedule.
+// With shards == 1 (the serial engine) ticks are ordinary events on the one
+// Simulation, sweeps run from its after-event hook every
+// `check_every_events` events, and message faults draw from one xoshiro
+// stream.
 
 #ifndef SRC_TESTING_CHAOS_H_
 #define SRC_TESTING_CHAOS_H_
@@ -84,10 +86,9 @@ struct ChaosEvent {
 
 class ChaosController {
  public:
-  ChaosController(Simulation* sim, Cluster* cluster, ChaosConfig config);
-  // Engine-aware: serial engines (shards == 1) get exactly the serial
-  // behavior; parallel engines get rail-scheduled faults/checks and
-  // per-shard message streams.
+  // One-shard engines get event-scheduled ticks and hook-driven sweeps;
+  // parallel engines get rail-scheduled faults/checks and per-shard message
+  // streams. The engine must be the cluster's.
   ChaosController(ShardedEngine* engine, Cluster* cluster, ChaosConfig config);
   ~ChaosController();
 
@@ -128,7 +129,7 @@ class ChaosController {
   void Record(std::string what);
   void RecordViolations(const std::vector<std::string>& found);
   FaultDecision OnMessage(NodeId from, NodeId to, uint32_t bytes, int src_shard, SimTime now);
-  bool parallel() const { return engine_ != nullptr && engine_->parallel(); }
+  bool parallel() const { return engine_->parallel(); }
 
   // Per-shard message-fault state; lanes for different shards are hit
   // concurrently from Network::Send, hence the cacheline alignment.
@@ -139,14 +140,14 @@ class ChaosController {
     uint64_t delayed = 0;
   };
 
-  Simulation* sim_;
-  ShardedEngine* engine_ = nullptr;
+  Simulation* sim_;  // the engine's shard 0
+  ShardedEngine* engine_;
   Cluster* cluster_;
   ChaosConfig config_;
   // Independent streams: tick-level fault draws must not shift when the
   // per-message traffic pattern changes, and vice versa.
   Rng tick_rng_;
-  Rng message_rng_;                        // serial (and shards == 1) mode
+  Rng message_rng_;                        // shards == 1
   std::vector<MessageLane> message_lanes_; // parallel mode
   InvariantChecker checker_;
 

@@ -5,10 +5,8 @@
 
 namespace actop {
 
-ChaosClient::ChaosClient(Simulation* sim, Cluster* cluster, ChaosClientConfig config)
-    : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed) {
-  ACTOP_CHECK(sim != nullptr);
-  ACTOP_CHECK(cluster != nullptr);
+ChaosClient::ChaosClient(Cluster* cluster, ChaosClientConfig config)
+    : sim_(&cluster->sim()), cluster_(cluster), config_(config), rng_(config.seed) {
   node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
     OnDeliver(std::move(env));
   });

@@ -38,7 +38,8 @@ struct ChaosClientConfig {
 
 class ChaosClient {
  public:
-  ChaosClient(Simulation* sim, Cluster* cluster, ChaosClientConfig config);
+  // The client's node and sweep timer live on the cluster's driver shard.
+  ChaosClient(Cluster* cluster, ChaosClientConfig config);
 
   // Issues one call through a random gateway server.
   void Call(ActorId target, MethodId method, uint64_t app_data = 0);

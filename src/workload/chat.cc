@@ -130,7 +130,7 @@ ChatWorkload::ChatWorkload(Cluster* cluster, ChatWorkloadConfig config)
       config_(config),
       rng_(config.seed),
       state_(std::make_shared<ChatState>()),
-      clients_(&cluster->sim(), cluster,
+      clients_(cluster,
                ClientConfig{.request_rate = config.message_rate,
                             .request_bytes = config.message_bytes,
                             .timeout = config.client_timeout,
@@ -138,7 +138,7 @@ ChatWorkload::ChatWorkload(Cluster* cluster, ChatWorkloadConfig config)
                [this](Rng& rng, ActorId* target, MethodId* method) {
                  return PickTarget(rng, target, method);
                }),
-      driver_(&cluster->sim(), cluster, config.seed ^ 0xdef) {
+      driver_(cluster, config.seed ^ 0xdef) {
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(config_.num_rooms >= 1);
 

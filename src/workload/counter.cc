@@ -28,7 +28,7 @@ CounterWorkload::CounterWorkload(Cluster* cluster, CounterWorkloadConfig config)
     : cluster_(cluster),
       config_(config),
       clients_(
-          &cluster->sim(), cluster,
+          cluster,
           ClientConfig{.request_rate = config.request_rate,
                        .request_bytes = config.request_bytes,
                        .seed = config.seed},

@@ -170,7 +170,7 @@ HaloWorkload::HaloWorkload(Cluster* cluster, HaloWorkloadConfig config)
       config_(config),
       rng_(config.seed),
       state_(std::make_shared<HaloState>()),
-      clients_(&cluster->sim(), cluster,
+      clients_(cluster,
                ClientConfig{.request_rate = config.request_rate,
                             .request_bytes = config.request_bytes,
                             .timeout = config.client_timeout,
@@ -178,7 +178,7 @@ HaloWorkload::HaloWorkload(Cluster* cluster, HaloWorkloadConfig config)
                [this](Rng& rng, ActorId* target, MethodId* method) {
                  return PickTarget(rng, target, method);
                }),
-      driver_(&cluster->sim(), cluster, config.seed ^ 0x5678) {
+      driver_(cluster, config.seed ^ 0x5678) {
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(config_.players_per_game >= 2);
 

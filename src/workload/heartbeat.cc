@@ -28,7 +28,7 @@ HeartbeatWorkload::HeartbeatWorkload(Cluster* cluster, HeartbeatWorkloadConfig c
     : cluster_(cluster),
       config_(config),
       clients_(
-          &cluster->sim(), cluster,
+          cluster,
           ClientConfig{.request_rate = config.request_rate,
                        .request_bytes = config.request_bytes,
                        .timeout = config.client_timeout,

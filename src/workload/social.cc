@@ -78,7 +78,7 @@ SocialWorkload::SocialWorkload(Cluster* cluster, SocialWorkloadConfig config)
       config_(config),
       rng_(config.seed),
       state_(std::make_shared<SocialState>()),
-      clients_(&cluster->sim(), cluster,
+      clients_(cluster,
                ClientConfig{.request_rate = config.post_rate + config.read_rate,
                             .request_bytes = config.post_bytes,
                             .timeout = config.client_timeout,
@@ -86,7 +86,7 @@ SocialWorkload::SocialWorkload(Cluster* cluster, SocialWorkloadConfig config)
                [this](Rng& rng, ActorId* target, MethodId* method) {
                  return PickTarget(rng, target, method);
                }),
-      driver_(&cluster->sim(), cluster, config.seed ^ 0x654) {
+      driver_(cluster, config.seed ^ 0x654) {
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(config_.num_users >= 2);
   CostModel costs;

@@ -11,6 +11,7 @@
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
@@ -55,7 +56,7 @@ class ChainActor : public Actor {
 };
 
 struct ApiFixture : public ::testing::Test {
-  ApiFixture() : cluster(&sim, ClusterConfig{.num_servers = 2, .seed = 4}) {
+  ApiFixture() : cluster(&engine, ClusterConfig{.num_servers = 2, .seed = 4}) {
     CostModel probe_costs;
     probe_costs.handler_compute = Micros(20);
     probe_costs.per_method_compute[1] = Millis(2);  // method 1 is expensive
@@ -66,12 +67,13 @@ struct ApiFixture : public ::testing::Test {
         CostModel{.handler_compute = Micros(10)});
   }
 
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   Cluster cluster;
 };
 
 TEST_F(ApiFixture, ContextExposesCallMetadata) {
-  DirectClient client(&sim, &cluster, 1);
+  DirectClient client(&cluster, 1);
   const ActorId probe = MakeActorId(kApiProbeType, 1);
   client.Call(probe, 7, 0xabcdef, 333, nullptr);
   sim.RunUntil(Seconds(1));
@@ -83,7 +85,7 @@ TEST_F(ApiFixture, ContextExposesCallMetadata) {
 }
 
 TEST_F(ApiFixture, CallerIdentityForActorCalls) {
-  DirectClient client(&sim, &cluster, 1);
+  DirectClient client(&cluster, 1);
   const ActorId chain1 = MakeActorId(kChainType, 1);
   const ActorId chain0 = MakeActorId(kChainType, 7);
   // chain 7 called with depth 1 -> it calls MakeActorId(kChainType, 1) with
@@ -96,7 +98,7 @@ TEST_F(ApiFixture, CallerIdentityForActorCalls) {
 }
 
 TEST_F(ApiFixture, PerMethodCostOverrideDelaysResponse) {
-  DirectClient client(&sim, &cluster, 1);
+  DirectClient client(&cluster, 1);
   const ActorId probe = MakeActorId(kApiProbeType, 2);
   client.Call(probe, 0, 0, 64, nullptr);  // warm up / activate
   sim.RunUntil(Seconds(1));
@@ -137,7 +139,7 @@ TEST_F(ApiFixture, AddComputeExtendsTurnSerialization) {
   // AddCompute lengthens the *turn*, so a queued follow-up call on the same
   // actor waits for the extra compute (the Reply already sent by the first
   // turn is not delayed — see CallContext::AddCompute docs).
-  DirectClient client(&sim, &cluster, 1);
+  DirectClient client(&cluster, 1);
   const ActorId probe = MakeActorId(kApiProbeType, 3);
   client.Call(probe, 0, 0, 64, nullptr);  // activate
   sim.RunUntil(Seconds(1));
@@ -156,7 +158,7 @@ TEST_F(ApiFixture, AddComputeExtendsTurnSerialization) {
 }
 
 TEST_F(ApiFixture, DeepCallChainCompletes) {
-  DirectClient client(&sim, &cluster, 1);
+  DirectClient client(&cluster, 1);
   int responses = 0;
   client.Call(MakeActorId(kChainType, 64), 0, 40, 64, [&](const Response& r) {
     EXPECT_FALSE(r.failed);

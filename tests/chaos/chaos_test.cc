@@ -31,12 +31,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "src/testing/chaos.h"
 #include "src/testing/chaos_client.h"
@@ -101,12 +102,10 @@ int SumRelayFailedSubcalls(Cluster& cluster) {
 }
 
 // Builds and runs one full chaos scenario for `seed`. See the file comment
-// for the scenario shapes. `shards` selects the construction: 0 is the
-// historical serial path (plain Simulation + serial Cluster constructor),
-// 1 is the sharded engine collapsed to one shard (must behave byte-
-// identically to 0), and > 1 runs the cluster partitioned across shards
-// under conservative time-window synchronization.
-ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 0) {
+// for the scenario shapes. `shards` is the engine's shard count: 1 is the
+// serial engine, and > 1 runs the cluster partitioned across shards under
+// conservative time-window synchronization.
+ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 1) {
   const int scenario = static_cast<int>(seed % 4);
   const bool partitioning = scenario == 2 || scenario == 3;
 
@@ -120,29 +119,10 @@ ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 0) {
     cfg.partition.pairwise.balance_delta = 16;
   }
 
-  std::unique_ptr<Simulation> serial_sim;
-  std::unique_ptr<ShardedEngine> engine;
-  std::unique_ptr<Cluster> cluster_ptr;
-  if (shards == 0) {
-    serial_sim = std::make_unique<Simulation>();
-    cluster_ptr = std::make_unique<Cluster>(serial_sim.get(), cfg);
-  } else {
-    ShardedEngineConfig ec;
-    ec.shards = shards;
-    ec.lookahead = cfg.network.one_way_latency;
-    engine = std::make_unique<ShardedEngine>(ec);
-    cluster_ptr = std::make_unique<Cluster>(engine.get(), cfg);
-  }
-  Cluster& cluster = *cluster_ptr;
-  Simulation& sim = engine != nullptr ? engine->sim() : *serial_sim;
-  const bool parallel = engine != nullptr && engine->parallel();
-  auto run_until = [&](SimTime t) {
-    if (engine != nullptr) {
-      engine->RunUntil(t);
-    } else {
-      sim.RunUntil(t);
-    }
-  };
+  ShardedEngine engine(
+      ShardedEngineConfig{.shards = shards, .lookahead = cfg.network.one_way_latency});
+  Cluster cluster(&engine, cfg);
+  Simulation& sim = engine.sim();
   RegisterTestActors(&cluster);
 
   ChaosConfig chaos_cfg;
@@ -171,17 +151,11 @@ ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 0) {
       chaos_cfg.delay_prob = 0.15;
       break;
   }
-  std::unique_ptr<ChaosController> chaos_ptr;
-  if (engine != nullptr) {
-    chaos_ptr = std::make_unique<ChaosController>(engine.get(), &cluster, chaos_cfg);
-  } else {
-    chaos_ptr = std::make_unique<ChaosController>(&sim, &cluster, chaos_cfg);
-  }
-  ChaosController& chaos = *chaos_ptr;
+  ChaosController chaos(&engine, &cluster, chaos_cfg);
 
   ChaosClientConfig client_cfg;
   client_cfg.seed = SplitMix64(seed ^ 0xc11e47ULL);
-  ChaosClient client(&sim, &cluster, client_cfg);
+  ChaosClient client(&cluster, client_cfg);
 
   // Traffic: one call every 2 ms until kTrafficEnd. Scenarios without
   // partitioning call echo actors directly; partitioned scenarios call
@@ -222,13 +196,13 @@ ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 0) {
         result.balance.push_back(std::move(v));
       }
     };
-    if (parallel) {
+    if (engine.parallel()) {
       // Balance checks read every server's activation count — a cross-shard
       // cut, so in parallel mode they run on the coordinator rail at the
       // same cadence the serial periodic uses.
-      engine->ScheduleRailAt(kFaultsStart, snapshot_spread);
+      engine.ScheduleRailAt(kFaultsStart, snapshot_spread);
       for (SimTime at = Millis(100); at <= kTrafficEnd; at += Millis(100)) {
-        engine->ScheduleRailAt(at, balance_check);
+        engine.ScheduleRailAt(at, balance_check);
       }
     } else {
       sim.ScheduleAt(kFaultsStart, snapshot_spread);
@@ -243,7 +217,7 @@ ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 0) {
 
   chaos.Start();
   cluster.StartOptimizers();
-  run_until(kTrafficEnd);
+  engine.RunUntil(kTrafficEnd);
   // Quiescent checks need migrations to stop: halt the exchange protocol
   // before draining.
   for (int s = 0; s < kServers; s++) {
@@ -251,7 +225,7 @@ ChaosRunResult RunChaosScenario(uint64_t seed, int shards = 0) {
       cluster.partition_agent(s)->Stop();
     }
   }
-  run_until(kDrainEnd);
+  engine.RunUntil(kDrainEnd);
 
   result.instant_violations = chaos.total_violations();
   result.checks_run = chaos.checker().checks_run();
@@ -334,21 +308,45 @@ TEST(ChaosDeterminismTest, SameSeedSameRun) {
   }
 }
 
-// The sharded engine collapsed to one shard must reproduce the serial
-// construction byte-for-byte: same fault schedule, same report text, same
-// client counters (the --shards=1 bit-compatibility contract).
-TEST(ChaosDeterminismTest, EngineWithOneShardMatchesSerial) {
+// FNV-1a over a run's report text and every one of its counters: a run
+// whose behaviour moves by one byte gets a different digest.
+uint64_t RunDigest(const ChaosRunResult& r) {
+  std::string text = r.report;
+  for (const uint64_t v :
+       {r.issued, r.succeeded, r.timed_out, r.duplicates, r.unknown, uint64_t{r.settled},
+        r.echo_calls, static_cast<uint64_t>(r.relay_failed_subcalls), r.faults_injected,
+        r.checks_run, r.instant_violations}) {
+    text += std::to_string(v) + " ";
+  }
+  for (const std::string& q : r.quiescent) {
+    text += q + "\n";
+  }
+  for (const std::string& b : r.balance) {
+    text += b + "\n";
+  }
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;  // FNV prime
+  }
+  return h;
+}
+
+// The one-shard (serial) engine is pinned to digests recorded before the
+// cluster had a single construction path: same fault schedule, same report
+// text, same client counters, byte for byte. A change that moves any of
+// them must re-pin these on purpose.
+TEST(ChaosDeterminismTest, OneShardRunsMatchPinnedDigests) {
   // One seed per scenario shape (seed % 4).
-  for (uint64_t seed : {4ull, 5ull, 42ull, 7ull}) {
-    const ChaosRunResult serial = RunChaosScenario(seed, /*shards=*/0);
-    const ChaosRunResult sharded = RunChaosScenario(seed, /*shards=*/1);
-    EXPECT_EQ(serial.report, sharded.report) << "seed " << seed;
-    EXPECT_EQ(serial.issued, sharded.issued);
-    EXPECT_EQ(serial.succeeded, sharded.succeeded);
-    EXPECT_EQ(serial.timed_out, sharded.timed_out);
-    EXPECT_EQ(serial.echo_calls, sharded.echo_calls);
-    EXPECT_EQ(serial.faults_injected, sharded.faults_injected);
-    EXPECT_EQ(serial.checks_run, sharded.checks_run);
+  const std::vector<std::pair<uint64_t, uint64_t>> pinned = {
+      {4, 0xf531c1496c70caaaULL},
+      {5, 0x411bae39d851b641ULL},
+      {42, 0xb4dff0a66dbfac97ULL},
+      {7, 0x6e8f492501fd6a41ULL},
+  };
+  for (const auto& [seed, digest] : pinned) {
+    const ChaosRunResult r = RunChaosScenario(seed);
+    EXPECT_EQ(RunDigest(r), digest) << "seed " << seed << "\n" << r.report;
   }
 }
 
@@ -383,9 +381,10 @@ INSTANTIATE_TEST_SUITE_P(ParallelSweep, ChaosParallelSeedTest, ::testing::Range<
 // the harness (1) catches it and (2) prints the seed needed to replay it.
 TEST(ChaosBugDemoTest, InjectedDuplicateActivationIsCaught) {
   constexpr uint64_t kSeed = 77;
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg{.num_servers = kServers, .seed = SplitMix64(kSeed)};
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
 
   ChaosConfig chaos_cfg;
@@ -394,9 +393,9 @@ TEST(ChaosBugDemoTest, InjectedDuplicateActivationIsCaught) {
   chaos_cfg.faults_end = Seconds(2);
   chaos_cfg.check_every_events = 64;
   chaos_cfg.duplication_bug_actor = MakeActorId(kEchoType, 7);
-  ChaosController chaos(&sim, &cluster, chaos_cfg);
+  ChaosController chaos(&engine, &cluster, chaos_cfg);
 
-  ChaosClient client(&sim, &cluster, ChaosClientConfig{.seed = 3});
+  ChaosClient client(&cluster, ChaosClientConfig{.seed = 3});
   Rng rng(9);
   sim.SchedulePeriodic(Millis(5), [&] {
     if (sim.now() > Seconds(2)) {
@@ -424,8 +423,8 @@ TEST(ChaosBugDemoTest, InjectedDuplicateActivationIsCaught) {
 TEST(InvariantCheckerTest, DuplicateActivationsReportInActorOrder) {
   // A report must not depend on hash layout: duplicates are listed in
   // ascending actor order, servers ascending within an actor.
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 3, .seed = 1});
+  ShardedEngine engine{{}};
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 3, .seed = 1});
   RegisterTestActors(&cluster);
   const std::vector<uint64_t> keys = {40, 7, 93, 12, 65};
   for (const int s : {2, 0}) {

@@ -15,8 +15,9 @@ namespace actop {
 namespace {
 
 TEST(NetworkTest, DeliversWithLatency) {
-  Simulation sim;
-  Network net(&sim, NetworkConfig{.one_way_latency = Micros(250), .ns_per_byte = 0.0});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Network net(&engine, NetworkConfig{.one_way_latency = Micros(250), .ns_per_byte = 0.0});
   SimTime delivered_at = -1;
   NodeId got_from = kNoNode;
   net.AddNode([&](NodeId from, uint32_t bytes, EnvelopePtr msg) {
@@ -33,8 +34,9 @@ TEST(NetworkTest, DeliversWithLatency) {
 }
 
 TEST(NetworkTest, BandwidthTermScalesWithBytes) {
-  Simulation sim;
-  Network net(&sim, NetworkConfig{.one_way_latency = 0, .ns_per_byte = 8.0});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Network net(&engine, NetworkConfig{.one_way_latency = 0, .ns_per_byte = 8.0});
   SimTime delivered_at = -1;
   net.AddNode([&](NodeId, uint32_t, EnvelopePtr) { delivered_at = sim.now(); });
   const NodeId sender = net.AddNode([](NodeId, uint32_t, EnvelopePtr) {});
@@ -44,8 +46,9 @@ TEST(NetworkTest, BandwidthTermScalesWithBytes) {
 }
 
 TEST(NetworkTest, PayloadPassedThrough) {
-  Simulation sim;
-  Network net(&sim, NetworkConfig{});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Network net(&engine, NetworkConfig{});
   EnvelopePtr payload = MakeEnvelope();
   payload->app_data = 42;
   const Envelope* sent = payload.get();
@@ -62,8 +65,8 @@ TEST(NetworkTest, PayloadPassedThrough) {
 }
 
 TEST(NetworkTest, CountsMessagesAndBytes) {
-  Simulation sim;
-  Network net(&sim, NetworkConfig{});
+  ShardedEngine engine{{}};
+  Network net(&engine, NetworkConfig{});
   net.AddNode([](NodeId, uint32_t, EnvelopePtr) {});
   net.Send(0, 0, 100, MakeEnvelope());
   net.Send(0, 0, 200, MakeEnvelope());
@@ -72,8 +75,9 @@ TEST(NetworkTest, CountsMessagesAndBytes) {
 }
 
 TEST(NetworkTest, InterleavedDeliveryOrder) {
-  Simulation sim;
-  Network net(&sim, NetworkConfig{.one_way_latency = Micros(100), .ns_per_byte = 8.0});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Network net(&engine, NetworkConfig{.one_way_latency = Micros(100), .ns_per_byte = 8.0});
   std::vector<int> order;
   net.AddNode([&](NodeId, uint32_t bytes, EnvelopePtr) {
     order.push_back(static_cast<int>(bytes));
@@ -88,8 +92,9 @@ TEST(NetworkTest, InterleavedDeliveryOrder) {
 }
 
 TEST(NetworkTest, DroppedMessageReturnsItsEnvelopeToThePool) {
-  Simulation sim;
-  Network net(&sim, NetworkConfig{});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Network net(&engine, NetworkConfig{});
   int delivered = 0;
   net.AddNode([&](NodeId, uint32_t, EnvelopePtr) { delivered++; });
   net.set_fault_injector([](NodeId, NodeId, uint32_t, int, SimTime) {
@@ -105,8 +110,8 @@ TEST(NetworkTest, DroppedMessageReturnsItsEnvelopeToThePool) {
 }
 
 TEST(NetworkTest, DestroyingTheNetworkReleasesMessagesInFlight) {
-  Simulation sim;
-  std::optional<Network> net(std::in_place, &sim, NetworkConfig{});
+  ShardedEngine engine{{}};
+  std::optional<Network> net(std::in_place, &engine, NetworkConfig{});
   net->AddNode([](NodeId, uint32_t, EnvelopePtr) { FAIL() << "delivered after destruction"; });
   EnvelopePtr a = MakeEnvelope();
   EnvelopePtr b = MakeEnvelope();
@@ -117,6 +122,19 @@ TEST(NetworkTest, DestroyingTheNetworkReleasesMessagesInFlight) {
   net.reset();
   EXPECT_EQ(GetEnvelopePoolStats().cached, before.cached + 2);
   // The delivery events stay queued in the engine; they are discarded, not run.
+}
+
+// On a parallel engine a latency below the lookahead would let a cross-shard
+// message fall due inside a window that is already running, so construction
+// refuses it. A one-shard engine has no windows to protect:
+// BandwidthTermScalesWithBytes runs one at latency 0.
+TEST(NetworkDeathTest, LatencyBelowLookaheadAbortsOnTwoShards) {
+  EXPECT_DEATH(
+      {
+        ShardedEngine engine(ShardedEngineConfig{.shards = 2, .lookahead = Micros(250)});
+        Network net(&engine, NetworkConfig{.one_way_latency = Micros(100)});
+      },
+      "one_way_latency >= engine->lookahead\\(\\)");
 }
 
 // A cross-shard message sent outside a window (setup code, rail tasks) must

@@ -39,6 +39,7 @@
 #include "src/runtime/cluster.h"
 #include "src/runtime/partition_agent.h"
 #include "src/runtime/server.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/partition_agent_test_peer.h"
 #include "tests/runtime/test_actors.h"
@@ -284,7 +285,8 @@ TEST(ArenaPlannerTest, ExchangeDecisionsWithUnknownLocationsAndForeignVertices) 
 
 uint64_t PlacementDigest(size_t edge_sample_capacity = 8192,
                          SimDuration edge_decay_period = Seconds(30)) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg;
   cfg.num_servers = 4;
   cfg.seed = 7;
@@ -295,10 +297,10 @@ uint64_t PlacementDigest(size_t edge_sample_capacity = 8192,
   cfg.partition.pairwise.balance_delta = 64;
   cfg.partition.edge_sample_capacity = edge_sample_capacity;
   cfg.partition.edge_decay_period = edge_decay_period;
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
   sim.SchedulePeriodic(Millis(50), [&client] {
     for (uint64_t k = 1; k <= 40; k++) {
       client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
@@ -342,7 +344,8 @@ TEST(ArenaPlannerTest, PlacementDigestsPinned) {
 }
 
 TEST(ArenaPlannerTest, IncrementalPlanGraphMatchesFromScratch) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg;
   cfg.num_servers = 4;
   cfg.seed = 5;
@@ -351,10 +354,10 @@ TEST(ArenaPlannerTest, IncrementalPlanGraphMatchesFromScratch) {
   cfg.partition.exchange_min_gap = Seconds(1);
   cfg.partition.edge_sample_capacity = 24;
   cfg.partition.edge_decay_period = Millis(700);
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
   Rng rng(17);
   sim.SchedulePeriodic(Millis(20), [&client, &rng] {
     // Skewed pairs, so a few edges stay heavy while the tail churns

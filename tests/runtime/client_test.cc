@@ -4,6 +4,7 @@
 
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/test_actors.h"
 
@@ -11,10 +12,11 @@ namespace actop {
 namespace {
 
 TEST(ClientPoolTest, GeneratesApproximatePoissonRate) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   RegisterTestActors(&cluster);
-  ClientPool clients(&sim, &cluster, ClientConfig{.request_rate = 2000.0},
+  ClientPool clients(&cluster, ClientConfig{.request_rate = 2000.0},
                      [](Rng& rng, ActorId* target, MethodId* method) {
                        *target = MakeActorId(kEchoType, rng.NextBounded(100) + 1);
                        *method = 1;
@@ -27,10 +29,11 @@ TEST(ClientPoolTest, GeneratesApproximatePoissonRate) {
 }
 
 TEST(ClientPoolTest, MeasuresEndToEndLatency) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   RegisterTestActors(&cluster);
-  ClientPool clients(&sim, &cluster, ClientConfig{.request_rate = 500.0},
+  ClientPool clients(&cluster, ClientConfig{.request_rate = 500.0},
                      [](Rng& rng, ActorId* target, MethodId* method) {
                        *target = MakeActorId(kEchoType, rng.NextBounded(50) + 1);
                        *method = 1;
@@ -48,10 +51,11 @@ TEST(ClientPoolTest, MeasuresEndToEndLatency) {
 }
 
 TEST(ClientPoolTest, SkippedTargetsDoNotIssue) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   RegisterTestActors(&cluster);
-  ClientPool clients(&sim, &cluster, ClientConfig{.request_rate = 1000.0},
+  ClientPool clients(&cluster, ClientConfig{.request_rate = 1000.0},
                      [](Rng&, ActorId*, MethodId*) { return false; });
   clients.Start();
   sim.RunUntil(Seconds(2));
@@ -59,10 +63,11 @@ TEST(ClientPoolTest, SkippedTargetsDoNotIssue) {
 }
 
 TEST(ClientPoolTest, ResetStatsClearsCounters) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   RegisterTestActors(&cluster);
-  ClientPool clients(&sim, &cluster, ClientConfig{.request_rate = 500.0},
+  ClientPool clients(&cluster, ClientConfig{.request_rate = 500.0},
                      [](Rng&, ActorId* target, MethodId* method) {
                        *target = MakeActorId(kEchoType, 1);
                        *method = 1;
@@ -82,10 +87,11 @@ TEST(ClientPoolTest, TimeoutsOnUnresponsiveCluster) {
   cfg.num_servers = 2;
   // Make the cluster unable to respond in time: tiny queues with huge load.
   cfg.server.stage_queue_capacity = 4;
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
-  ClientPool clients(&sim, &cluster,
+  ClientPool clients(&cluster,
                      ClientConfig{.request_rate = 50000.0, .timeout = Seconds(2)},
                      [](Rng& rng, ActorId* target, MethodId* method) {
                        *target = MakeActorId(kEchoType, rng.NextBounded(10) + 1);
@@ -100,10 +106,11 @@ TEST(ClientPoolTest, TimeoutsOnUnresponsiveCluster) {
 }
 
 TEST(DirectClientTest, CallbackReceivesResponse) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 3);
+  DirectClient client(&cluster, 3);
   int got = 0;
   client.Call(MakeActorId(kEchoType, 1), 1, 0, 100, [&](const Response& r) {
     EXPECT_FALSE(r.failed);

@@ -11,6 +11,7 @@
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/test_actors.h"
 
@@ -18,10 +19,11 @@ namespace actop {
 namespace {
 
 TEST(FailureTest, CrashOfDirectoryHomeStillAllowsActivation) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 4, .seed = 3});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 4, .seed = 3});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   // Find an actor whose directory home we can crash before first activation.
   const ActorId echo = MakeActorId(kEchoType, 12);
@@ -37,12 +39,13 @@ TEST(FailureTest, CrashOfDirectoryHomeStillAllowsActivation) {
 }
 
 TEST(FailureTest, RepeatedCrashesNeverDuplicateActivations) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg{.num_servers = 4, .seed = 7};
   cfg.server.call_timeout = Seconds(2);
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   for (uint64_t k = 1; k <= 40; k++) {
     client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
@@ -64,10 +67,11 @@ TEST(FailureTest, RepeatedCrashesNeverDuplicateActivations) {
 }
 
 TEST(FailureTest, StateSurvivesCrash) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 3, .seed = 9});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 3, .seed = 9});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   for (int i = 0; i < 5; i++) {
@@ -87,12 +91,13 @@ TEST(FailureTest, StateSurvivesCrash) {
 }
 
 TEST(FailureTest, ClientTimeoutsBoundedUnderCrashStorm) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg{.num_servers = 4, .seed = 13};
   cfg.server.call_timeout = Seconds(2);
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
-  ClientPool clients(&sim, &cluster, ClientConfig{.request_rate = 500.0, .timeout = Seconds(3)},
+  ClientPool clients(&cluster, ClientConfig{.request_rate = 500.0, .timeout = Seconds(3)},
                      [](Rng& rng, ActorId* target, MethodId* method) {
                        *target = MakeActorId(kEchoType, rng.NextBounded(100) + 1);
                        *method = 1;
@@ -117,10 +122,11 @@ TEST(FailureTest, ClientTimeoutsBoundedUnderCrashStorm) {
 class MigrationChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MigrationChurnTest, NoLossUnderRandomMigrations) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 4, .seed = GetParam()});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 4, .seed = GetParam()});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, GetParam() ^ 0xabc);
+  DirectClient client(&cluster, GetParam() ^ 0xabc);
 
   constexpr int kActors = 30;
   int responses = 0;

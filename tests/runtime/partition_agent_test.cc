@@ -11,6 +11,7 @@
 #include "src/core/csr_graph.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "src/workload/chat.h"
 #include "tests/runtime/partition_agent_test_peer.h"
@@ -32,11 +33,12 @@ ClusterConfig PartitionedCluster(int servers, uint64_t seed) {
 }
 
 TEST(PartitionAgentTest, EdgeSamplingBuildsView) {
-  Simulation sim;
-  Cluster cluster(&sim, PartitionedCluster(2, 3));
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, PartitionedCluster(2, 3));
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   // Create traffic between relay 1 and echo 1 repeatedly.
   const ActorId relay = MakeActorId(kRelayType, 1);
@@ -70,11 +72,12 @@ TEST(PartitionAgentTest, EdgeSamplingBuildsView) {
 }
 
 TEST(PartitionAgentTest, HeavyPairsGetColocated) {
-  Simulation sim;
-  Cluster cluster(&sim, PartitionedCluster(4, 7));
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, PartitionedCluster(4, 7));
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   // 40 relay->echo pairs, each pair chatting continuously.
   const int kPairs = 40;
@@ -104,13 +107,14 @@ TEST(PartitionAgentTest, HeavyPairsGetColocated) {
 }
 
 TEST(PartitionAgentTest, BalanceMaintainedDuringOptimization) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg = PartitionedCluster(4, 9);
   cfg.partition.pairwise.balance_delta = 16;
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const int kPairs = 60;
   sim.SchedulePeriodic(Millis(50), [&client] {
@@ -130,17 +134,18 @@ TEST(PartitionAgentTest, BalanceMaintainedDuringOptimization) {
 }
 
 TEST(PartitionAgentTest, RateLimitingRejectsBackToBackExchanges) {
-  Simulation sim;
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
   ClusterConfig cfg = PartitionedCluster(2, 11);
   cfg.partition.exchange_period = Seconds(1);
   cfg.partition.exchange_min_gap = Seconds(30);  // long gap: most requests rejected
   // A tiny candidate set keeps positive-score candidates around for many
   // rounds, so requests keep arriving inside the min-gap window.
   cfg.partition.pairwise.candidate_set_size = 2;
-  Cluster cluster(&sim, cfg);
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   sim.SchedulePeriodic(Millis(50), [&client] {
     for (uint64_t k = 1; k <= 200; k++) {
@@ -160,11 +165,12 @@ TEST(PartitionAgentTest, ObservationBufferStaysBoundedAfterStop) {
   // Stop() cancels the round and decay timers, the only periodic readers of
   // the sketch, while servers keep reporting edges: the buffer must still
   // drain itself when it fills.
-  Simulation sim;
-  Cluster cluster(&sim, PartitionedCluster(2, 3));
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, PartitionedCluster(2, 3));
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
   sim.SchedulePeriodic(Millis(10), [&client] {
     for (uint64_t k = 1; k <= 20; k++) {
       client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
@@ -199,14 +205,15 @@ TEST(PartitionAgentTest, ChatWorkloadRemoteFractionDrops) {
   // End-to-end: with partitioning on, the chat service's remote message
   // fraction falls well below the random-placement level.
   auto remote_fraction = [](bool partitioning) {
-    Simulation sim;
+    ShardedEngine engine{{}};
+    Simulation& sim = engine.sim();
     ClusterConfig cfg;
     cfg.num_servers = 4;
     cfg.seed = 13;
     cfg.enable_partitioning = partitioning;
     cfg.partition.exchange_period = Seconds(2);
     cfg.partition.exchange_min_gap = Seconds(2);
-    Cluster cluster(&sim, cfg);
+    Cluster cluster(&engine, cfg);
     ChatWorkloadConfig wcfg;
     wcfg.num_users = 400;
     wcfg.num_rooms = 20;

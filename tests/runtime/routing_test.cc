@@ -12,6 +12,7 @@
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/envelope_pool.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/test_actors.h"
 
@@ -21,10 +22,11 @@ namespace {
 TEST(RoutingTest, StaleCacheChainStillDelivers) {
   // Prime stale caches on several servers, then call: the message must reach
   // the real host within the hop limit (falling back to the directory).
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 4, .seed = 3});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 4, .seed = 3});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   client.Call(echo, 1, 0, 100, nullptr);
@@ -55,10 +57,11 @@ TEST(RoutingTest, StaleCacheChainStillDelivers) {
 }
 
 TEST(RoutingTest, OneWayCallsDeliverWithoutResponses) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2, .seed = 5});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2, .seed = 5});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 9);
   for (int i = 0; i < 10; i++) {
@@ -73,11 +76,12 @@ TEST(RoutingTest, BoundedReceiveQueueShedsLoadButRecovers) {
   ClusterConfig cfg{.num_servers = 1, .seed = 7};
   cfg.server.stage_queue_capacity = 64;
   cfg.server.call_timeout = Seconds(2);
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
 
-  ClientPool clients(&sim, &cluster,
+  ClientPool clients(&cluster,
                      ClientConfig{.request_rate = 60000.0, .timeout = Seconds(3)},
                      [](Rng& rng, ActorId* target, MethodId* method) {
                        *target = MakeActorId(kEchoType, rng.NextBounded(10) + 1);
@@ -92,7 +96,7 @@ TEST(RoutingTest, BoundedReceiveQueueShedsLoadButRecovers) {
   EXPECT_GT(cluster.server(0).stage(Server::kReceive).total_rejections(), 0u);
   EXPECT_GT(clients.timeouts(), 0u);
   // ...but the server stays live afterwards.
-  DirectClient probe(&sim, &cluster, 9);
+  DirectClient probe(&cluster, 9);
   int ok = 0;
   probe.Call(MakeActorId(kEchoType, 1), 1, 0, 100, [&](const Response& r) {
     ok += r.failed ? 0 : 1;
@@ -106,10 +110,11 @@ TEST(RoutingTest, ControlLossRecoversViaParkedCallRetry) {
   // parked call must be retried by the sweeper and eventually delivered.
   ClusterConfig cfg{.num_servers = 4, .seed = 11};
   cfg.server.call_timeout = Seconds(3);  // retry period = timeout / 3
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 4);
   const ServerId home = DirectoryHomeOf(echo, 4);
@@ -137,8 +142,9 @@ TEST(RoutingTest, SweepRetriesLostLookupsInParkOrder) {
   cfg.server.call_timeout = Seconds(3);  // a lookup is retried once 1 s old
   cfg.server.exponential_costs = false;   // equal costs keep the sends in order
   cfg.server.gc_mean_interval = 0;
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
 
   std::vector<ActorId> homed;
@@ -197,10 +203,11 @@ TEST(RoutingTest, SweepRetriesLostLookupsInParkOrder) {
 }
 
 TEST(RoutingTest, ActiveActorsListsEveryActivation) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2, .seed = 13});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2, .seed = 13});
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
   for (uint64_t k = 1; k <= 20; k++) {
     client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
   }

@@ -8,6 +8,7 @@
 #include "src/common/sim_time.h"
 #include "src/runtime/client.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "tests/runtime/test_actors.h"
 
@@ -22,10 +23,11 @@ ClusterConfig SmallCluster(int servers = 4, uint64_t seed = 1) {
 }
 
 TEST(RuntimeTest, ClientCallActivatesAndResponds) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   int responses = 0;
@@ -39,10 +41,11 @@ TEST(RuntimeTest, ClientCallActivatesAndResponds) {
 }
 
 TEST(RuntimeTest, ActivationIsExactlyOnceUnderConcurrentCalls) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 7);
   int responses = 0;
@@ -67,10 +70,11 @@ TEST(RuntimeTest, ActivationIsExactlyOnceUnderConcurrentCalls) {
 }
 
 TEST(RuntimeTest, RandomPlacementSpreadsActors) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster(4));
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster(4));
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   for (uint64_t k = 1; k <= 200; k++) {
     client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
@@ -87,8 +91,9 @@ TEST(RuntimeTest, RandomPlacementSpreadsActors) {
 TEST(RuntimeTest, LocalPlacementPutsActorOnGateway) {
   ClusterConfig cfg = SmallCluster(4);
   cfg.server.placement = PlacementPolicy::kLocal;
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
 
   // Issue all calls through server 2 by calling from an actor there: first
@@ -97,7 +102,7 @@ TEST(RuntimeTest, LocalPlacementPutsActorOnGateway) {
   // each actor lands on its own request's gateway; verify every activation's
   // server equals *some* gateway — weaker, so instead check total spread is
   // still complete and activations equal actor count.
-  DirectClient client(&sim, &cluster, 9);
+  DirectClient client(&cluster, 9);
   for (uint64_t k = 1; k <= 50; k++) {
     client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
   }
@@ -109,10 +114,11 @@ TEST(RuntimeTest, ConsistentHashPlacementIsDeterministic) {
   auto placements = [](uint64_t seed) {
     ClusterConfig cfg = SmallCluster(4, seed);
     cfg.server.placement = PlacementPolicy::kConsistentHash;
-    Simulation sim;
-    Cluster cluster(&sim, cfg);
+    ShardedEngine engine{{}};
+    Simulation& sim = engine.sim();
+    Cluster cluster(&engine, cfg);
     RegisterTestActors(&cluster);
-    DirectClient client(&sim, &cluster, seed ^ 77);
+    DirectClient client(&cluster, seed ^ 77);
     for (uint64_t k = 1; k <= 30; k++) {
       client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
     }
@@ -132,10 +138,11 @@ TEST(RuntimeTest, ConsistentHashPlacementIsDeterministic) {
 }
 
 TEST(RuntimeTest, ActorToActorCallAcrossServers) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
@@ -158,10 +165,11 @@ TEST(RuntimeTest, DrainingParkedCallsMayParkFurtherCalls) {
   // every call to an unresolved relay parks, each drained relay turn then
   // issues a sub-call to the *other* relay, which parks again on servers
   // that have not resolved it yet.
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId relay_a = MakeActorId(kRelayType, 11);
   const ActorId relay_b = MakeActorId(kRelayType, 12);
@@ -203,10 +211,11 @@ TEST(RuntimeTest, TurnBasedExecutionSerializesCalls) {
   // An actor with 10 concurrent calls must process them one at a time:
   // with 20 µs handler compute the last response completes no earlier than
   // 10 * 20 µs after the first turn starts.
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster(2));
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster(2));
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 3);
   client.Call(echo, 1, 0, 100, nullptr);  // warm up (activation)
@@ -230,10 +239,11 @@ TEST(RuntimeTest, TurnBasedExecutionSerializesCalls) {
 }
 
 TEST(RuntimeTest, SecondCallUsesLocationCache) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
@@ -260,10 +270,11 @@ TEST(RuntimeTest, SecondCallUsesLocationCache) {
 }
 
 TEST(RuntimeTest, MigrationMovesActivationViaCacheHint) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   // Spread relays around so we can later call from the echo's OLD host —
   // the §4.3 opportunistic path: p or q's cache hint drives re-placement.
@@ -305,10 +316,11 @@ TEST(RuntimeTest, MigrationMovesActivationViaCacheHint) {
 TEST(RuntimeTest, MigrationThenThirdPartyCallReactivatesAtCaller) {
   // §4.3: if the next message comes from neither p nor q, the actor is
   // placed on the server that originated the call.
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   client.Call(echo, 1, 0, 100, nullptr);
@@ -344,10 +356,11 @@ TEST(RuntimeTest, MigrationThenThirdPartyCallReactivatesAtCaller) {
 }
 
 TEST(RuntimeTest, MigrationRefusedWhileBusy) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
@@ -384,10 +397,11 @@ TEST(RuntimeTest, MigrationRefusedWhileBusy) {
 }
 
 TEST(RuntimeTest, RemoteAndLocalMessageCounting) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   // 50 relay->echo pairs; with random placement ~75% of pairs are split.
   int responses = 0;
@@ -410,10 +424,11 @@ TEST(RuntimeTest, RemoteAndLocalMessageCounting) {
 }
 
 TEST(RuntimeTest, CrashReactivatesActorElsewhere) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   client.Call(echo, 1, 0, 100, nullptr);
@@ -443,10 +458,11 @@ TEST(RuntimeTest, ExpiredUnregisterFenceIsSweptAway) {
   // deactivation without a later directory answer holds one forever.
   ClusterConfig cfg = SmallCluster();
   cfg.server.call_timeout = Seconds(2);  // swept every second
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   ActorId echo = kNoActor;
   ServerId host = kNoServer;
@@ -475,10 +491,11 @@ TEST(RuntimeTest, ExpiredUnregisterFenceIsSweptAway) {
 TEST(RuntimeTest, SubcallToCrashedServerFailsViaTimeout) {
   ClusterConfig cfg = SmallCluster();
   cfg.server.call_timeout = Seconds(2);
-  Simulation sim;
-  Cluster cluster(&sim, cfg);
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, cfg);
   RegisterTestActors(&cluster);
-  DirectClient client(&sim, &cluster, 5);
+  DirectClient client(&cluster, 5);
 
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
@@ -516,8 +533,8 @@ TEST(RuntimeTest, SubcallToCrashedServerFailsViaTimeout) {
 }
 
 TEST(RuntimeTest, ThreadAllocationApplies) {
-  Simulation sim;
-  Cluster cluster(&sim, SmallCluster());
+  ShardedEngine engine{{}};
+  Cluster cluster(&engine, SmallCluster());
   RegisterTestActors(&cluster);
   cluster.server(0).ApplyThreadAllocation({2, 3, 4, 5});
   EXPECT_EQ(cluster.server(0).stage(0).threads(), 2);
@@ -527,10 +544,11 @@ TEST(RuntimeTest, ThreadAllocationApplies) {
 
 TEST(RuntimeTest, DeterministicEndToEnd) {
   auto run = [](uint64_t seed) {
-    Simulation sim;
-    Cluster cluster(&sim, SmallCluster(4, seed));
+    ShardedEngine engine{{}};
+    Simulation& sim = engine.sim();
+    Cluster cluster(&engine, SmallCluster(4, seed));
     RegisterTestActors(&cluster);
-    DirectClient client(&sim, &cluster, 5);
+    DirectClient client(&cluster, 5);
     uint64_t checksum = 0;
     for (uint64_t k = 1; k <= 30; k++) {
       client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100,
@@ -628,9 +646,10 @@ class CallTableTest : public ::testing::Test {
     return tags;
   }
 
-  Simulation sim_;
-  Cluster cluster_{&sim_, Config()};
-  DirectClient client_{&sim_, &cluster_, 5};
+  ShardedEngine engine_{{}};
+  Simulation& sim_ = engine_.sim();
+  Cluster cluster_{&engine_, Config()};
+  DirectClient client_{&cluster_, 5};
   std::vector<Outcome> log_;
 };
 

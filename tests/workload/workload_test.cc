@@ -2,6 +2,7 @@
 
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 #include "src/workload/chat.h"
 #include "src/workload/counter.h"
@@ -13,8 +14,9 @@ namespace actop {
 namespace {
 
 TEST(CounterWorkloadTest, EveryResponseIncrementsExactlyOnce) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 1});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 1});
   CounterWorkloadConfig cfg;
   cfg.num_actors = 100;
   cfg.request_rate = 2000.0;
@@ -28,8 +30,9 @@ TEST(CounterWorkloadTest, EveryResponseIncrementsExactlyOnce) {
 }
 
 TEST(CounterWorkloadTest, LatencyReasonableUnderLightLoad) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 1});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 1});
   CounterWorkloadConfig cfg;
   cfg.num_actors = 100;
   cfg.request_rate = 1000.0;
@@ -40,8 +43,9 @@ TEST(CounterWorkloadTest, LatencyReasonableUnderLightLoad) {
 }
 
 TEST(HeartbeatWorkloadTest, SustainsLoadOnOneServer) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 1});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 1});
   HeartbeatWorkloadConfig cfg;
   cfg.num_monitors = 500;
   cfg.request_rate = 5000.0;
@@ -55,8 +59,9 @@ TEST(HeartbeatWorkloadTest, SustainsLoadOnOneServer) {
 }
 
 TEST(HaloWorkloadTest, PopulationAndGamesReachSteadyState) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 4});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 4});
   HaloWorkloadConfig cfg;
   cfg.target_players = 800;
   cfg.idle_pool_target = 8;
@@ -78,8 +83,9 @@ TEST(HaloWorkloadTest, PopulationAndGamesReachSteadyState) {
 }
 
 TEST(HaloWorkloadTest, BroadcastPatternGeneratesEighteenMessages) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 4});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 4});
   HaloWorkloadConfig cfg;
   cfg.target_players = 160;
   cfg.idle_pool_target = 0;
@@ -111,8 +117,9 @@ TEST(HaloWorkloadTest, BroadcastPatternGeneratesEighteenMessages) {
 }
 
 TEST(HaloWorkloadTest, RemoteFractionHighUnderRandomPlacement) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 8});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 8});
   HaloWorkloadConfig cfg;
   cfg.target_players = 800;
   cfg.idle_pool_target = 8;
@@ -125,8 +132,9 @@ TEST(HaloWorkloadTest, RemoteFractionHighUnderRandomPlacement) {
 }
 
 TEST(ChatWorkloadTest, MessagesFanOutToRoomMembers) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   ChatWorkloadConfig cfg;
   cfg.num_users = 200;
   cfg.num_rooms = 10;
@@ -144,8 +152,9 @@ TEST(ChatWorkloadTest, MessagesFanOutToRoomMembers) {
 }
 
 TEST(ChatWorkloadTest, RehomingChangesRooms) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   ChatWorkloadConfig cfg;
   cfg.num_users = 100;
   cfg.num_rooms = 10;
@@ -160,8 +169,9 @@ TEST(ChatWorkloadTest, RehomingChangesRooms) {
 }
 
 TEST(SocialWorkloadTest, FanOutMatchesFollowerCounts) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   SocialWorkloadConfig cfg;
   cfg.num_users = 300;
   cfg.mean_following = 8;
@@ -181,8 +191,9 @@ TEST(SocialWorkloadTest, FanOutMatchesFollowerCounts) {
 }
 
 TEST(SocialWorkloadTest, InDegreeIsSkewed) {
-  Simulation sim;
-  Cluster cluster(&sim, ClusterConfig{.num_servers = 2});
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2});
   SocialWorkloadConfig cfg;
   cfg.num_users = 1000;
   cfg.mean_following = 10;
@@ -204,7 +215,8 @@ TEST(SocialWorkloadTest, InDegreeIsSkewed) {
 
 TEST(SocialWorkloadTest, PartitioningReducesRemoteTrafficDespiteCelebrities) {
   auto remote_fraction = [](bool partitioning) {
-    Simulation sim;
+    ShardedEngine engine{{}};
+    Simulation& sim = engine.sim();
     ClusterConfig cfg;
     cfg.num_servers = 4;
     cfg.seed = 17;
@@ -212,7 +224,7 @@ TEST(SocialWorkloadTest, PartitioningReducesRemoteTrafficDespiteCelebrities) {
     cfg.partition.exchange_period = Seconds(1);
     cfg.partition.exchange_min_gap = Seconds(1);
     cfg.partition.pairwise.candidate_set_size = 256;
-    Cluster cluster(&sim, cfg);
+    Cluster cluster(&engine, cfg);
     SocialWorkloadConfig wcfg;
     wcfg.num_users = 600;
     wcfg.mean_following = 8;
