@@ -7,6 +7,14 @@
 
 namespace actop {
 
+namespace {
+
+// Bounds on every stage's thread count, for both controllers.
+constexpr int kMinThreads = 1;
+constexpr int kMaxThreads = 64;
+
+}  // namespace
+
 ModelThreadController::ModelThreadController(Simulation* sim, ThreadHost* host,
                                              ModelControllerConfig config)
     : sim_(sim),
@@ -65,7 +73,7 @@ void ModelThreadController::CollectAndApply(SimDuration window_length) {
   }
 
   std::vector<int> alloc =
-      IntegerAllocation(problem, config_.min_threads, config_.max_threads);
+      IntegerAllocation(problem, kMinThreads, kMaxThreads);
   if (alloc != host_->CurrentThreads()) {
     host_->ApplyThreadAllocation(alloc);
   }
@@ -99,11 +107,11 @@ void QueueLengthThreadController::StepOnce() {
   bool changed = false;
   for (int i = 0; i < k; i++) {
     const uint64_t qlen = host_->stage(i).queue_length();
-    if (qlen > config_.high_threshold && alloc[static_cast<size_t>(i)] < config_.max_threads) {
+    if (qlen > config_.high_threshold && alloc[static_cast<size_t>(i)] < kMaxThreads) {
       alloc[static_cast<size_t>(i)]++;
       changed = true;
     } else if (qlen < config_.low_threshold &&
-               alloc[static_cast<size_t>(i)] > config_.min_threads) {
+               alloc[static_cast<size_t>(i)] > kMinThreads) {
       alloc[static_cast<size_t>(i)]--;
       changed = true;
     }

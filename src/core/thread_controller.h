@@ -28,8 +28,6 @@ struct ModelControllerConfig {
   double eta = 100e-6;  // thread penalty, seconds/thread (paper: 100 µs)
   std::vector<bool> no_blocking;  // S0 stages, aligned with the host's stages
   double smoothing = 0.5;
-  int min_threads = 1;
-  int max_threads = 64;
 };
 
 class ModelThreadController {
@@ -70,8 +68,6 @@ struct QueueLengthControllerConfig {
   SimDuration period = Seconds(30);  // paper samples every 30 s
   uint64_t high_threshold = 100;     // Th
   uint64_t low_threshold = 10;       // Tl
-  int min_threads = 1;
-  int max_threads = 64;
 };
 
 class QueueLengthThreadController {

@@ -501,7 +501,6 @@ ScenarioReport RunReconnectStorm(const ScenarioOptions& opt) {
   const ClusterConfig cfg = BaseCluster(8, opt.seed);
   ShardedEngine engine(EngineConfigFor(opt, cfg));
   Cluster cluster(&engine, cfg);
-  Simulation& sim = engine.sim();
 
   HeartbeatWorkloadConfig wl;
   wl.num_monitors = devices;
@@ -520,22 +519,17 @@ ScenarioReport RunReconnectStorm(const ScenarioOptions& opt) {
   const int num_storms = opt.scale >= 0.5 ? 3 : 2;
   for (int i = 0; i < num_storms; i++) {
     const SimTime at = warmup + measure / 5 + (measure * 3 / 10) * i;
-    // The disconnect sweep is scheduled before Drive() starts the driver,
-    // so at the storm instant the churn runs first (engine dispatches
-    // same-instant events in scheduling order), then the burst arrives —
-    // reconnects hit a directory that just dropped their registrations.
-    // Parallel mode: the sweep mutates every server, so it rides the
-    // coordinator rail (which also runs before same-instant shard events).
-    auto churn_all = [&cluster] {
+    // The disconnect sweep mutates every server, so it rides the rail. It
+    // is scheduled before Drive() starts the driver, so at the storm instant
+    // the churn runs first (one shard dispatches same-instant events in
+    // scheduling order; more run the rail before same-instant shard events),
+    // then the burst arrives — reconnects hit a directory that just dropped
+    // their registrations.
+    engine.ScheduleRailAt(at, [&cluster] {
       for (int s = 0; s < cluster.num_servers(); s++) {
         cluster.ChurnDirectoryShard(static_cast<ServerId>(s));
       }
-    };
-    if (engine.parallel()) {
-      engine.ScheduleRailAt(at, churn_all);
-    } else {
-      sim.ScheduleAt(at, churn_all);
-    }
+    });
     schedule.AddBurst(at, burst);
   }
 

@@ -214,9 +214,9 @@ void PartitionAgent::RunRound() {
   }
   // Charge the candidate-set computation (O(edges) scan, §4.2's complexity
   // analysis) to the worker stage, then contact the best peer.
+  constexpr SimDuration kPlanComputePerEdge = Nanos(120);
   StageEvent ev;
-  ev.compute = static_cast<SimDuration>(config_.plan_compute_per_edge *
-                                        static_cast<SimDuration>(edges_.size()));
+  ev.compute = kPlanComputePerEdge * static_cast<SimDuration>(edges_.size());
   ev.done = [this] { TryNextPeer(); };
   server_->stage(Server::kWorker).Enqueue(std::move(ev));
 }

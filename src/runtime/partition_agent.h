@@ -61,9 +61,6 @@ struct PartitionAgentConfig {
   // Parameters of the pure partitioning algorithm (target_size is filled in
   // from live cluster statistics each round).
   PairwiseConfig pairwise{.candidate_set_size = 64, .balance_delta = 64};
-  // CPU charged to the worker stage per round for candidate-set computation,
-  // per sampled edge (models the O(V log k) scan of §4.2).
-  SimDuration plan_compute_per_edge = Nanos(120);
   // Must stay true (checked); goes away with its last writer, perfbench/src/workloads.cc.
   bool use_arena_planner = true;
 };

@@ -67,6 +67,11 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config)
   for (int i = 0; i < config_.shards; i++) {
     sims_.push_back(std::make_unique<Simulation>());
   }
+  rail_ = sims_[0].get();
+  if (parallel()) {
+    coordinator_ = std::make_unique<Simulation>();
+    rail_ = coordinator_.get();
+  }
   workers_.reserve(static_cast<size_t>(config_.shards - 1));
   for (int i = 1; i < config_.shards; i++) {
     workers_.emplace_back([this, i] { WorkerMain(i); });
@@ -89,25 +94,6 @@ uint64_t ShardedEngine::events_executed() const {
     total += s->events_executed();
   }
   return total;
-}
-
-uint64_t ShardedEngine::ScheduleRailAt(SimTime when, std::function<void()> fn) {
-  ACTOP_CHECK(when >= now_);
-  ACTOP_CHECK(static_cast<bool>(fn));
-  const uint64_t id = next_rail_id_++;
-  rail_.emplace(std::make_pair(when, id), std::move(fn));
-  rail_when_.emplace(id, when);
-  return id;
-}
-
-bool ShardedEngine::CancelRail(uint64_t id) {
-  auto it = rail_when_.find(id);
-  if (it == rail_when_.end()) {
-    return false;
-  }
-  rail_.erase(std::make_pair(it->second, id));
-  rail_when_.erase(it);
-  return true;
 }
 
 void ShardedEngine::WorkerMain(int shard) {
@@ -137,14 +123,6 @@ void ShardedEngine::WorkerMain(int shard) {
 
 void ShardedEngine::RunWindow(SimTime end) {
   in_window_ = true;
-  if (sims_.size() == 1) {
-    sims_[0]->RunWindow(end);
-    if (exchange_hook_) {
-      exchange_hook_(0);
-    }
-    in_window_ = false;
-    return;
-  }
   window_end_ = end;
   epoch_.fetch_add(1, std::memory_order_release);
   sims_[0]->RunWindow(end);
@@ -164,26 +142,16 @@ void ShardedEngine::AdvanceAll(SimTime t) {
   }
 }
 
-void ShardedEngine::RunRailAt(SimTime r) {
-  while (!rail_.empty() && rail_.begin()->first.first == r) {
-    auto it = rail_.begin();
-    std::function<void()> fn = std::move(it->second);
-    rail_when_.erase(it->first.second);
-    rail_.erase(it);
-    fn();
-  }
-}
-
 uint64_t ShardedEngine::RunUntil(SimTime deadline) {
-  ACTOP_CHECK(deadline >= now_);
+  ACTOP_CHECK(deadline >= now());
   const uint64_t before = events_executed();
-  if (!parallel() && rail_.empty()) {
+  if (!parallel()) {
     // Serial fast path: defer entirely to the single shard — dispatch order,
     // clock movement, and hook timing are exactly the single-engine ones.
+    // Rail tasks are shard-0 events here, so they run in the same pass.
     in_window_ = true;
     sims_[0]->RunUntil(deadline);
     in_window_ = false;
-    now_ = deadline;
     return events_executed() - before;
   }
   for (;;) {
@@ -191,7 +159,7 @@ uint64_t ShardedEngine::RunUntil(SimTime deadline) {
     for (const auto& s : sims_) {
       t = std::min(t, s->next_event_time());
     }
-    const SimTime r = rail_.empty() ? kSimTimeMax : rail_.begin()->first.first;
+    const SimTime r = rail_->next_event_time();
     if (r <= t) {
       // Rail cut: every event < r has run on every shard; events at exactly
       // r run after the rail tasks. r == t (or r <= engine now) is the
@@ -200,8 +168,7 @@ uint64_t ShardedEngine::RunUntil(SimTime deadline) {
         break;
       }
       AdvanceAll(r);
-      now_ = r;
-      RunRailAt(r);
+      rail_->RunUntil(r);
       continue;
     }
     if (t > deadline) {
@@ -217,7 +184,7 @@ uint64_t ShardedEngine::RunUntil(SimTime deadline) {
     }
   }
   AdvanceAll(deadline);
-  now_ = deadline;
+  rail_->AdvanceClockTo(deadline);
   return events_executed() - before;
 }
 

@@ -22,13 +22,20 @@
 //     deterministic) interleavings of same-instant events on different
 //     shards — statistically equivalent, not byte-identical.
 //
-// The "rail" is a coordinator-side task track for cluster-global actions
-// that must observe a consistent cross-shard cut (chaos fault ticks,
-// invariant sweeps): a rail task at time R runs after every event with
-// timestamp < R on every shard, before any event at R. Rail tasks and hooks
-// run on the calling (coordinator) thread; rail scheduling is coordinator-
-// context only (setup code, rail tasks, barrier hooks) — never from inside
-// a shard event.
+// The "rail" carries cluster-global actions that must observe a consistent
+// cross-shard cut (chaos fault ticks, invariant sweeps, directory churn).
+// It is a Simulation like any shard's, so rail tasks at equal times run in
+// scheduling order and rail handles are ordinary EventIds:
+//   * shards == 1: the rail IS shard 0's queue. A rail task is an ordinary
+//     shard-0 event and runs in scheduling order among the events at its
+//     instant; with one shard every point in the event sequence is already
+//     a consistent cut.
+//   * shards == K: the rail is a private coordinator Simulation. A rail
+//     task at time R runs after every event with timestamp < R on every
+//     shard, before any event at R. Rail tasks and hooks run on the calling
+//     (coordinator) thread; rail scheduling is coordinator-context only
+//     (setup code, rail tasks, barrier hooks) — never from inside a shard
+//     event.
 //
 // Threading: RunUntil's caller is the coordinator and doubles as the shard-0
 // worker; shards 1..K-1 get dedicated threads woken per window by an epoch
@@ -45,10 +52,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,13 +87,15 @@ class ShardedEngine {
   const Simulation& shard(int i) const { return *sims_[static_cast<size_t>(i)]; }
   Simulation& sim() { return *sims_[0]; }
 
-  // Engine clock: advances to each rail point and to every RunUntil
-  // deadline. Between barriers individual shard clocks trail it.
-  SimTime now() const { return now_; }
+  // Engine clock: the rail's clock. With one shard that is shard 0's clock;
+  // with more it advances to each rail point and to every RunUntil deadline,
+  // and between barriers individual shard clocks trail it.
+  SimTime now() const { return rail_->now(); }
 
   // True while a window runs: shard events are executing or their exchange
-  // hooks are merging. False in coordinator context (setup code before or
-  // between RunUntil calls, rail tasks), where every shard is parked and
+  // hooks are merging (with one shard, rail tasks are shard events too).
+  // False in coordinator context (setup code before or between RunUntil
+  // calls, a parallel engine's rail tasks), where every shard is parked and
   // every shard clock equals now() — and in the barrier hook, where they may
   // differ. Safe to read from shard events: the flag is published before the
   // window's epoch and cleared only after its last barrier.
@@ -109,25 +116,27 @@ class ShardedEngine {
   // completes (all shard heaps quiescent) — cluster-global snapshots.
   void set_barrier_hook(std::function<void()> hook) { barrier_hook_ = std::move(hook); }
 
-  // Schedules a coordinator task at absolute time `when` (>= now()). Rail
-  // tasks at equal times run in scheduling order. Returns a handle for
-  // CancelRail. Coordinator context only.
-  uint64_t ScheduleRailAt(SimTime when, std::function<void()> fn);
+  // Schedules a rail task at absolute time `when` (>= now()). Rail tasks at
+  // equal times run in scheduling order. Returns a handle for CancelRail.
+  // Coordinator context only.
+  EventId ScheduleRailAt(SimTime when, InlineTask fn) {
+    return rail_->ScheduleAt(when, std::move(fn));
+  }
 
   // Cancels a pending rail task; false for fired/cancelled/unknown handles.
-  bool CancelRail(uint64_t id);
+  bool CancelRail(EventId id) { return rail_->Cancel(id); }
 
   // Runs all shards to `deadline` (inclusive), interleaving rail tasks at
   // their cut points, then advances every clock to `deadline`. Returns the
-  // number of events executed. With shards == 1 and no pending rail tasks
-  // this is exactly Simulation::RunUntil on the single shard.
+  // number of shard events executed (rail tasks count only with one shard,
+  // where they are shard-0 events). With shards == 1 this is exactly
+  // Simulation::RunUntil on the single shard.
   uint64_t RunUntil(SimTime deadline);
 
  private:
   void WorkerMain(int shard);
   void RunWindow(SimTime end);
   void AdvanceAll(SimTime t);
-  void RunRailAt(SimTime r);
 
   // Sense-reversing combining-tree barrier. Each participant owns a
   // cacheline-padded node; children bump their parent's arrival counter, so
@@ -158,13 +167,11 @@ class ShardedEngine {
   std::function<void(int)> exchange_hook_;
   std::function<void()> barrier_hook_;
 
-  // Rail: ordered by (when, handle); handle order breaks same-instant ties
-  // in scheduling order.
-  std::map<std::pair<SimTime, uint64_t>, std::function<void()>> rail_;
-  std::unordered_map<uint64_t, SimTime> rail_when_;
-  uint64_t next_rail_id_ = 1;
+  // Rail: shard 0 with one shard, else the coordinator's own Simulation
+  // (touched only by the coordinator thread, never counted as shard events).
+  std::unique_ptr<Simulation> coordinator_;
+  Simulation* rail_ = nullptr;
 
-  SimTime now_ = 0;
   bool in_window_ = false;
 
   // Worker coordination. window_end_ is published by the epoch increment

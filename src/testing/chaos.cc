@@ -8,6 +8,15 @@
 
 namespace actop {
 
+namespace {
+
+constexpr SimDuration kTick = Millis(50);         // fault tick and rail sweep period
+constexpr SimDuration kMaxExtraDelay = Millis(20);  // per delayed message
+constexpr size_t kMaxRecordedViolations = 16;
+constexpr size_t kMaxRecordedSchedule = 512;
+
+}  // namespace
+
 ChaosController::ChaosController(ShardedEngine* engine, Cluster* cluster, ChaosConfig config)
     : sim_(&engine->sim()),
       engine_(engine),
@@ -42,46 +51,37 @@ void ChaosController::Start() {
       [this](NodeId from, NodeId to, uint32_t bytes, int src_shard, SimTime now) {
         return OnMessage(from, to, bytes, src_shard, now);
       });
-  if (parallel()) {
-    // Faults and sweeps ride the coordinator rail: every rail task sees all
-    // shards advanced to its cut time, so cluster-global mutations (crash,
-    // churn, migrate) and the invariant sweep are race-free by construction.
-    const SimTime first = std::max(engine_->now(), config_.faults_start);
-    if (config_.duplication_bug_actor != kNoActor) {
-      engine_->ScheduleRailAt(first, [this] { InjectDuplicationBug(); });
-    }
-    tick_rail_ = engine_->ScheduleRailAt(first, [this] { Tick(); });
-    if (config_.check_every_events > 0) {
-      check_rail_ = engine_->ScheduleRailAt(engine_->now() + config_.tick,
-                                            [this] { RailCheck(); });
-    }
+  // Faults ride the rail: every rail task sees all shards advanced to its
+  // cut time, so cluster-global mutations (crash, churn, migrate) are
+  // race-free by construction.
+  const SimTime first = std::max(sim_->now(), config_.faults_start);
+  if (config_.duplication_bug_actor != kNoActor) {
+    engine_->ScheduleRailAt(first, [this] { InjectDuplicationBug(); });
+  }
+  tick_rail_ = engine_->ScheduleRailAt(first, [this] { Tick(); });
+  if (config_.check_every_events == 0) {
     return;
   }
-  if (config_.check_every_events > 0) {
+  if (!parallel()) {
     sim_->set_after_event_hook([this] {
       if (++events_seen_ % config_.check_every_events == 0) {
         RecordViolations(checker_.CheckInstant());
       }
     });
+    return;
   }
-  const SimTime first = std::max(sim_->now(), config_.faults_start);
-  if (config_.duplication_bug_actor != kNoActor) {
-    sim_->ScheduleAt(first, [this] { InjectDuplicationBug(); });
-  }
-  tick_event_ = sim_->ScheduleAt(first, [this] { Tick(); });
+  check_rail_ = engine_->ScheduleRailAt(sim_->now() + kTick, [this] { RailCheck(); });
 }
 
 void ChaosController::Stop() {
   ACTOP_CHECK(started_);
   started_ = false;
   cluster_->network().set_fault_injector(nullptr);
-  if (parallel()) {
-    engine_->CancelRail(tick_rail_);
-    engine_->CancelRail(check_rail_);
-    return;
+  engine_->CancelRail(tick_rail_);
+  engine_->CancelRail(check_rail_);
+  if (!parallel()) {
+    sim_->set_after_event_hook(nullptr);
   }
-  sim_->set_after_event_hook(nullptr);
-  sim_->Cancel(tick_event_);
 }
 
 void ChaosController::RailCheck() {
@@ -89,7 +89,7 @@ void ChaosController::RailCheck() {
     return;
   }
   RecordViolations(checker_.CheckInstant());
-  check_rail_ = engine_->ScheduleRailAt(engine_->now() + config_.tick, [this] { RailCheck(); });
+  check_rail_ = engine_->ScheduleRailAt(sim_->now() + kTick, [this] { RailCheck(); });
 }
 
 void ChaosController::Tick() {
@@ -133,11 +133,7 @@ void ChaosController::Tick() {
     }
   }
 
-  if (parallel()) {
-    tick_rail_ = engine_->ScheduleRailAt(engine_->now() + config_.tick, [this] { Tick(); });
-  } else {
-    tick_event_ = sim_->ScheduleAfter(config_.tick, [this] { Tick(); });
-  }
+  tick_rail_ = engine_->ScheduleRailAt(sim_->now() + kTick, [this] { Tick(); });
 }
 
 void ChaosController::InjectDuplicationBug() {
@@ -157,7 +153,7 @@ void ChaosController::InjectDuplicationBug() {
 }
 
 void ChaosController::Record(std::string what) {
-  if (schedule_.size() < config_.max_recorded_schedule) {
+  if (schedule_.size() < kMaxRecordedSchedule) {
     schedule_.push_back(ChaosEvent{sim_->now(), std::move(what)});
   }
 }
@@ -165,7 +161,7 @@ void ChaosController::Record(std::string what) {
 void ChaosController::RecordViolations(const std::vector<std::string>& found) {
   total_violations_ += found.size();
   for (const std::string& v : found) {
-    if (violations_.size() >= config_.max_recorded_violations) {
+    if (violations_.size() >= kMaxRecordedViolations) {
       break;
     }
     violations_.push_back("[t=" + std::to_string(sim_->now() / Millis(1)) + "ms] " + v);
@@ -191,7 +187,7 @@ FaultDecision ChaosController::OnMessage(NodeId from, NodeId to, uint32_t bytes,
       return decision;
     }
     if (config_.delay_prob > 0.0 && lane.rng.NextBool(config_.delay_prob)) {
-      decision.extra_delay = lane.rng.NextUniformDuration(0, config_.max_extra_delay);
+      decision.extra_delay = lane.rng.NextUniformDuration(0, kMaxExtraDelay);
       lane.delayed++;
     }
     return decision;
@@ -202,7 +198,7 @@ FaultDecision ChaosController::OnMessage(NodeId from, NodeId to, uint32_t bytes,
     return decision;
   }
   if (config_.delay_prob > 0.0 && message_rng_.NextBool(config_.delay_prob)) {
-    decision.extra_delay = message_rng_.NextUniformDuration(0, config_.max_extra_delay);
+    decision.extra_delay = message_rng_.NextUniformDuration(0, kMaxExtraDelay);
     delayed_messages_++;
   }
   return decision;

@@ -3,28 +3,29 @@
 // One RNG seed fully determines a fault schedule — server crashes, message
 // drops/delays (and therefore reorderings), directory-shard churn, and forced
 // migrations racing the §4.2 pairwise exchange protocol — injected through
-// the Simulation after-event hook, the Network fault injector, and the
-// Cluster failure-injection entry points. Because the simulator is a
-// single-threaded discrete-event engine with deterministic tie-breaking, a
-// failing seed replays byte-for-byte; FailureReport() prints the seed and the
-// schedule prefix needed to reproduce it.
+// the engine's rail, the Network fault injector, and the Cluster
+// failure-injection entry points. Because the engine is deterministic for a
+// fixed shard count, a failing seed replays byte-for-byte; FailureReport()
+// prints the seed and the schedule prefix needed to reproduce it.
 //
-// The controller also runs the InvariantChecker's instant checks every
-// `check_every_events` dispatched events and accumulates violations.
+// Tick-level faults (crashes, churn, forced migrations) run every 50 ms on
+// the engine's rail, so they always observe a consistent cut: with one shard
+// a rail task is an ordinary shard-0 event, and with more it runs on the
+// coordinator after every shard has reached its time.
 //
-// Parallel mode (a ShardedEngine with shards > 1):
-//   * tick-level faults (crashes, churn, forced migrations) and the instant
-//     invariant sweeps move to the engine's coordinator rail, so they always
-//     observe a consistent cross-shard cut; the cadence of both is the tick
-//     period (`check_every_events` only gates whether sweeps run at all —
-//     event counts are per-shard and scheduling-dependent in parallel).
-//   * per-message fault draws come from counter-based per-shard streams
-//     (CounterRng keyed (seed, shard)) so decisions depend only on each
-//     shard's own message order — deterministic for a fixed shard count.
-// With shards == 1 (the serial engine) ticks are ordinary events on the one
-// Simulation, sweeps run from its after-event hook every
-// `check_every_events` events, and message faults draw from one xoshiro
-// stream.
+// The controller also runs the InvariantChecker's instant checks and
+// accumulates violations. Two things still differ by shard count, because
+// unifying either would move the pinned one-shard reports or thin out the
+// one-shard sweeps:
+//   * sweeps: with one shard they run from the Simulation after-event hook
+//     every `check_every_events` dispatched events; with more they run on
+//     the rail at the tick period (`check_every_events` only gates whether
+//     they run at all — event counts are per-shard and scheduling-dependent
+//     in parallel).
+//   * per-message fault draws: with one shard they come from one xoshiro
+//     stream; with more, from counter-based per-shard streams (CounterRng
+//     keyed (seed, shard)) so decisions depend only on each shard's own
+//     message order — deterministic for a fixed shard count.
 
 #ifndef SRC_TESTING_CHAOS_H_
 #define SRC_TESTING_CHAOS_H_
@@ -51,7 +52,6 @@ struct ChaosConfig {
   // checking runs for as long as the controller is started.
   SimTime faults_start = 0;
   SimTime faults_end = Seconds(10);
-  SimDuration tick = Millis(50);
 
   // Per-tick fault probabilities / counts.
   double crash_prob = 0.0;            // crash + instant-replace a random server
@@ -61,8 +61,7 @@ struct ChaosConfig {
   // Per-message network faults. Delayed messages overtake undelayed ones on
   // the same link, so delay_prob > 0 also exercises reordering.
   double drop_prob = 0.0;
-  double delay_prob = 0.0;
-  SimDuration max_extra_delay = Millis(20);
+  double delay_prob = 0.0;  // extra delay uniform in [0, 20 ms]
   // Whether client<->server links are also faulty (server<->server links
   // always are). Off for scenarios with strict reply accounting.
   bool fault_client_links = false;
@@ -74,9 +73,6 @@ struct ChaosConfig {
   // actor on two servers at faults_start, deliberately breaking the
   // single-activation invariant so tests can prove the checker catches it.
   ActorId duplication_bug_actor = kNoActor;
-
-  size_t max_recorded_violations = 16;
-  size_t max_recorded_schedule = 512;
 };
 
 struct ChaosEvent {
@@ -86,17 +82,17 @@ struct ChaosEvent {
 
 class ChaosController {
  public:
-  // One-shard engines get event-scheduled ticks and hook-driven sweeps;
-  // parallel engines get rail-scheduled faults/checks and per-shard message
-  // streams. The engine must be the cluster's.
+  // One-shard engines get hook-driven sweeps and one message stream;
+  // parallel engines get rail sweeps and per-shard message streams. The
+  // engine must be the cluster's.
   ChaosController(ShardedEngine* engine, Cluster* cluster, ChaosConfig config);
   ~ChaosController();
 
   ChaosController(const ChaosController&) = delete;
   ChaosController& operator=(const ChaosController&) = delete;
 
-  // Installs the network fault injector + simulation after-event hook and
-  // schedules the fault ticks. Call once, before running the simulation.
+  // Installs the network fault injector and the sweeps, and schedules the
+  // fault ticks. Call once, before running the simulation.
   void Start();
 
   // Uninstalls all hooks; no further faults or checks after this.
@@ -104,12 +100,12 @@ class ChaosController {
 
   InvariantChecker& checker() { return checker_; }
 
-  // Invariant violations observed so far (capped at max_recorded_violations;
-  // `total_violations` keeps the true count).
+  // Invariant violations observed so far (the first 16; `total_violations`
+  // keeps the true count).
   const std::vector<std::string>& violations() const { return violations_; }
   uint64_t total_violations() const { return total_violations_; }
 
-  // The recorded fault schedule (capped at max_recorded_schedule).
+  // The recorded fault schedule (the first 512 faults).
   const std::vector<ChaosEvent>& schedule() const { return schedule_; }
 
   uint64_t crashes() const { return crashes_; }
@@ -152,9 +148,8 @@ class ChaosController {
   InvariantChecker checker_;
 
   bool started_ = false;
-  EventId tick_event_ = 0;
-  uint64_t tick_rail_ = 0;
-  uint64_t check_rail_ = 0;
+  EventId tick_rail_ = 0;
+  EventId check_rail_ = 0;  // parallel mode
   uint64_t events_seen_ = 0;
 
   std::vector<std::string> violations_;

@@ -10,7 +10,8 @@ ChaosClient::ChaosClient(Cluster* cluster, ChaosClientConfig config)
   node_ = cluster_->AddClientNode([this](NodeId, uint32_t, EnvelopePtr env) {
     OnDeliver(std::move(env));
   });
-  sim_->SchedulePeriodic(config_.sweep_period, [this] { SweepTimeouts(); });
+  constexpr SimDuration kSweepPeriod = Millis(500);  // timeout sweeps
+  sim_->SchedulePeriodic(kSweepPeriod, [this] { SweepTimeouts(); });
 }
 
 void ChaosClient::Call(ActorId target, MethodId method, uint64_t app_data) {

@@ -33,7 +33,6 @@ struct ChaosClientConfig {
   // A call with no response after this long counts as timed out (must exceed
   // the worst-case recovery chain: directory retry + server call timeout).
   SimDuration timeout = Seconds(6);
-  SimDuration sweep_period = Millis(500);
 };
 
 class ChaosClient {

@@ -3,13 +3,15 @@
 //
 // These tests drive the engine directly (no network/cluster on top), so each
 // property is pinned at the layer that owns it: the byte-identical
-// shards == 1 contract, the "rail task at R runs after every event < R and
-// before any event at R" cut semantics, and run-to-run reproducibility of
-// parallel window execution. Events only touch their own shard's state (the
+// shards == 1 contract (where a rail task is an ordinary shard-0 event), the
+// parallel "rail task at R runs after every event < R and before any event
+// at R" cut semantics, and run-to-run reproducibility of parallel window
+// execution. Events only touch their own shard's state (the
 // thread-per-shard pinning contract), so the traces below need no locks.
 
 #include "src/sim/sharded_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -65,18 +67,37 @@ TEST(ShardedEngineTest, SerialDelegatesToSimulation) {
   EXPECT_EQ(engine.events_executed(), plain.events_executed());
 }
 
-TEST(ShardedEngineTest, SerialRailRunsAtItsCut) {
-  // Rail task at R: after every event with timestamp < R, before any event
-  // at R — even on a 1-shard engine, where RunUntil otherwise delegates.
-  ShardedEngine engine(ShardedEngineConfig{.shards = 1});
-  std::vector<std::string> order;
+TEST(ShardedEngineTest, OneShardRailTaskIsAShardZeroEvent) {
+  // With one shard a rail task is an ordinary shard-0 event: it runs in
+  // scheduling order among the events at its instant, exactly as the same
+  // task scheduled with sim().ScheduleAt, and counts as an executed event.
   const SimTime r = Micros(500);
-  engine.sim().ScheduleAt(r - 1, [&] { order.push_back("before"); });
-  engine.sim().ScheduleAt(r, [&] { order.push_back("at"); });
-  engine.sim().ScheduleAt(r + 1, [&] { order.push_back("after"); });
-  engine.ScheduleRailAt(r, [&] { order.push_back("rail"); });
-  engine.RunUntil(Millis(1));
-  EXPECT_EQ(order, (std::vector<std::string>{"before", "rail", "at", "after"}));
+  auto run = [r](bool on_rail) {
+    ShardedEngine engine(ShardedEngineConfig{.shards = 1});
+    Simulation& sim = engine.sim();
+    std::vector<std::string> order;
+    sim.ScheduleAt(r - 1, [&] { order.push_back("before"); });
+    sim.ScheduleAt(r, [&] { order.push_back("at, scheduled first"); });
+    auto task = [&] {
+      order.push_back("task");
+      sim.ScheduleAt(r, [&] { order.push_back("scheduled by the task"); });
+    };
+    if (on_rail) {
+      engine.ScheduleRailAt(r, task);
+    } else {
+      sim.ScheduleAt(r, task);
+    }
+    sim.ScheduleAt(r, [&] { order.push_back("at, scheduled last"); });
+    sim.ScheduleAt(r + 1, [&] { order.push_back("after"); });
+    EXPECT_EQ(engine.RunUntil(Millis(1)), 6u);
+    EXPECT_EQ(engine.now(), Millis(1));
+    return order;
+  };
+  const std::vector<std::string> rail = run(true);
+  EXPECT_EQ(rail, run(false));
+  EXPECT_EQ(rail, (std::vector<std::string>{"before", "at, scheduled first", "task",
+                                            "at, scheduled last", "scheduled by the task",
+                                            "after"}));
 }
 
 TEST(ShardedEngineTest, RailTasksAtEqualTimesRunInScheduleOrder) {
@@ -89,6 +110,25 @@ TEST(ShardedEngineTest, RailTasksAtEqualTimesRunInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(ShardedEngineTest, TwoShardRailTasksAtEqualTimesRunInScheduleOrder) {
+  // On the coordinator rail, including a task that a rail task schedules at
+  // its own instant: it runs after the tasks already pending there, still
+  // before any shard event at that instant.
+  ShardedEngine engine(ShardedEngineConfig{.shards = 2});
+  std::vector<int> order;
+  const SimTime r = Micros(100);
+  engine.shard(1).ScheduleAt(r, [&] { order.push_back(0); });
+  engine.ScheduleRailAt(r, [&] {
+    order.push_back(1);
+    engine.ScheduleRailAt(r, [&] { order.push_back(4); });
+  });
+  engine.ScheduleRailAt(r, [&] { order.push_back(2); });
+  engine.ScheduleRailAt(r, [&] { order.push_back(3); });
+  EXPECT_EQ(engine.RunUntil(Micros(200)), 1u);  // rail tasks are not shard events
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 0}));
+  EXPECT_EQ(engine.now(), Micros(200));
+}
+
 TEST(ShardedEngineTest, CancelRail) {
   ShardedEngine engine(ShardedEngineConfig{.shards = 1});
   int fired = 0;
@@ -99,6 +139,33 @@ TEST(ShardedEngineTest, CancelRail) {
   engine.RunUntil(Millis(1));
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(engine.CancelRail(keep));  // already fired
+}
+
+TEST(ShardedEngineTest, TwoShardCancelRail) {
+  ShardedEngine engine(ShardedEngineConfig{.shards = 2});
+  int fired = 0;
+  EXPECT_FALSE(engine.CancelRail(0));  // never minted
+  const uint64_t keep = engine.ScheduleRailAt(Micros(100), [&] { fired++; });
+  const uint64_t cancel = engine.ScheduleRailAt(Micros(100), [&] { fired += 100; });
+  EXPECT_TRUE(engine.CancelRail(cancel));
+  EXPECT_FALSE(engine.CancelRail(cancel));  // double cancel
+  engine.RunUntil(Millis(1));
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(engine.CancelRail(keep));  // already fired
+
+  // Later tasks reuse the freed slots (an EventId's low 32 bits are its
+  // slot); the stale handles must not reach them.
+  const uint64_t later = engine.ScheduleRailAt(Millis(2), [&] { fired += 10; });
+  const uint64_t last = engine.ScheduleRailAt(Millis(2), [&] { fired += 1000; });
+  auto slot = [](uint64_t id) { return static_cast<uint32_t>(id); };
+  const std::vector<uint32_t> freed = {slot(keep), slot(cancel)};
+  const std::vector<uint32_t> reused = {slot(later), slot(last)};
+  EXPECT_TRUE(std::is_permutation(reused.begin(), reused.end(), freed.begin()));
+  EXPECT_FALSE(engine.CancelRail(keep));
+  EXPECT_FALSE(engine.CancelRail(cancel));
+  EXPECT_TRUE(engine.CancelRail(last));
+  engine.RunUntil(Millis(3));
+  EXPECT_EQ(fired, 11);
 }
 
 TEST(ShardedEngineTest, ParallelShardsRunTheirOwnEventsInTimeOrder) {
