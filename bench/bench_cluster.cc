@@ -58,6 +58,7 @@
 #include "bench/harness.h"
 #include "oracles/cpu_reference.h"
 #include "src/common/sim_time.h"
+#include "src/runtime/server.h"
 #include "src/seda/cpu.h"
 #include "src/sim/simulation.h"
 
@@ -110,12 +111,6 @@ struct ScenarioResult {
 // statistically identical work (the differential tests pin the semantics).
 // ---------------------------------------------------------------------------
 
-// Runtime defaults from ServerConfig (src/runtime/server.h) so the scenarios
-// time the parameters real cluster runs use.
-constexpr int kCores = 8;
-constexpr double kKappa = 0.03;
-constexpr SimDuration kQuantum = Micros(60);
-
 template <typename Model>
 struct ClosedLoop {
   Simulation sim;
@@ -123,8 +118,11 @@ struct ClosedLoop {
   uint64_t completed = 0;
   uint64_t lcg;
 
+  // The server model's CPU parameters, so the scenarios time what real
+  // cluster runs use.
   ClosedLoop(uint64_t model_seed, uint64_t demand_seed)
-      : cpu(&sim, kCores, kKappa, kQuantum, model_seed), lcg(demand_seed) {}
+      : cpu(&sim, Server::kCores, Server::kKappa, Server::kDispatchQuantum, model_seed),
+        lcg(demand_seed) {}
 
   SimDuration NextDemand() {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -153,10 +151,11 @@ uint64_t TimeClosedLoop(int inflight, bool gc_pauses, uint64_t warm, uint64_t me
                         uint64_t* measured_wall) {
   ClosedLoop<Model> loop(/*model_seed=*/0x5eedULL, /*demand_seed=*/0x0ddba11ULL);
   if (gc_pauses) {
-    // Runtime GC defaults (ServerConfig); total_threads drives pause length.
+    // Runtime GC defaults; total_threads drives pause length.
+    const ServerConfig defaults;
     loop.cpu.set_total_threads(inflight);
-    loop.cpu.EnablePauses(Millis(250), Millis(4), /*per_thread_factor=*/0.06,
-                          /*exponent=*/1.8);
+    loop.cpu.EnablePauses(defaults.gc_mean_interval, defaults.gc_base_duration,
+                          defaults.gc_per_thread_factor, Server::kGcSuperlinearExponent);
   }
   for (int i = 0; i < inflight; i++) {
     loop.Launch();

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "bench/counter_common.h"
 #include "bench/halo_common.h"
 #include "src/common/flags.h"
 #include "src/common/table.h"
@@ -30,10 +31,7 @@ RunResult Run(double load, bool optimized, const Flags& flags) {
   ClusterConfig cfg;
   cfg.num_servers = 1;
   cfg.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  // Single saturated server: same heavier GC profile as the Counter
-  // experiments (see EXPERIMENTS.md).
-  cfg.server.gc_base_duration = Millis(5);
-  cfg.server.gc_per_thread_factor = 0.18;
+  UseSingleServerGcProfile(&cfg.server);
   cfg.enable_thread_optimization = optimized;
   cfg.thread_controller.period = Seconds(1);
   cfg.thread_controller.eta = 100e-6;

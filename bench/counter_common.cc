@@ -9,10 +9,7 @@ ClusterConfig MakeCounterClusterConfig(const CounterExperimentConfig& config) {
   ClusterConfig cfg;
   cfg.num_servers = 1;
   cfg.seed = config.seed;
-  // Heavier GC profile for the saturated single-server micro-benchmark
-  // (see the file comment in counter_common.h).
-  cfg.server.gc_base_duration = Millis(5);
-  cfg.server.gc_per_thread_factor = 0.18;
+  UseSingleServerGcProfile(&cfg.server);
   cfg.enable_thread_optimization = config.thread_optimization;
   cfg.thread_controller.period = Seconds(1);
   cfg.thread_controller.eta = 100e-6;
@@ -48,7 +45,7 @@ CounterExperimentResult RunCounterExperiment(const CounterExperimentConfig& conf
   result.latency = workload.clients().latency();
   result.cpu_utilization =
       (busy1 - busy0) /
-      (static_cast<double>(server.config().cores) * static_cast<double>(sim.now() - t0));
+      (static_cast<double>(server.cpu().cores()) * static_cast<double>(sim.now() - t0));
 
   // Per-request breakdown (Fig 4): with one request per stage event, mean
   // per-stage queue wait and in-service time divide by completed requests;

@@ -44,6 +44,13 @@ struct CounterExperimentResult {
   std::vector<int> final_threads;
 };
 
+// The heavier GC profile of a saturated single server (see the file comment;
+// also used by the Figure 11a Heartbeat bench).
+inline void UseSingleServerGcProfile(ServerConfig* server) {
+  server->gc_base_duration = Millis(5);
+  server->gc_per_thread_factor = 0.18;
+}
+
 ClusterConfig MakeCounterClusterConfig(const CounterExperimentConfig& config);
 CounterExperimentResult RunCounterExperiment(const CounterExperimentConfig& config);
 

@@ -92,7 +92,7 @@ HaloExperimentResult RunHaloExperiment(const HaloExperimentConfig& config) {
   const double busy1 = snapshot_busy();
   const double window_ns = static_cast<double>(engine.now() - measure_start);
   const double cores = static_cast<double>(config.num_servers) *
-                       static_cast<double>(cluster.server(0).config().cores);
+                       static_cast<double>(cluster.server(0).cpu().cores());
   result.cpu_utilization = (busy1 - busy0) / (cores * window_ns);
   result.remote_fraction /=
       static_cast<double>(config.measure / config.window);

@@ -142,7 +142,7 @@ std::vector<PeerPlan> BuildPeerPlansImpl(const LocalGraphView& view, const Pairw
       // §4.2 extension: migration cost proportional to the actor's size.
       const double score =
           weight - local_weight - config.migration_cost_weight * view.SizeOf(v);
-      if (score > config.min_score) {
+      if (score > kMinTransferScore) {
         per_peer.try_emplace(server, config.candidate_set_size).first->second.Offer(v, score);
       }
     }

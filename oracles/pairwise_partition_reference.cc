@@ -135,7 +135,7 @@ std::vector<PeerPlan> BuildPeerPlans(const LocalGraphView& view, const PairwiseC
     for (const auto& [server, weight] : remote_weight) {
       const double score =
           weight - local_weight - config.migration_cost_weight * view.SizeOf(v);
-      if (score > config.min_score) {
+      if (score > kMinTransferScore) {
         per_peer.try_emplace(server, config.candidate_set_size).first->second.Offer(v, score);
       }
     }
@@ -215,8 +215,8 @@ ExchangeDecision DecideExchange(const LocalGraphView& view, const ExchangeReques
     VertexId tv = 0;
     double s_score = 0.0;
     double t_score = 0.0;
-    const bool has_s = s_heap.PeekTop(&sv, &s_score) && s_score > config.min_score;
-    const bool has_t = t_heap.PeekTop(&tv, &t_score) && t_score > config.min_score;
+    const bool has_s = s_heap.PeekTop(&sv, &s_score) && s_score > kMinTransferScore;
+    const bool has_t = t_heap.PeekTop(&tv, &t_score) && t_score > kMinTransferScore;
     if (!has_s && !has_t) {
       break;
     }
@@ -286,7 +286,7 @@ ExchangeDecision DecideExchange(const LocalGraphView& view, const ExchangeReques
         const double adj_t = t_score - 2.0 * cross;
         const bool s_first = s_score >= t_score;
         const double second_score = s_first ? adj_t : adj_s;
-        if (second_score <= config.min_score) {
+        if (second_score <= kMinTransferScore) {
           break;
         }
         apply_move(s_first);

@@ -333,7 +333,7 @@ bool PartitionTestbed::IsLocallyOptimal() const {
     }
     for (const auto& [q, weight] : remote_weight) {
       if (weight - local_weight - config_.migration_cost_weight * SizeOf(v) <=
-          config_.min_score) {
+          kMinTransferScore) {
         continue;
       }
       // Positive transfer score: only acceptable if balance blocks the move.

@@ -43,7 +43,7 @@ CHAOS="${CHAOS:-0}"
 THREADS="${THREADS:-1}"
 BUILD_DIR="${BUILD_DIR:-build-release}"
 OUT_DIR="${OUT_DIR:-scenario_reports}"
-SCENARIOS="${SCENARIOS:-diurnal_chat flash_crowd hot_key viral_social reconnect_storm halo_launch}"
+SCENARIOS="${SCENARIOS:-diurnal_chat flash_crowd hot_key viral_social reconnect_storm halo_launch halo_hyperscale}"
 
 cmake --preset release >/dev/null
 cmake --build "${BUILD_DIR}" --target scenario_runner -j >/dev/null

@@ -7,7 +7,7 @@
 //
 // Because this runtime simulates time rather than executing real work,
 // handlers declare their compute cost through the per-type CostModel (or
-// override it per call via CallContext::set_extra_compute) instead of
+// add to it per call via CallContext::AddCompute) instead of
 // actually burning CPU.
 
 #ifndef SRC_ACTOR_ACTOR_H_
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "src/common/ids.h"
 #include "src/common/inline_function.h"
@@ -90,18 +89,9 @@ class Actor {
 using ActorFactory = std::function<std::unique_ptr<Actor>(ActorId)>;
 
 // Declared processing costs for an actor type. The runtime charges
-// `handler_compute` (plus any AddCompute) to the worker stage per turn and
-// `handler_blocking` as synchronous blocking time (§5.2's w).
+// `handler_compute` (plus any AddCompute) to the worker stage per turn.
 struct CostModel {
   SimDuration handler_compute = Micros(30);
-  SimDuration handler_blocking = 0;
-  // Per-method overrides.
-  std::unordered_map<MethodId, SimDuration> per_method_compute;
-
-  SimDuration ComputeFor(MethodId method) const {
-    auto it = per_method_compute.find(method);
-    return it == per_method_compute.end() ? handler_compute : it->second;
-  }
 };
 
 struct ActorTypeInfo {

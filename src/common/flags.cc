@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -102,11 +103,12 @@ void Flags::Parse(int argc, char** argv) {
     Flag& flag = it->second;
 
     if (flag.type == Type::kBool) {
-      if (have_value) {
-        flag.bool_value = (value == "true" || value == "1");
-      } else {
-        flag.bool_value = !negated;
+      const bool is_true = value == "true" || value == "1";
+      if (have_value && !is_true && value != "false" && value != "0") {
+        std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(), value.c_str());
+        PrintUsageAndExit(argv[0], 2);
       }
+      flag.bool_value = have_value ? is_true : !negated;
       continue;
     }
 
@@ -118,6 +120,7 @@ void Flags::Parse(int argc, char** argv) {
       value = argv[++i];
     }
     char* end = nullptr;
+    errno = 0;
     switch (flag.type) {
       case Type::kInt:
         flag.int_value = std::strtoll(value.c_str(), &end, 10);
@@ -132,7 +135,7 @@ void Flags::Parse(int argc, char** argv) {
       case Type::kBool:
         break;
     }
-    if (end != nullptr && (*end != '\0' || end == value.c_str())) {
+    if (end != nullptr && (*end != '\0' || end == value.c_str() || errno == ERANGE)) {
       std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(), value.c_str());
       PrintUsageAndExit(argv[0], 2);
     }

@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for the benchmark and example binaries.
 //
 // Supports `--name=value` and `--name value` syntax plus boolean
-// `--name` / `--no-name`. Unknown flags abort with a usage message so that a
+// `--name` / `--no-name` (an explicit boolean value must be true, false, 1
+// or 0). Unknown flags abort with a usage message so that a
 // typo in a sweep script fails loudly instead of silently running defaults.
 
 #ifndef SRC_COMMON_FLAGS_H_

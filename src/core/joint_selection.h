@@ -39,8 +39,8 @@ void RunJointSelection(Heap& s_heap, Heap& t_heap, const PairwiseConfig& config,
     VertexId tv = 0;
     double s_score = 0.0;
     double t_score = 0.0;
-    const bool has_s = s_heap.PeekTop(&sv, &s_score) && s_score > config.min_score;
-    const bool has_t = t_heap.PeekTop(&tv, &t_score) && t_score > config.min_score;
+    const bool has_s = s_heap.PeekTop(&sv, &s_score) && s_score > kMinTransferScore;
+    const bool has_t = t_heap.PeekTop(&tv, &t_score) && t_score > kMinTransferScore;
     if (!has_s && !has_t) {
       break;
     }
@@ -125,7 +125,7 @@ void RunJointSelection(Heap& s_heap, Heap& t_heap, const PairwiseConfig& config,
         const double adj_t = t_score - 2.0 * cross;
         const bool s_first = s_score >= t_score;
         const double second_score = s_first ? adj_t : adj_s;
-        if (second_score <= config.min_score) {
+        if (second_score <= kMinTransferScore) {
           break;  // no jointly profitable swap available
         }
         apply_move(s_first);

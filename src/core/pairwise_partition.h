@@ -29,6 +29,10 @@
 
 namespace actop {
 
+// Candidates must have transfer score strictly above this to be offered or
+// accepted: only strict improvements, which Theorem 1 requires.
+inline constexpr double kMinTransferScore = 0.0;
+
 struct PairwiseConfig {
   // k — max vertices offered per exchange ("small fraction of the total",
   // §4.1/§4.2; this is the per-exchange migration limit).
@@ -43,10 +47,6 @@ struct PairwiseConfig {
   // |V_p| − |V_q| check. The runtime learns this from cluster membership and
   // total activation counts.
   double target_size = -1.0;
-  // Candidates must have transfer score strictly above this to be offered or
-  // accepted (0 == only strict improvements, which Theorem 1 requires).
-  double min_score = 0.0;
-
   // §4.2 extension — migration costs: subtract `migration_cost_weight *
   // size(v)` from every transfer score, so heavyweight actors move only for
   // proportionally larger communication savings. 0 disables the term.

@@ -6,17 +6,23 @@
 
 namespace actop {
 
+namespace {
+
+constexpr double kSmoothing = 0.5;  // EWMA factor for λ, z̄, x̄ across windows
+
+}  // namespace
+
 ParamEstimator::ParamEstimator(EstimatorConfig config) : config_(std::move(config)) {
   ACTOP_CHECK(!config_.no_blocking.empty());
   ACTOP_CHECK(std::find(config_.no_blocking.begin(), config_.no_blocking.end(), true) !=
               config_.no_blocking.end());
   stages_.resize(config_.no_blocking.size());
   for (auto& st : stages_) {
-    st.lambda = Ewma(config_.smoothing);
-    st.mean_z = Ewma(config_.smoothing);
-    st.mean_x = Ewma(config_.smoothing);
+    st.lambda = Ewma(kSmoothing);
+    st.mean_z = Ewma(kSmoothing);
+    st.mean_x = Ewma(kSmoothing);
   }
-  alpha_ = Ewma(config_.smoothing);
+  alpha_ = Ewma(kSmoothing);
 }
 
 void ParamEstimator::AddWindow(const std::vector<StageWindow>& windows,

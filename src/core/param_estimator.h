@@ -27,8 +27,6 @@ struct EstimatorConfig {
   // True for stages known to never issue synchronous blocking calls (the set
   // S0 in the paper); at least one stage must be in S0.
   std::vector<bool> no_blocking;
-  // EWMA smoothing factor for λ, z̄, x̄ across windows.
-  double smoothing = 0.5;
   // Windows with fewer completions than this leave the estimate unchanged.
   uint64_t min_completions = 20;
 };

@@ -354,7 +354,7 @@ void RepartitionArena::BuildPlans(ServerId p) {
     for (const auto& [server, weight] : remote_weight_) {
       const double score =
           weight - local_weight - config_.migration_cost_weight * SizeOfIndex(idx);
-      if (score > config_.min_score) {
+      if (score > kMinTransferScore) {
         OfferTopK(&topk_[static_cast<size_t>(server)], graph_->IdOf(idx), score);
       }
     }
@@ -425,7 +425,7 @@ void RepartitionArena::BuildCandidatesToward(ServerId q, ServerId p) {
     }
     const double score =
         toward_p - local_weight - config_.migration_cost_weight * SizeOfIndex(idx);
-    if (score > config_.min_score) {
+    if (score > kMinTransferScore) {
       OfferTopK(&t_topk_, graph_->IdOf(idx), score);
     }
   }
@@ -636,7 +636,7 @@ int64_t RepartitionArena::RunObrThresholdSweep(double alpha) {
     }
     // Lazy threshold: the gain must also pay the (alpha-scaled) migration
     // rent before the move fires.
-    if (best == kNoServer || best_score <= config_.min_score || best_score <= alpha * size) {
+    if (best == kNoServer || best_score <= kMinTransferScore || best_score <= alpha * size) {
       continue;
     }
     if (!config_.BalanceAllows(size_sums_[static_cast<size_t>(from)],
@@ -699,7 +699,7 @@ int64_t RepartitionArena::RunStreamingRefineSweep(double load_penalty) {
         best_value = value;
       }
     }
-    if (best == kNoServer || best_value - stay_value <= config_.min_score) {
+    if (best == kNoServer || best_value - stay_value <= kMinTransferScore) {
       continue;
     }
     if (!config_.BalanceAllows(size_sums_[static_cast<size_t>(from)],
@@ -761,7 +761,7 @@ bool RepartitionArena::IsLocallyOptimal() const {
     }
     const double size = SizeOfIndex(idx);
     for (const auto& [q, weight] : remote_weight) {
-      if (weight - local_weight - config_.migration_cost_weight * size <= config_.min_score) {
+      if (weight - local_weight - config_.migration_cost_weight * size <= kMinTransferScore) {
         continue;
       }
       if (config_.BalanceAllows(size_sums_[static_cast<size_t>(from)],

@@ -20,10 +20,7 @@ ModelThreadController::ModelThreadController(Simulation* sim, ThreadHost* host,
     : sim_(sim),
       host_(host),
       config_(std::move(config)),
-      estimator_(EstimatorConfig{
-          .no_blocking = config_.no_blocking,
-          .smoothing = config_.smoothing,
-      }) {
+      estimator_(EstimatorConfig{.no_blocking = config_.no_blocking}) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(host != nullptr);
   ACTOP_CHECK(static_cast<int>(config_.no_blocking.size()) == host->num_stages());

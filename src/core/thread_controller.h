@@ -27,7 +27,6 @@ struct ModelControllerConfig {
   SimDuration period = Seconds(1);
   double eta = 100e-6;  // thread penalty, seconds/thread (paper: 100 µs)
   std::vector<bool> no_blocking;  // S0 stages, aligned with the host's stages
-  double smoothing = 0.5;
 };
 
 class ModelThreadController {

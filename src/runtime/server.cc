@@ -86,22 +86,21 @@ Server::Server(Simulation* sim, Cluster* cluster, ServerId id, ServerConfig conf
       id_(id),
       config_(config),
       rng_(seed),
-      location_cache_(config.location_cache_capacity) {
+      location_cache_(kLocationCacheCapacity) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(cluster != nullptr);
-  cpu_ = std::make_unique<CpuModel>(sim_, config_.cores, config_.kappa,
-                                    config_.dispatch_quantum, rng_.NextU64());
+  cpu_ = std::make_unique<CpuModel>(sim_, kCores, kKappa, kDispatchQuantum, rng_.NextU64());
   if (config_.gc_mean_interval > 0) {
     cpu_->EnablePauses(config_.gc_mean_interval, config_.gc_base_duration,
-                       config_.gc_per_thread_factor, config_.gc_superlinear_exponent);
+                       config_.gc_per_thread_factor, kGcSuperlinearExponent);
   }
   for (int i = 0; i < kNumStages; i++) {
     stages_.push_back(std::make_unique<Stage>(sim_, cpu_.get(), kStageNames[i],
-                                              config_.initial_threads_per_stage,
+                                              kInitialThreadsPerStage,
                                               config_.stage_queue_capacity));
   }
-  cpu_->set_total_threads(config_.initial_threads_per_stage * kNumStages);
-  sim_->SchedulePeriodic(config_.timeout_sweep_period, [this] { SweepTimeouts(); });
+  cpu_->set_total_threads(kInitialThreadsPerStage * kNumStages);
+  sim_->SchedulePeriodic(kTimeoutSweepPeriod, [this] { SweepTimeouts(); });
 }
 
 Server::~Server() {
@@ -129,13 +128,13 @@ SimDuration Server::SampleCost(SimDuration mean) {
 }
 
 SimDuration Server::DeserializeCost(uint32_t bytes) {
-  return SampleCost(config_.deserialize_base + static_cast<SimDuration>(
-                        config_.deserialize_ns_per_byte * static_cast<double>(bytes)));
+  return SampleCost(kDeserializeBase +
+                    static_cast<SimDuration>(kDeserializeNsPerByte * static_cast<double>(bytes)));
 }
 
 SimDuration Server::SerializeCost(uint32_t bytes) {
-  return SampleCost(config_.serialize_base + static_cast<SimDuration>(
-                        config_.serialize_ns_per_byte * static_cast<double>(bytes)));
+  return SampleCost(kSerializeBase +
+                    static_cast<SimDuration>(kSerializeNsPerByte * static_cast<double>(bytes)));
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ void Server::OnNetworkMessage(NodeId from, uint32_t bytes, EnvelopePtr env) {
   env->via_network = true;
   SimDuration compute = DeserializeCost(bytes);
   if (env->kind == MessageKind::kControl) {
-    compute += config_.control_compute;
+    compute += kControlCompute;
   }
   StageEvent ev;
   ev.compute = compute;
@@ -213,11 +212,11 @@ void Server::RouteCall(EnvelopePtr env) {
     return;
   }
   const ServerId hint = location_cache_.Get(target);
-  if (hint != kNoServer && hint != id_ && env->hops < config_.max_hops) {
+  if (hint != kNoServer && hint != id_ && env->hops < kMaxHops) {
     ForwardCall(std::move(env), hint);
     return;
   }
-  if (hint != kNoServer && env->hops >= config_.max_hops) {
+  if (hint != kNoServer && env->hops >= kMaxHops) {
     // Too many stale-cache forwards: fall back to the authoritative path.
     location_cache_.Invalidate(target);
   }
@@ -261,7 +260,8 @@ void Server::LookUpInDirectory(ActorId actor) {
 ServerId Server::SuggestPlacement(ActorId actor) {
   // Opportunistic re-placement (§4.3): a cache hint — typically primed by a
   // migration — wins; a previously-activated actor re-activates on the
-  // calling server; a brand-new actor follows the configured policy.
+  // calling server; a brand-new actor goes to a uniformly random server
+  // (the Orleans default).
   const ServerId hinted = location_cache_.Peek(actor);
   if (hinted != kNoServer) {
     return hinted;
@@ -269,17 +269,7 @@ ServerId Server::SuggestPlacement(ActorId actor) {
   if (cluster_->HasActorStateForPlacement(actor, shard_)) {
     return id_;
   }
-  switch (config_.placement) {
-    case PlacementPolicy::kRandom:
-      return static_cast<ServerId>(
-          rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-    case PlacementPolicy::kLocal:
-      return id_;
-    case PlacementPolicy::kConsistentHash:
-      return static_cast<ServerId>(SplitMix64(actor ^ 0x5bd1e995) %
-                                   static_cast<uint64_t>(cluster_->num_servers()));
-  }
-  return id_;
+  return static_cast<ServerId>(rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
 }
 
 void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
@@ -375,21 +365,19 @@ void Server::StartTurn(ActorId actor, EnvelopePtr env) {
   act.open_contexts++;
 
   const CostModel& costs = cluster_->CostsFor(actor);
-  SimDuration compute = SampleCost(costs.ComputeFor(env->method));
+  SimDuration compute = SampleCost(costs.handler_compute);
   if (!env->via_network) {
     // Deep copy of LPC arguments (isolation between co-located actors).
-    compute += SampleCost(config_.lpc_compute +
-                          static_cast<SimDuration>(config_.lpc_ns_per_byte *
-                                                   static_cast<double>(env->payload_bytes)));
+    const double copy_ns = kLpcNsPerByte * static_cast<double>(env->payload_bytes);
+    compute += SampleCost(kLpcCompute + static_cast<SimDuration>(copy_ns));
   }
   if (act.activation_pending) {
-    compute += config_.activation_compute;
+    compute += kActivationCompute;
     act.activation_pending = false;
   }
 
   StageEvent ev;
   ev.compute = compute;
-  ev.blocking = costs.handler_blocking;
   const uint64_t epoch = crash_epoch_;
   // [this, env, epoch] is 24 bytes — the actor id is re-read from the
   // envelope so the capture stays inline in the event engine.
@@ -551,7 +539,7 @@ void Server::HandleResponse(EnvelopePtr env) {
   // event (queue shed under overload) frees the slot without running the
   // continuation.
   StageEvent ev;
-  ev.compute = config_.response_handling_compute;
+  ev.compute = kResponseHandlingCompute;
   ev.done = [this, slot] { RunCallSlot(slot); };
   ev.rejected = [this, slot] { FreeCallSlot(slot); };
   stages_[kWorker]->Enqueue(std::move(ev));
@@ -592,8 +580,7 @@ void Server::FreeCallSlot(uint32_t slot) {
 
 void Server::SendToServer(ServerId dest, EnvelopePtr env) {
   ACTOP_CHECK(dest != id_);
-  const uint32_t bytes = env->kind == MessageKind::kControl ? config_.control_bytes
-                                                            : env->payload_bytes;
+  const uint32_t bytes = env->kind == MessageKind::kControl ? kControlBytes : env->payload_bytes;
   StageEvent ev;
   ev.compute = SerializeCost(bytes);
   ev.done = [this, dest, bytes, env = std::move(env)]() mutable {
@@ -624,7 +611,7 @@ void Server::SendControl(ServerId dest, ControlPayload payload) {
   }
   auto env = MakeEnvelope();
   env->kind = MessageKind::kControl;
-  env->payload_bytes = config_.control_bytes;
+  env->payload_bytes = kControlBytes;
   env->control = std::move(payload);
   SendToServer(dest, std::move(env));
 }

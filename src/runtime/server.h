@@ -48,32 +48,8 @@ class ClusterMetrics;
 class PartitionAgent;
 class ServerCallContext;
 
-// How the directory places an actor that has never been activated. (After a
-// deactivation or migration, re-placement follows the paper's §4.3 rule:
-// cache hint if available, otherwise the calling server.)
-enum class PlacementPolicy {
-  kRandom,          // Orleans default: uniform random server
-  kLocal,           // on the first calling server
-  kConsistentHash,  // deterministic hash of the actor id
-};
-
 struct ServerConfig {
-  int cores = 8;
-  double kappa = 0.03;               // CPU context-switch efficiency penalty
-  // Scheduling quantum driving dispatch (ready-state) latency; the dominant
-  // latency term when runnable threads exceed cores (see src/seda/cpu.h).
-  SimDuration dispatch_quantum = Micros(60);
-  int initial_threads_per_stage = 8; // Orleans default: one per core per stage
   size_t stage_queue_capacity = 200000;
-
-  // Serialization cost model (CPU in the receive/sender stages). The values
-  // are calibrated against the paper's §3 measurements (see EXPERIMENTS.md);
-  // costs scale with message size, which is how the lightweight Counter
-  // messages and the heavyweight Halo game-status payloads differ.
-  SimDuration deserialize_base = Micros(85);
-  double deserialize_ns_per_byte = 250.0;
-  SimDuration serialize_base = Micros(60);
-  double serialize_ns_per_byte = 250.0;
   // Service-time variability: costs are drawn exponentially around their
   // mean (matching the bursty behaviour of managed-runtime serialization
   // and allocation spikes). false = deterministic costs.
@@ -82,30 +58,15 @@ struct ServerConfig {
   // Managed-runtime (GC) pauses: stop-the-world events whose duration grows
   // with the number of allocated threads. The backlog they create is why a
   // SEDA server's latency is so sensitive to thread allocation (Fig 4/5).
-  // Set gc_mean_interval to 0 to disable.
+  // Set gc_mean_interval to 0 to disable. The superlinear exponent is
+  // Server::kGcSuperlinearExponent.
   SimDuration gc_mean_interval = Millis(250);
   SimDuration gc_base_duration = Millis(4);
   double gc_per_thread_factor = 0.06;
-  double gc_superlinear_exponent = 1.8;
-
-  SimDuration response_handling_compute = Micros(8);  // continuation turn
-  // Deep copy of LPC arguments (actor isolation): base + per-byte. Far
-  // cheaper than serialization, which pays reflection/allocation costs in
-  // the modeled managed runtime.
-  SimDuration lpc_compute = Micros(8);
-  double lpc_ns_per_byte = 40.0;
-  SimDuration control_compute = Micros(4);            // directory & partition msgs
-  SimDuration activation_compute = Micros(40);        // actor activation turn
-  uint32_t control_bytes = 96;                        // modeled control msg size
-
-  size_t location_cache_capacity = 1 << 17;
-  int max_hops = 3;
-  PlacementPolicy placement = PlacementPolicy::kRandom;
 
   // In-flight call timeout (failed Response delivered to the continuation);
   // required for liveness under server crashes and overload drops.
   SimDuration call_timeout = Seconds(15);
-  SimDuration timeout_sweep_period = Seconds(1);
 };
 
 class Server : public ThreadHost {
@@ -117,6 +78,36 @@ class Server : public ThreadHost {
     kClientSender = 3,
     kNumStages = 4,
   };
+
+  // The calibrated server model (§3): every experiment runs on these values
+  // (see EXPERIMENTS.md for the calibration).
+  static constexpr int kCores = 8;
+  static constexpr double kKappa = 0.03;  // CPU context-switch efficiency penalty
+  // Scheduling quantum driving dispatch (ready-state) latency; the dominant
+  // latency term when runnable threads exceed cores (see src/seda/cpu.h).
+  static constexpr SimDuration kDispatchQuantum = Micros(60);
+  static constexpr int kInitialThreadsPerStage = 8;  // Orleans default: one per core per stage
+  // Serialization cost model (CPU in the receive/sender stages), calibrated
+  // against the paper's §3 measurements; costs scale with message size,
+  // which is how the lightweight Counter messages and the heavyweight Halo
+  // game-status payloads differ.
+  static constexpr SimDuration kDeserializeBase = Micros(85);
+  static constexpr double kDeserializeNsPerByte = 250.0;
+  static constexpr SimDuration kSerializeBase = Micros(60);
+  static constexpr double kSerializeNsPerByte = 250.0;
+  static constexpr double kGcSuperlinearExponent = 1.8;
+  static constexpr SimDuration kResponseHandlingCompute = Micros(8);  // continuation turn
+  // Deep copy of LPC arguments (actor isolation): base + per-byte. Far
+  // cheaper than serialization, which pays reflection/allocation costs in
+  // the modeled managed runtime.
+  static constexpr SimDuration kLpcCompute = Micros(8);
+  static constexpr double kLpcNsPerByte = 40.0;
+  static constexpr SimDuration kControlCompute = Micros(4);     // directory & partition msgs
+  static constexpr SimDuration kActivationCompute = Micros(40);  // actor activation turn
+  static constexpr uint32_t kControlBytes = 96;                   // modeled control msg size
+  static constexpr size_t kLocationCacheCapacity = 1 << 17;
+  static constexpr int kMaxHops = 3;
+  static constexpr SimDuration kTimeoutSweepPeriod = Seconds(1);
 
   Server(Simulation* sim, Cluster* cluster, ServerId id, ServerConfig config, uint64_t seed);
   ~Server() override;
@@ -142,7 +133,7 @@ class Server : public ThreadHost {
   // ThreadHost:
   int num_stages() override { return kNumStages; }
   Stage& stage(int i) override { return *stages_[static_cast<size_t>(i)]; }
-  int cores() const override { return config_.cores; }
+  int cores() const override { return kCores; }
   void ApplyThreadAllocation(const std::vector<int>& threads) override;
 
   CpuModel& cpu() { return *cpu_; }

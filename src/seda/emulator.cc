@@ -7,13 +7,20 @@
 
 namespace actop {
 
+namespace {
+
+// The §5.1 emulator models no scheduling-quantum (dispatch) latency.
+constexpr SimDuration kDispatchQuantum = 0;
+
+}  // namespace
+
 Emulator::Emulator(Simulation* sim, EmulatorConfig config)
     : sim_(sim), config_(std::move(config)), rng_(config_.seed) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(!config_.stages.empty());
   ACTOP_CHECK(config_.arrival_rate > 0.0);
-  cpu_ = std::make_unique<CpuModel>(sim_, config_.cores, config_.kappa,
-                                    config_.dispatch_quantum, config_.seed ^ 0x9e3779b9);
+  cpu_ = std::make_unique<CpuModel>(sim_, config_.cores, config_.kappa, kDispatchQuantum,
+                                    config_.seed ^ 0x9e3779b9);
   int total_threads = 0;
   for (const auto& sc : config_.stages) {
     ACTOP_CHECK(sc.initial_threads >= 1);

@@ -33,7 +33,6 @@ struct EmulatorStageConfig {
 struct EmulatorConfig {
   int cores = 8;
   double kappa = 0.04;             // CPU over-subscription penalty
-  SimDuration dispatch_quantum = 0;  // scheduling-quantum latency (0 = off)
   double arrival_rate = 1000.0;    // requests per simulated second
   bool deterministic_service = false;  // fixed instead of exponential demands
   std::vector<EmulatorStageConfig> stages;

@@ -15,7 +15,8 @@ ChaosClient::ChaosClient(Cluster* cluster, ChaosClientConfig config)
 }
 
 void ChaosClient::Call(ActorId target, MethodId method, uint64_t app_data) {
-  const uint64_t seq = next_seq_++;
+  outcomes_.push_back(kPending);
+  const uint64_t seq = outcomes_.size();
   auto env = MakeEnvelope();
   env->kind = MessageKind::kCall;
   env->call_id = CallId{node_, seq};
@@ -26,9 +27,7 @@ void ChaosClient::Call(ActorId target, MethodId method, uint64_t app_data) {
   env->payload_bytes = config_.request_bytes;
   env->reply_to = node_;
 
-  pending_.emplace(seq, sim_->now());
-  timeout_queue_.emplace_back(sim_->now() + config_.timeout, seq);
-  issued_++;
+  timeout_queue_.push_back({sim_->now() + config_.timeout, seq});
 
   const auto gateway =
       static_cast<ServerId>(rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
@@ -39,23 +38,24 @@ void ChaosClient::Call(ActorId target, MethodId method, uint64_t app_data) {
 void ChaosClient::OnDeliver(EnvelopePtr env) {
   ACTOP_CHECK(env->kind == MessageKind::kResponse);
   const uint64_t seq = env->call_id.seq;
-  auto it = pending_.find(seq);
-  if (it != pending_.end()) {
-    pending_.erase(it);
-    completed_.insert(seq);
-    succeeded_++;
+  if (seq == 0 || seq > outcomes_.size()) {
+    unknown_responses_++;
     return;
   }
-  if (completed_.contains(seq)) {
-    duplicate_responses_++;
-    return;
+  Outcome& outcome = outcomes_[seq - 1];
+  switch (outcome) {
+    case kPending:
+      outcome = kSucceeded;
+      succeeded_++;
+      break;
+    case kSucceeded:
+      duplicate_responses_++;
+      break;
+    case kTimedOut:
+      // The system answered after our deadline — the call was slow, not lost.
+      late_responses_++;
+      break;
   }
-  if (expired_.contains(seq)) {
-    // The system answered after our deadline — the call was slow, not lost.
-    late_responses_++;
-    return;
-  }
-  unknown_responses_++;
 }
 
 void ChaosClient::SweepTimeouts() {
@@ -63,8 +63,8 @@ void ChaosClient::SweepTimeouts() {
   while (!timeout_queue_.empty() && timeout_queue_.front().first <= now) {
     const uint64_t seq = timeout_queue_.front().second;
     timeout_queue_.pop_front();
-    if (pending_.erase(seq) > 0) {
-      expired_.insert(seq);
+    if (outcomes_[seq - 1] == kPending) {
+      outcomes_[seq - 1] = kTimedOut;
       timed_out_++;
     }
   }

@@ -13,13 +13,11 @@
 #define SRC_TESTING_CHAOS_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/ring_buffer.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/runtime/cluster.h"
@@ -43,7 +41,9 @@ class ChaosClient {
   // Issues one call through a random gateway server.
   void Call(ActorId target, MethodId method, uint64_t app_data = 0);
 
-  uint64_t issued() const { return issued_; }
+  NodeId node() const { return node_; }
+
+  uint64_t issued() const { return outcomes_.size(); }
   uint64_t succeeded() const { return succeeded_; }
   uint64_t timed_out() const { return timed_out_; }
   uint64_t late_responses() const { return late_responses_; }
@@ -52,9 +52,9 @@ class ChaosClient {
   uint64_t duplicate_responses() const { return duplicate_responses_; }
   uint64_t unknown_responses() const { return unknown_responses_; }
 
-  size_t outstanding() const { return pending_.size(); }
+  size_t outstanding() const { return issued() - succeeded_ - timed_out_; }
   // True once every issued call has reached a terminal outcome.
-  bool Settled() const { return pending_.empty(); }
+  bool Settled() const { return outstanding() == 0; }
 
  private:
   void OnDeliver(EnvelopePtr env);
@@ -66,13 +66,14 @@ class ChaosClient {
   Rng rng_;
   NodeId node_ = kNoNode;
 
-  std::unordered_map<uint64_t, SimTime> pending_;  // seq -> send time
-  std::unordered_set<uint64_t> completed_;
-  std::unordered_set<uint64_t> expired_;
-  std::deque<std::pair<SimTime, uint64_t>> timeout_queue_;
-  uint64_t next_seq_ = 1;
+  enum Outcome : uint8_t { kPending, kSucceeded, kTimedOut };
+  // One outcome per issued call: seqs are dense from 1, so call `seq` is
+  // outcomes_[seq - 1].
+  std::vector<Outcome> outcomes_;
+  // (deadline, seq) per issued call. The timeout is constant, so issue order
+  // is deadline order and the sweep pops expired calls off the front.
+  RingBuffer<std::pair<SimTime, uint64_t>> timeout_queue_;
 
-  uint64_t issued_ = 0;
   uint64_t succeeded_ = 0;
   uint64_t timed_out_ = 0;
   uint64_t late_responses_ = 0;

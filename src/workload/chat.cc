@@ -10,10 +10,13 @@ namespace actop {
 
 namespace {
 
+constexpr uint32_t kMessageBytes = 512;
+constexpr SimDuration kUserCompute = Micros(25);
+constexpr SimDuration kRoomCompute = Micros(35);
+
 class ChatUserActor : public Actor {
  public:
-  ChatUserActor(std::shared_ptr<ChatState> state, const ChatWorkloadConfig* config)
-      : state_(std::move(state)), config_(config) {}
+  explicit ChatUserActor(std::shared_ptr<ChatState> state) : state_(std::move(state)) {}
 
   void OnCall(CallContext& ctx) override {
     switch (ctx.method()) {
@@ -23,7 +26,7 @@ class ChatUserActor : public Actor {
           return;
         }
         CallContext* call = &ctx;
-        ctx.Call(room_, kBroadcast, config_->message_bytes, [call, this](const Response&) {
+        ctx.Call(room_, kBroadcast, kMessageBytes, [call, this](const Response&) {
           state_->messages_posted.fetch_add(1, std::memory_order_relaxed);
           call->Reply(32);
         });
@@ -68,14 +71,12 @@ class ChatUserActor : public Actor {
 
  private:
   std::shared_ptr<ChatState> state_;
-  const ChatWorkloadConfig* config_;
   ActorId room_ = kNoActor;
 };
 
 class ChatRoomActor : public Actor {
  public:
-  ChatRoomActor(std::shared_ptr<ChatState> state, const ChatWorkloadConfig* config)
-      : state_(std::move(state)), config_(config) {}
+  explicit ChatRoomActor(std::shared_ptr<ChatState> state) : state_(std::move(state)) {}
 
   void OnCall(CallContext& ctx) override {
     switch (ctx.method()) {
@@ -88,7 +89,7 @@ class ChatRoomActor : public Actor {
         // poster on every member ack.
         for (const ActorId member : members_) {
           if (member != ctx.caller()) {
-            ctx.CallOneWay(member, kNotify, config_->message_bytes);
+            ctx.CallOneWay(member, kNotify, kMessageBytes);
           }
         }
         ctx.AddCompute(static_cast<SimDuration>(members_.size()) * Micros(2));
@@ -119,7 +120,6 @@ class ChatRoomActor : public Actor {
 
  private:
   std::shared_ptr<ChatState> state_;
-  const ChatWorkloadConfig* config_;
   std::vector<ActorId> members_;
 };
 
@@ -132,7 +132,7 @@ ChatWorkload::ChatWorkload(Cluster* cluster, ChatWorkloadConfig config)
       state_(std::make_shared<ChatState>()),
       clients_(cluster,
                ClientConfig{.request_rate = config.message_rate,
-                            .request_bytes = config.message_bytes,
+                            .request_bytes = kMessageBytes,
                             .timeout = config.client_timeout,
                             .seed = config.seed ^ 0xabc},
                [this](Rng& rng, ActorId* target, MethodId* method) {
@@ -143,16 +143,16 @@ ChatWorkload::ChatWorkload(Cluster* cluster, ChatWorkloadConfig config)
   ACTOP_CHECK(config_.num_rooms >= 1);
 
   CostModel user_costs;
-  user_costs.handler_compute = config_.user_compute;
+  user_costs.handler_compute = kUserCompute;
   cluster_->RegisterActorType(
       kChatUserActorType,
-      [this](ActorId) { return std::make_unique<ChatUserActor>(state_, &config_); }, user_costs);
+      [this](ActorId) { return std::make_unique<ChatUserActor>(state_); }, user_costs);
 
   CostModel room_costs;
-  room_costs.handler_compute = config_.room_compute;
+  room_costs.handler_compute = kRoomCompute;
   cluster_->RegisterActorType(
       kChatRoomActorType,
-      [this](ActorId) { return std::make_unique<ChatRoomActor>(state_, &config_); }, room_costs);
+      [this](ActorId) { return std::make_unique<ChatRoomActor>(state_); }, room_costs);
 }
 
 bool ChatWorkload::PickTarget(Rng& rng, ActorId* target, MethodId* method) {

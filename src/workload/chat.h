@@ -37,9 +37,6 @@ struct ChatWorkloadConfig {
   double message_rate = 500.0;       // posts per second, cluster-wide
   SimDuration rehome_period = Seconds(2);  // how often some user switches room
   int rehomes_per_period = 5;
-  uint32_t message_bytes = 512;
-  SimDuration user_compute = Micros(25);
-  SimDuration room_compute = Micros(35);
   SimDuration client_timeout = Seconds(10);
   // When true, Start() builds the rooms but leaves arrival generation to an
   // external open-loop driver via ClientPool::Inject (src/load/).

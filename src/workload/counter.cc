@@ -9,6 +9,9 @@ namespace actop {
 
 namespace {
 
+constexpr uint32_t kRequestBytes = 150;
+constexpr SimDuration kHandlerCompute = Micros(25);
+
 class CounterActor : public Actor {
  public:
   void OnCall(CallContext& ctx) override {
@@ -30,7 +33,7 @@ CounterWorkload::CounterWorkload(Cluster* cluster, CounterWorkloadConfig config)
       clients_(
           cluster,
           ClientConfig{.request_rate = config.request_rate,
-                       .request_bytes = config.request_bytes,
+                       .request_bytes = kRequestBytes,
                        .seed = config.seed},
           [num_actors = config.num_actors](Rng& rng, ActorId* target, MethodId* method) {
             *target = MakeActorId(kCounterActorType,
@@ -40,7 +43,7 @@ CounterWorkload::CounterWorkload(Cluster* cluster, CounterWorkloadConfig config)
           }) {
   ACTOP_CHECK(cluster != nullptr);
   CostModel costs;
-  costs.handler_compute = config_.handler_compute;
+  costs.handler_compute = kHandlerCompute;
   cluster_->RegisterActorType(
       kCounterActorType, [](ActorId) { return std::make_unique<CounterActor>(); }, costs);
 }

@@ -2,8 +2,8 @@
 //
 // "A simple counter application where in response to a client request an
 // actor increments a counter." One actor per counter; clients hit uniformly
-// random counters. Single-server setup: all counters are placed on server 0
-// via the kLocal placement warm-up.
+// random counters. The Figure 4/5 benches run it on a single server, so
+// every counter lives on server 0.
 
 #ifndef SRC_WORKLOAD_COUNTER_H_
 #define SRC_WORKLOAD_COUNTER_H_
@@ -21,9 +21,6 @@ inline constexpr ActorType kCounterActorType = 1;
 struct CounterWorkloadConfig {
   int num_actors = 8000;          // paper: 8K actors
   double request_rate = 15000.0;  // paper: 15K req/s
-  uint32_t request_bytes = 150;
-  uint32_t response_bytes = 100;
-  SimDuration handler_compute = Micros(25);
   uint64_t seed = 17;
 };
 

@@ -11,6 +11,16 @@ namespace actop {
 
 namespace {
 
+// The §6.1 session model: 8-player games lasting 20-30 minutes (before
+// time_scale), 3-5 games per player.
+constexpr int kPlayersPerGame = 8;
+constexpr SimDuration kGameDurationMin = Minutes(20);
+constexpr SimDuration kGameDurationMax = Minutes(30);
+constexpr int kMinGamesPerPlayer = 3;
+constexpr int kMaxGamesPerPlayer = 5;
+constexpr SimDuration kPlayerCompute = Micros(30);
+constexpr SimDuration kGameCompute = Micros(40);
+
 // A player: knows its current game; answers status queries by asking the
 // game, and answers the game's broadcast updates directly.
 class PlayerActor : public Actor {
@@ -180,17 +190,15 @@ HaloWorkload::HaloWorkload(Cluster* cluster, HaloWorkloadConfig config)
                }),
       driver_(cluster, config.seed ^ 0x5678) {
   ACTOP_CHECK(cluster != nullptr);
-  ACTOP_CHECK(config_.players_per_game >= 2);
-
   CostModel player_costs;
-  player_costs.handler_compute = config_.player_compute;
+  player_costs.handler_compute = kPlayerCompute;
   cluster_->RegisterActorType(
       kPlayerActorType,
       [this](ActorId id) { return std::make_unique<PlayerActor>(id, state_, &config_); },
       player_costs);
 
   CostModel game_costs;
-  game_costs.handler_compute = config_.game_compute;
+  game_costs.handler_compute = kGameCompute;
   cluster_->RegisterActorType(
       kGameActorType,
       [this](ActorId id) { return std::make_unique<GameActor>(id, state_, &config_); },
@@ -217,7 +225,7 @@ void HaloWorkload::AddNewPlayer() {
   const ActorId player = MakeActorId(kPlayerActorType, next_player_key_++);
   PlayerRec rec;
   rec.games_left =
-      static_cast<int32_t>(rng_.NextInt(config_.min_games_per_player, config_.max_games_per_player));
+      static_cast<int32_t>(rng_.NextInt(kMinGamesPerPlayer, kMaxGamesPerPlayer));
   players_.Insert(player, rec);
   idle_pool_.push_back(player);
 }
@@ -249,10 +257,10 @@ void HaloWorkload::TryFormGames() {
   }
   // Keep roughly idle_pool_target players waiting; everyone else plays.
   while (static_cast<int>(idle_pool_.size()) >=
-         std::max(config_.players_per_game, config_.idle_pool_target)) {
+         std::max(kPlayersPerGame, config_.idle_pool_target)) {
     members_scratch_.clear();
-    members_scratch_.reserve(static_cast<size_t>(config_.players_per_game));
-    for (int i = 0; i < config_.players_per_game; i++) {
+    members_scratch_.reserve(static_cast<size_t>(kPlayersPerGame));
+    for (int i = 0; i < kPlayersPerGame; i++) {
       const size_t pick = idle_pool_.size() == 1
                               ? 0
                               : static_cast<size_t>(rng_.NextBounded(idle_pool_.size()));
@@ -282,7 +290,7 @@ void HaloWorkload::StartGame(const std::vector<ActorId>& members) {
   active_games_++;
   games_started_++;
   driver_.Call(game, kStartGame, game_key, 256, nullptr);
-  SimDuration duration = ScaledUniform(config_.game_duration_min, config_.game_duration_max);
+  SimDuration duration = ScaledUniform(kGameDurationMin, kGameDurationMax);
   if (first_generation_) {
     // The initial population joins a system already in operation: treat the
     // first generation of games as being at a uniformly random point of

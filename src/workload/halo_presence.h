@@ -51,15 +51,10 @@ inline constexpr MethodId kEndGame = 2;     // driver -> game
 
 struct HaloWorkloadConfig {
   int target_players = 10000;   // paper: 100K (scaled default: 10K)
-  int players_per_game = 8;
   // Paper durations are 20-30 min games; time_scale compresses them (0.04 ->
   // 48-72 s) while preserving the ratio of graph churn to the partitioner's
   // scaled exchange period (paper: ~25 exchange periods per game).
   double time_scale = 0.04;
-  SimDuration game_duration_min = Minutes(20);  // multiplied by time_scale
-  SimDuration game_duration_max = Minutes(30);
-  int min_games_per_player = 3;
-  int max_games_per_player = 5;
   // Idle pool target (paper: 1000 of 100K = 1%).
   int idle_pool_target = 100;
 
@@ -68,8 +63,6 @@ struct HaloWorkloadConfig {
   uint32_t status_bytes = 400;   // game status payloads
   uint32_t update_bytes = 300;   // broadcast payloads
 
-  SimDuration player_compute = Micros(30);
-  SimDuration game_compute = Micros(40);
   SimDuration client_timeout = Seconds(10);
   // When true, matchmaking runs normally but the status-request pool is
   // never self-started: arrivals come through ClientPool::Inject from an

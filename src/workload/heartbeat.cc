@@ -42,7 +42,6 @@ HeartbeatWorkload::HeartbeatWorkload(Cluster* cluster, HeartbeatWorkloadConfig c
   ACTOP_CHECK(cluster != nullptr);
   CostModel costs;
   costs.handler_compute = config_.handler_compute;
-  costs.handler_blocking = config_.handler_blocking;
   cluster_->RegisterActorType(
       kMonitorActorType, [](ActorId) { return std::make_unique<MonitorActor>(); }, costs);
 }

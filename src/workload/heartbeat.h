@@ -5,9 +5,7 @@
 // many popular services built with Orleans, like running statistics,
 // aggregates or standing queries."
 //
-// Clients send status updates to monitor actors; each update optionally
-// performs a synchronous I/O write (blocking time w > 0), which exercises
-// the β < 1 branch of the thread-allocation model.
+// Clients send status updates to monitor actors.
 
 #ifndef SRC_WORKLOAD_HEARTBEAT_H_
 #define SRC_WORKLOAD_HEARTBEAT_H_
@@ -25,7 +23,6 @@ struct HeartbeatWorkloadConfig {
   double request_rate = 10000.0;
   uint32_t request_bytes = 200;
   SimDuration handler_compute = Micros(25);
-  SimDuration handler_blocking = 0;  // set > 0 to model synchronous I/O
   SimDuration client_timeout = Seconds(10);
   // When true, Start() registers actors but never starts the pool's own
   // Poisson chain: arrivals come exclusively through ClientPool::Inject from

@@ -11,10 +11,13 @@ namespace actop {
 
 namespace {
 
+constexpr SimDuration kChurnPeriod = Seconds(2);
+constexpr uint32_t kPostBytes = 512;
+constexpr SimDuration kHandlerCompute = Micros(25);
+
 class SocialUserActor : public Actor {
  public:
-  SocialUserActor(std::shared_ptr<SocialState> state, const SocialWorkloadConfig* config)
-      : state_(std::move(state)), config_(config) {}
+  explicit SocialUserActor(std::shared_ptr<SocialState> state) : state_(std::move(state)) {}
 
   void OnCall(CallContext& ctx) override {
     switch (ctx.method()) {
@@ -22,7 +25,7 @@ class SocialUserActor : public Actor {
         state_->posts.fetch_add(1, std::memory_order_relaxed);
         // Write fan-out: one-way deliveries to every follower's timeline.
         for (const ActorId follower : followers_) {
-          ctx.CallOneWay(follower, kDeliver, config_->post_bytes);
+          ctx.CallOneWay(follower, kDeliver, kPostBytes);
         }
         ctx.AddCompute(static_cast<SimDuration>(followers_.size()) * Micros(2));
         ctx.Reply(32);
@@ -66,7 +69,6 @@ class SocialUserActor : public Actor {
 
  private:
   std::shared_ptr<SocialState> state_;
-  const SocialWorkloadConfig* config_;
   std::vector<ActorId> followers_;
   int64_t timeline_length_ = 0;
 };
@@ -80,7 +82,7 @@ SocialWorkload::SocialWorkload(Cluster* cluster, SocialWorkloadConfig config)
       state_(std::make_shared<SocialState>()),
       clients_(cluster,
                ClientConfig{.request_rate = config.post_rate + config.read_rate,
-                            .request_bytes = config.post_bytes,
+                            .request_bytes = kPostBytes,
                             .timeout = config.client_timeout,
                             .seed = config.seed ^ 0x321},
                [this](Rng& rng, ActorId* target, MethodId* method) {
@@ -90,10 +92,10 @@ SocialWorkload::SocialWorkload(Cluster* cluster, SocialWorkloadConfig config)
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(config_.num_users >= 2);
   CostModel costs;
-  costs.handler_compute = config_.handler_compute;
+  costs.handler_compute = kHandlerCompute;
   cluster_->RegisterActorType(
       kSocialUserActorType,
-      [this](ActorId) { return std::make_unique<SocialUserActor>(state_, &config_); }, costs);
+      [this](ActorId) { return std::make_unique<SocialUserActor>(state_); }, costs);
   followers_of_.resize(static_cast<size_t>(config_.num_users) + 1);
 }
 
@@ -158,7 +160,7 @@ void SocialWorkload::Start() {
   if (!config_.external_clients) {
     clients_.Start();
   }
-  cluster_->sim().SchedulePeriodic(config_.churn_period, [this] { Churn(); });
+  cluster_->sim().SchedulePeriodic(kChurnPeriod, [this] { Churn(); });
 }
 
 void SocialWorkload::Stop() {

@@ -48,10 +48,7 @@ struct SocialWorkloadConfig {
   double community_bias = 0.8;
   double post_rate = 200.0;      // posts per second, cluster-wide
   double read_rate = 800.0;      // timeline reads per second
-  SimDuration churn_period = Seconds(2);
-  int follows_per_period = 10;   // follow/unfollow churn
-  uint32_t post_bytes = 512;
-  SimDuration handler_compute = Micros(25);
+  int follows_per_period = 10;   // follow/unfollow churn every 2 s
   SimDuration client_timeout = Seconds(10);
   // When true, Start() builds the follower graph but leaves arrival
   // generation to an external open-loop driver via ClientPool::Inject.

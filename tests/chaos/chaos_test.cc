@@ -436,6 +436,43 @@ TEST(ChaosBugDemoTest, InjectedDuplicateActivationIsCaught) {
   chaos.Stop();
 }
 
+TEST(ChaosClientTest, CountsDuplicateLateAndUnknownResponses) {
+  ShardedEngine engine{{}};
+  Simulation& sim = engine.sim();
+  Cluster cluster(&engine, ClusterConfig{.num_servers = 2, .seed = 5});
+  RegisterTestActors(&cluster);
+  ChaosClient client(&cluster, ChaosClientConfig{.seed = 1, .timeout = Seconds(1)});
+
+  client.Call(MakeActorId(kEchoType, 1), 1);  // seq 1: answered
+  sim.RunUntil(Seconds(1));
+  ASSERT_EQ(client.succeeded(), 1u);
+
+  // seq 2: every message is dropped, so the call times out.
+  cluster.network().set_fault_injector(
+      [](NodeId, NodeId, uint32_t, int, SimTime) { return FaultDecision{.drop = true}; });
+  client.Call(MakeActorId(kEchoType, 2), 1);
+  sim.RunUntil(Seconds(3));
+  cluster.network().set_fault_injector(nullptr);
+  ASSERT_EQ(client.timed_out(), 1u);
+  ASSERT_TRUE(client.Settled());
+
+  // Fabricated responses from server 0: a second answer to seq 1, an answer
+  // to the timed-out seq 2, and answers to never-issued seqs 0 and 3.
+  for (const uint64_t seq : {1, 2, 0, 3}) {
+    EnvelopePtr env = MakeEnvelope();
+    env->kind = MessageKind::kResponse;
+    env->call_id = CallId{client.node(), seq};
+    cluster.network().Send(cluster.NodeOfServer(0), client.node(), 64, std::move(env));
+  }
+  sim.RunUntil(Seconds(4));
+  EXPECT_EQ(client.duplicate_responses(), 1u);
+  EXPECT_EQ(client.late_responses(), 1u);
+  EXPECT_EQ(client.unknown_responses(), 2u);
+  EXPECT_EQ(client.succeeded(), 1u);
+  EXPECT_EQ(client.timed_out(), 1u);
+  EXPECT_EQ(client.issued(), 2u);
+}
+
 TEST(InvariantCheckerTest, DuplicateActivationsReportInActorOrder) {
   // A report must not depend on hash layout: duplicates are listed in
   // ascending actor order, servers ascending within an actor.

@@ -56,12 +56,19 @@ TEST(FlagsTest, BoolForms) {
   flags.DefineBool("a", false, "");
   flags.DefineBool("b", true, "");
   flags.DefineBool("c", false, "");
-  std::vector<std::string> args = {"prog", "--a", "--no-b", "--c=true"};
+  flags.DefineBool("d", true, "");
+  flags.DefineBool("e", false, "");
+  flags.DefineBool("f", true, "");
+  std::vector<std::string> args = {"prog",    "--a",   "--no-b", "--c=true",
+                                   "--d=false", "--e=1", "--f=0"};
   auto argv = MakeArgv(args);
   flags.Parse(static_cast<int>(argv.size()), argv.data());
   EXPECT_TRUE(flags.GetBool("a"));
   EXPECT_FALSE(flags.GetBool("b"));
   EXPECT_TRUE(flags.GetBool("c"));
+  EXPECT_FALSE(flags.GetBool("d"));
+  EXPECT_TRUE(flags.GetBool("e"));
+  EXPECT_FALSE(flags.GetBool("f"));
 }
 
 TEST(FlagsTest, NegativeNumbers) {
@@ -83,12 +90,20 @@ TEST(FlagsDeathTest, UnknownFlagExits) {
 }
 
 TEST(FlagsDeathTest, BadValueExits) {
-  Flags flags;
-  flags.DefineInt("count", 0, "");
-  std::vector<std::string> args = {"prog", "--count=abc"};
-  auto argv = MakeArgv(args);
-  EXPECT_EXIT(flags.Parse(static_cast<int>(argv.size()), argv.data()),
-              ::testing::ExitedWithCode(2), "bad value");
+  // Unparsable numbers, out-of-range numbers (ERANGE) and boolean values
+  // other than true/false/1/0 all exit through the usage path.
+  for (const char* arg : {"--count=abc", "--count=99999999999999999999", "--rate=1e999",
+                          "--check=yes", "--check=on", "--check=", "--check=TRUE"}) {
+    Flags flags;
+    flags.DefineInt("count", 0, "");
+    flags.DefineDouble("rate", 0.0, "");
+    flags.DefineBool("check", false, "");
+    std::vector<std::string> args = {"prog", arg};
+    auto argv = MakeArgv(args);
+    EXPECT_EXIT(flags.Parse(static_cast<int>(argv.size()), argv.data()),
+                ::testing::ExitedWithCode(2), "bad value")
+        << arg;
+  }
 }
 
 }  // namespace

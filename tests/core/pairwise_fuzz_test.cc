@@ -6,7 +6,7 @@
 //   * accepted ⊆ offered candidates (never accept a vertex not in S);
 //   * counter-offer ⊆ q's local vertices, no duplicates, disjoint from S;
 //   * the balance constraint holds after applying the full decision;
-//   * with min_score = 0, the decision never increases q's *believed*
+//   * with kMinTransferScore = 0, the decision never increases q's *believed*
 //     communication cost (scores are positive at selection time);
 //   * determinism: the same inputs yield the same decision.
 

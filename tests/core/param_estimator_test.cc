@@ -86,7 +86,7 @@ TEST(ParamEstimatorTest, LowTrafficWindowLeavesEstimateUnchanged) {
 }
 
 TEST(ParamEstimatorTest, SmoothingBlendsWindows) {
-  ParamEstimator est(EstimatorConfig{.no_blocking = {true}, .smoothing = 0.5});
+  ParamEstimator est(EstimatorConfig{.no_blocking = {true}});
   est.AddWindow({MakeWindow(1000, 100.0, 100.0)}, Seconds(1));
   est.AddWindow({MakeWindow(2000, 100.0, 100.0)}, Seconds(1));
   EXPECT_NEAR(est.Estimate()[0].lambda, 1500.0, 1e-6);
@@ -105,8 +105,7 @@ TEST(ParamEstimatorTest, LowTrafficWindowStillUpdatesLambda) {
   // z/x means (a burst landed right at the window edge) must still feed the
   // arrival-rate estimate: λ is measured from arrivals alone, and the
   // controller needs to see the burst even before anything finishes.
-  ParamEstimator est(
-      EstimatorConfig{.no_blocking = {true}, .smoothing = 0.5, .min_completions = 50});
+  ParamEstimator est(EstimatorConfig{.no_blocking = {true}, .min_completions = 50});
   est.AddWindow({MakeWindow(1000, 200.0, 100.0)}, Seconds(1));
   const double s_before = est.Estimate()[0].s;
 

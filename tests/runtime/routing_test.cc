@@ -165,7 +165,7 @@ TEST(RoutingTest, SweepRetriesLostLookupsInParkOrder) {
   cluster.network().set_fault_injector(
       [&](NodeId from, NodeId to, uint32_t bytes, int, SimTime now) {
         FaultDecision fate;
-        fate.drop = from == gateway && to == home && bytes == cfg.server.control_bytes &&
+        fate.drop = from == gateway && to == home && bytes == Server::kControlBytes &&
                     now < Millis(100);
         dropped += fate.drop ? 1 : 0;
         return fate;

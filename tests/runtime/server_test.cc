@@ -88,55 +88,6 @@ TEST(RuntimeTest, RandomPlacementSpreadsActors) {
   }
 }
 
-TEST(RuntimeTest, LocalPlacementPutsActorOnGateway) {
-  ClusterConfig cfg = SmallCluster(4);
-  cfg.server.placement = PlacementPolicy::kLocal;
-  ShardedEngine engine{{}};
-  Simulation& sim = engine.sim();
-  Cluster cluster(&engine, cfg);
-  RegisterTestActors(&cluster);
-
-  // Issue all calls through server 2 by calling from an actor there: first
-  // place a relay on some server via a client, then relay to new actors.
-  // Simpler: DirectClient requests enter via random gateways, so with kLocal
-  // each actor lands on its own request's gateway; verify every activation's
-  // server equals *some* gateway — weaker, so instead check total spread is
-  // still complete and activations equal actor count.
-  DirectClient client(&cluster, 9);
-  for (uint64_t k = 1; k <= 50; k++) {
-    client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
-  }
-  sim.RunUntil(Seconds(5));
-  EXPECT_EQ(cluster.total_activations(), 50);
-}
-
-TEST(RuntimeTest, ConsistentHashPlacementIsDeterministic) {
-  auto placements = [](uint64_t seed) {
-    ClusterConfig cfg = SmallCluster(4, seed);
-    cfg.server.placement = PlacementPolicy::kConsistentHash;
-    ShardedEngine engine{{}};
-    Simulation& sim = engine.sim();
-    Cluster cluster(&engine, cfg);
-    RegisterTestActors(&cluster);
-    DirectClient client(&cluster, seed ^ 77);
-    for (uint64_t k = 1; k <= 30; k++) {
-      client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
-    }
-    sim.RunUntil(Seconds(5));
-    std::vector<ServerId> out;
-    for (uint64_t k = 1; k <= 30; k++) {
-      for (int s = 0; s < cluster.num_servers(); s++) {
-        if (cluster.server(s).IsActive(MakeActorId(kEchoType, k))) {
-          out.push_back(static_cast<ServerId>(s));
-        }
-      }
-    }
-    return out;
-  };
-  // Different seeds (different gateways, different rng) — same placement.
-  EXPECT_EQ(placements(1), placements(2));
-}
-
 TEST(RuntimeTest, ActorToActorCallAcrossServers) {
   ShardedEngine engine{{}};
   Simulation& sim = engine.sim();
@@ -482,7 +433,7 @@ TEST(RuntimeTest, ExpiredUnregisterFenceIsSweptAway) {
   ASSERT_TRUE(server.DeactivateActor(echo));
   EXPECT_EQ(server.num_unregister_fences(), fences_before + 1);
 
-  sim.RunUntil(sim.now() + cfg.server.call_timeout + cfg.server.timeout_sweep_period);
+  sim.RunUntil(sim.now() + cfg.server.call_timeout + Server::kTimeoutSweepPeriod);
   for (int s = 0; s < cluster.num_servers(); s++) {
     EXPECT_EQ(cluster.server(s).num_unregister_fences(), 0u) << "server " << s;
   }
