@@ -140,10 +140,10 @@ void EdgeSamplingSweep(uint64_t seed) {
     halo.Start();
     cluster.StartOptimizers();
     sim.RunUntil(Seconds(50));
-    cluster.metrics().TakeWindow();
+    cluster.TakeMetricsWindow();
     sim.RunUntil(Seconds(70));
     t.AddRow({std::to_string(capacity),
-              FormatPercent(cluster.metrics().TakeWindow().remote_fraction())});
+              FormatPercent(cluster.TakeMetricsWindow().remote_fraction())});
   }
   t.Print();
 }

@@ -47,7 +47,7 @@ RunStats RunChat(bool actop_enabled) {
   // Warm up (placement, convergence), then measure a steady window.
   engine.RunUntil(actop::Seconds(30));
   chat.clients().ResetStats();
-  cluster.metrics().TakeWindow();
+  cluster.TakeMetricsWindow();
   double busy0 = 0;
   for (int s = 0; s < cluster.num_servers(); s++) {
     busy0 += cluster.server(s).cpu().busy_core_nanos();
@@ -59,7 +59,7 @@ RunStats RunChat(bool actop_enabled) {
     busy1 += cluster.server(s).cpu().busy_core_nanos();
   }
 
-  const auto window = cluster.metrics().TakeWindow();
+  const auto window = cluster.TakeMetricsWindow();
   RunStats stats;
   stats.remote_fraction = window.remote_fraction();
   stats.median_ms = actop::ToMillis(chat.clients().latency().p50());

@@ -47,7 +47,7 @@ int main() {
   for (int t = 5; t <= 90; t += 5) {
     halo.clients().ResetStats();
     engine.RunUntil(actop::Seconds(t));
-    const auto window = cluster.metrics().TakeWindow();
+    const auto window = cluster.TakeMetricsWindow();
     double busy = 0.0;
     for (int s = 0; s < cluster.num_servers(); s++) {
       busy += cluster.server(s).cpu().busy_core_nanos();

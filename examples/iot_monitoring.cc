@@ -53,9 +53,9 @@ class DeviceActor : public actop::Actor {
     const uint64_t region = actop::ActorKeyOf(ctx.self()) / 1000;
     readings_++;
     actop::CallContext* call = &ctx;
-    ctx.CallWithData(actop::MakeActorId(kAggregatorType, region), kReport,
-                     /*reading=*/readings_ % 100, 96,
-                     [call](const actop::Response&) { call->Reply(32); });
+    ctx.Call(
+        actop::MakeActorId(kAggregatorType, region), kReport, 96,
+        [call](const actop::Response&) { call->Reply(32); }, /*reading=*/readings_ % 100);
   }
 
  private:
@@ -81,10 +81,10 @@ int main() {
 
   cluster.RegisterActorType(
       kDeviceType, [](actop::ActorId) { return std::make_unique<DeviceActor>(); },
-      actop::CostModel{.handler_compute = actop::Micros(15)});
+      actop::Micros(15));
   cluster.RegisterActorType(
       kAggregatorType, [](actop::ActorId) { return std::make_unique<AggregatorActor>(); },
-      actop::CostModel{.handler_compute = actop::Micros(25)});
+      actop::Micros(25));
 
   // Ingest frontend: each arrival is a random device pushing one reading.
   actop::ClientPool ingest(
@@ -100,9 +100,9 @@ int main() {
   cluster.StartOptimizers();
 
   engine.RunUntil(actop::Seconds(45));
-  cluster.metrics().TakeWindow();
+  cluster.TakeMetricsWindow();
   engine.RunUntil(actop::Seconds(60));
-  const auto before_crash = cluster.metrics().TakeWindow();
+  const auto before_crash = cluster.TakeMetricsWindow();
   std::printf("after 60 s: %lld activations, remote messages %.1f%% (started ~75%%)\n",
               static_cast<long long>(cluster.total_activations()),
               before_crash.remote_fraction() * 100.0);
@@ -124,7 +124,7 @@ int main() {
               "%llu client timeouts, remote messages %.1f%%\n",
               static_cast<long long>(cluster.total_activations()), static_cast<long long>(readings),
               static_cast<unsigned long long>(ingest.timeouts()),
-              cluster.metrics().TakeWindow().remote_fraction() * 100.0);
+              cluster.TakeMetricsWindow().remote_fraction() * 100.0);
   std::printf("ingest median latency: %.2f ms\n",
               actop::ToMillis(ingest.latency().p50()));
   return 0;

@@ -52,18 +52,18 @@ int main() {
   // Register the actor type; the factory runs on first activation.
   cluster.RegisterActorType(
       kGreeterType, [](actop::ActorId) { return std::make_unique<GreeterActor>(); },
-      actop::CostModel{.handler_compute = actop::Micros(20)});
+      /*handler_compute=*/actop::Micros(20));
 
   // A client issues calls through random gateway servers.
   actop::DirectClient client(&cluster, /*seed=*/1);
   for (uint64_t key = 1; key <= 3; key++) {
     const actop::ActorId greeter = actop::MakeActorId(kGreeterType, key);
-    client.Call(greeter, /*method=*/0, /*app_data=*/0, /*bytes=*/128,
+    client.Call(greeter, /*method=*/0, /*payload_bytes=*/128,
                 [key](const actop::Response& response) {
                   std::printf("  client: greeter %llu replied (%u bytes)\n",
                               static_cast<unsigned long long>(key), response.payload_bytes);
                 });
-    client.Call(greeter, /*method=*/1, 0, 128, nullptr);  // one-way
+    client.Call(greeter, /*method=*/1, 128);  // no continuation: one-way
   }
 
   // Run the simulation to completion.

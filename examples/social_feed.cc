@@ -45,7 +45,7 @@ int main() {
   for (int ts = 10; ts <= 60; ts += 10) {
     social.clients().ResetStats();
     engine.RunUntil(actop::Seconds(ts));
-    const auto window = cluster.metrics().TakeWindow();
+    const auto window = cluster.TakeMetricsWindow();
     t.AddRow({std::to_string(ts), actop::FormatPercent(window.remote_fraction()),
               std::to_string(social.state().posts), std::to_string(social.state().deliveries),
               actop::FormatMillis(social.clients().latency().p50())});

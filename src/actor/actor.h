@@ -5,10 +5,12 @@
 // Orleans), delivers one call at a time per activation, and may migrate
 // activations between servers transparently.
 //
-// Because this runtime simulates time rather than executing real work,
-// handlers declare their compute cost through the per-type CostModel (or
-// add to it per call via CallContext::AddCompute) instead of
-// actually burning CPU.
+// An actor sees one concrete CallContext per delivered call and issues
+// every sub-call through CallContext::Call; clients use the same argument
+// shape on DirectClient::Call. Because this runtime simulates time rather
+// than executing real work, each type declares its handler compute when it
+// is registered (and a handler adds to it per call via
+// CallContext::AddCompute) instead of actually burning CPU.
 
 #ifndef SRC_ACTOR_ACTOR_H_
 #define SRC_ACTOR_ACTOR_H_
@@ -16,13 +18,16 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "src/common/ids.h"
 #include "src/common/inline_function.h"
 #include "src/common/sim_time.h"
-#include "src/runtime/message.h"
+#include "src/runtime/envelope_pool.h"
 
 namespace actop {
+
+class Server;
 
 // Response delivered to a call's continuation.
 struct Response {
@@ -38,42 +43,54 @@ struct Response {
 // 16 bytes. Move-only; pass nullptr for fire-and-forget calls.
 using ResponseFn = InlineFunction<void(const Response&), 48>;
 
-// Handle for one in-flight call being processed by an actor. Created by the
-// runtime for each delivered call; the actor must eventually Reply() exactly
-// once (possibly after sub-calls complete). If the actor's server crashes
-// before the Reply, the context stays valid but inert: its calls and its
-// Reply send nothing (a second Reply is still a checked failure).
+// Handle for one in-flight call being processed by an actor. The runtime
+// creates one for each delivered call; it holds the call's envelope. The
+// actor must eventually Reply() exactly once (possibly after sub-calls
+// complete). If the actor's server crashes before the Reply, the context
+// stays valid but inert: its calls and its Reply send nothing (a second
+// Reply is still a checked failure).
 class CallContext {
  public:
-  virtual ~CallContext() = default;
+  ActorId self() const { return call_->target; }
+  MethodId method() const { return call_->method; }
+  uint32_t payload_bytes() const { return call_->payload_bytes; }
+  uint64_t app_data() const { return call_->app_data; }  // small scalar argument
+  ActorId caller() const { return call_->source_actor; }  // kNoActor when called by a client
+  SimTime now() const;
 
-  virtual ActorId self() const = 0;
-  virtual MethodId method() const = 0;
-  virtual uint32_t payload_bytes() const = 0;
-  virtual uint64_t app_data() const = 0;  // small scalar argument
-  virtual ActorId caller() const = 0;     // kNoActor when called by a client
-  virtual SimTime now() const = 0;
-
-  // Issues an asynchronous call to another actor. The continuation runs as a
-  // new turn on this actor's server when the response arrives.
-  virtual void Call(ActorId target, MethodId method, uint32_t payload_bytes,
-                    ResponseFn on_response) = 0;
-  virtual void CallWithData(ActorId target, MethodId method, uint64_t app_data,
-                            uint32_t payload_bytes, ResponseFn on_response) = 0;
-
-  // One-way call: no response expected, no continuation.
-  virtual void CallOneWay(ActorId target, MethodId method, uint32_t payload_bytes) = 0;
+  // Issues an asynchronous call to another actor, carrying `app_data` as its
+  // scalar argument. The continuation runs as a new turn on this actor's
+  // server when the response arrives; without one the call is one-way and
+  // no response is sent.
+  void Call(ActorId target, MethodId method, uint32_t payload_bytes,
+            ResponseFn on_response = nullptr, uint64_t app_data = 0);
 
   // Completes this call with a response of the given size. Must be called
   // exactly once over the lifetime of the context (possibly from a sub-call
   // continuation).
-  virtual void Reply(uint32_t payload_bytes) = 0;
+  void Reply(uint32_t payload_bytes);
 
   // Adds data-dependent compute time to the current turn (charged to the
-  // worker stage in addition to the CostModel's per-method cost). The extra
-  // time extends the turn — the actor stays busy and queued calls wait — but
-  // a Reply() already issued in this turn is not delayed by it.
-  virtual void AddCompute(SimDuration extra) = 0;
+  // worker stage in addition to the type's handler_compute). The extra time
+  // extends the turn — the actor stays busy and queued calls wait — but a
+  // Reply() already issued in this turn is not delayed by it.
+  void AddCompute(SimDuration extra);
+
+ private:
+  friend class Server;
+
+  CallContext(Server* server, EnvelopePtr call, uint64_t epoch)
+      : server_(server), call_(std::move(call)), epoch_(epoch) {}
+
+  // True once the server has crashed since the turn began.
+  bool stale() const;
+
+  Server* server_;
+  EnvelopePtr call_;
+  uint64_t epoch_;  // the server's crash epoch when the turn began
+  bool replied_ = false;
+  bool retained_ = false;
+  SimDuration extra_compute_ = 0;
 };
 
 // Base class for application actors.
@@ -88,15 +105,11 @@ class Actor {
 
 using ActorFactory = std::function<std::unique_ptr<Actor>(ActorId)>;
 
-// Declared processing costs for an actor type. The runtime charges
-// `handler_compute` (plus any AddCompute) to the worker stage per turn.
-struct CostModel {
-  SimDuration handler_compute = Micros(30);
-};
-
+// A registered actor type. The runtime charges `handler_compute` (plus any
+// AddCompute) to the worker stage per turn.
 struct ActorTypeInfo {
   ActorFactory factory;
-  CostModel costs;
+  SimDuration handler_compute = 0;
 };
 
 }  // namespace actop

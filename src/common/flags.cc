@@ -103,8 +103,9 @@ void Flags::Parse(int argc, char** argv) {
     Flag& flag = it->second;
 
     if (flag.type == Type::kBool) {
+      // The negated form takes no value: --no-X=true would otherwise mean --X.
       const bool is_true = value == "true" || value == "1";
-      if (have_value && !is_true && value != "false" && value != "0") {
+      if (have_value && (negated || (!is_true && value != "false" && value != "0"))) {
         std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(), value.c_str());
         PrintUsageAndExit(argv[0], 2);
       }

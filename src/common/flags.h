@@ -2,8 +2,9 @@
 //
 // Supports `--name=value` and `--name value` syntax plus boolean
 // `--name` / `--no-name` (an explicit boolean value must be true, false, 1
-// or 0). Unknown flags abort with a usage message so that a
-// typo in a sweep script fails loudly instead of silently running defaults.
+// or 0, and only `--name=` takes one). Unknown flags abort with a usage
+// message so that a typo in a sweep script fails loudly instead of silently
+// running defaults.
 
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_

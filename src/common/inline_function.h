@@ -3,15 +3,16 @@
 // void() instance with four words of inline storage.
 //
 // The motivating user is the response-continuation path: every actor
-// sub-call carries a `void(const Response&)` continuation which the seed
-// stored as std::function. libstdc++ keeps captures inline only when they
-// are trivially copyable and at most 16 bytes, so the dominant capture
-// shapes — [CallContext*, shared_ptr<int> fan-out counter] (24 bytes) and
-// [call, counter, this] (32 bytes) — each cost a heap allocation per issued
-// call. InlineFunction stores any nothrow-movable callable of up to
-// InlineBytes inline regardless of trivial copyability; larger or
-// throwing-move callables (including wrapped std::functions from cold
-// paths) transparently fall back to the heap.
+// sub-call (CallContext::Call) and every DirectClient call carries a
+// `void(const Response&)` continuation. std::function would keep captures
+// inline only when they are trivially copyable and at most 16 bytes
+// (libstdc++), so the dominant capture shapes — [CallContext*,
+// shared_ptr<int> fan-out counter] (24 bytes) and [call, counter, this]
+// (32 bytes) — would each cost a heap allocation per issued call.
+// InlineFunction stores any nothrow-movable callable of up to InlineBytes
+// inline regardless of trivial copyability; larger or throwing-move
+// callables (including wrapped std::functions from cold paths)
+// transparently fall back to the heap.
 //
 // Differences from std::function, all deliberate: move-only, no target
 // introspection, invoking an empty function is a checked failure rather than

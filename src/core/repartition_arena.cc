@@ -156,18 +156,28 @@ void RepartitionArena::DecideOffer(ServerId q, ServerId p, const std::vector<Can
                                    std::vector<VertexId>* counter) {
   ACTOP_CHECK(planning_only_);
   ACTOP_CHECK(p != q);
-  // Step 2 of Alg. 1: q's own candidate set toward p, ignoring S (the
-  // reference's plan-toward-p restricted to the one peer that matters).
-  BuildCandidatesToward(q, p);
   s_ptrs_.clear();
   for (const Candidate& c : offered) {
     s_ptrs_.push_back(&c);
   }
+  RespondToOffer(q, p, size_p, size_q, unknown, accepted, counter);
+}
+
+void RepartitionArena::RespondToOffer(ServerId q, ServerId p, double size_p, double size_q,
+                                      ServerId unknown, std::vector<VertexId>* accepted,
+                                      std::vector<VertexId>* counter) {
+  // Step 2 of Alg. 1: q's own candidate set toward p, ignoring S (the
+  // reference's plan-toward-p restricted to the one peer that matters).
+  BuildCandidatesToward(q, p);
   // q's perspective on offered candidates: q's own location knowledge
   // overrides p's hints, falling back to the hint for vertices q has never
   // sampled or whose location it does not know — exactly the reference
   // score_s, with `unknown` (the planning stand-in server) translating back
-  // to "no knowledge" like in ExportPeerPlans.
+  // to "no knowledge" like in ExportPeerPlans. A full arena knows every
+  // neighbour's location, so there this reads ground truth: in a pairwise
+  // round that equals the reference too (no move lands between planning and
+  // deciding), and in k-way rounds, where hints could have gone stale, it is
+  // the fresher choice and keeps every applied move a strict improvement.
   auto score_s = [&](const Candidate& c) {
     double gain = -config_.migration_cost_weight * c.size;
     for (const auto& [u, edge] : c.edges) {
@@ -191,8 +201,8 @@ void RepartitionArena::DecideOffer(ServerId q, ServerId p, const std::vector<Can
   s_heap_.InitPtrs(s_ptrs_, score_s);
   t_heap_.InitPtrs(t_ptrs_, score_t);
 
-  // Step 3: joint S0/T0 selection through the shared loop. The runtime
-  // applies the moves via actor migration, so only vertex ids come out.
+  // Step 3: joint S0/T0 selection through the shared loop; only vertex ids
+  // come out.
   accepted->clear();
   counter->clear();
   RunJointSelection(
@@ -464,45 +474,13 @@ int RepartitionArena::ExchangeWithPeer(ServerId p, const PlanRef& plan, bool fil
     }
     s_ptrs_.push_back(&c);
   }
-  BuildCandidatesToward(q, p);
-
-  // q's perspective on offered candidates, against ground-truth locations.
-  // In a pairwise round this equals the reference score_s: the testbed's
-  // view lookups and plan-time hints both resolve to current ground truth
-  // because no move lands between planning and deciding. In k-way rounds
-  // (where hints could have gone stale) ground truth is the *fresher*
-  // choice and keeps every applied move a strict improvement.
-  auto score_s = [&](const Candidate& c) {
-    double gain = -config_.migration_cost_weight * c.size;
-    for (const auto& [u, edge] : c.edges) {
-      const ServerId l = loc_[static_cast<size_t>(graph_->IndexOf(u))];
-      if (l == q) {
-        gain += edge.weight;
-      } else if (l == p) {
-        gain -= edge.weight;
-      }
-    }
-    return gain;
-  };
-  auto score_t = [&](const Candidate& c) { return c.score; };
-
-  s_heap_.Reset();
-  t_heap_.Reset();
-  s_heap_.InitPtrs(s_ptrs_, score_s);
-  t_heap_.InitPtrs(t_ptrs_, score_t);
-
-  accepted_.clear();
-  counter_.clear();
-  RunJointSelection(
-      s_heap_, t_heap_, config_, size_sums_[static_cast<size_t>(p)],
-      size_sums_[static_cast<size_t>(q)],
-      [&](VertexId moved, const Candidate*) { accepted_.push_back(moved); },
-      [&](VertexId, const Candidate* c) { counter_.push_back(c); });
+  RespondToOffer(q, p, size_sums_[static_cast<size_t>(p)], size_sums_[static_cast<size_t>(q)],
+                 kNoServer, &accepted_, &counter_);
   for (VertexId v : accepted_) {
     ApplyMoveIndex(graph_->IndexOf(v), q);
   }
-  for (const Candidate* c : counter_) {
-    ApplyMoveIndex(graph_->IndexOf(c->vertex), p);
+  for (VertexId v : counter_) {
+    ApplyMoveIndex(graph_->IndexOf(v), p);
   }
   return static_cast<int>(accepted_.size() + counter_.size());
 }

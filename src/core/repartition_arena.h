@@ -181,6 +181,13 @@ class RepartitionArena {
   // q's counter-candidate set toward p (the testbed's "plan toward p"
   // restricted to the one peer that matters); fills t_pool_ / t_ptrs_.
   void BuildCandidatesToward(ServerId q, ServerId p);
+  // Steps 2-3 of Alg. 1 on the responder's side, shared by DecideOffer and
+  // ExchangeWithPeer: q builds its candidates toward p, scores the offer in
+  // s_ptrs_ from its own view (its location knowledge, else p's hint;
+  // `unknown` counts as no knowledge) and runs the joint selection. S0
+  // vertex ids land in *accepted, T0 vertex ids in *counter.
+  void RespondToOffer(ServerId q, ServerId p, double size_p, double size_q, ServerId unknown,
+                      std::vector<VertexId>* accepted, std::vector<VertexId>* counter);
   void FillCandidate(int32_t idx, double score, Candidate* c) const;
   Candidate* AllocCandidate(std::vector<Candidate>* pool, size_t* used);
   void OfferTopK(std::vector<std::pair<double, VertexId>>* heap, VertexId v, double score) const;
@@ -217,7 +224,7 @@ class RepartitionArena {
   ExchangeHeap s_heap_;
   ExchangeHeap t_heap_;
   std::vector<VertexId> accepted_;
-  std::vector<const Candidate*> counter_;
+  std::vector<VertexId> counter_;
   // Unilateral sweep scratch.
   std::vector<std::pair<int32_t, ServerId>> planned_moves_;
   std::vector<int64_t> assumed_counts_;

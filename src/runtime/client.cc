@@ -113,8 +113,8 @@ DirectClient::DirectClient(Cluster* cluster, uint64_t seed) : cluster_(cluster),
   });
 }
 
-void DirectClient::Call(ActorId target, MethodId method, uint64_t app_data, uint32_t bytes,
-                        std::function<void(const Response&)> on_response) {
+void DirectClient::Call(ActorId target, MethodId method, uint32_t payload_bytes,
+                        ResponseFn on_response, uint64_t app_data) {
   const uint64_t seq = next_seq_++;
   auto env = MakeEnvelope();
   env->kind = MessageKind::kCall;
@@ -122,23 +122,24 @@ void DirectClient::Call(ActorId target, MethodId method, uint64_t app_data, uint
   env->target = target;
   env->method = method;
   env->app_data = app_data;
-  env->payload_bytes = bytes;
+  env->payload_bytes = payload_bytes;
   env->reply_to = node_;
   if (on_response != nullptr) {
-    pending_.emplace(seq, std::move(on_response));
+    pending_.Insert(seq, std::move(on_response));
   }
   const auto gateway = static_cast<ServerId>(
       rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), bytes, std::move(env));
+  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), payload_bytes,
+                           std::move(env));
 }
 
 void DirectClient::OnDeliver(EnvelopePtr env) {
-  auto it = pending_.find(env->call_id.seq);
-  if (it == pending_.end()) {
+  ResponseFn* found = pending_.Find(env->call_id.seq);
+  if (found == nullptr) {
     return;
   }
-  auto on_response = std::move(it->second);
-  pending_.erase(it);
+  ResponseFn on_response = std::move(*found);
+  pending_.Erase(env->call_id.seq);
   Response response;
   response.from = env->source_actor;
   response.payload_bytes = env->payload_bytes;

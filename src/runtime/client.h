@@ -1,16 +1,16 @@
-// Client frontend pool: open-loop load generation and latency measurement.
+// Client frontends: open-loop load generation and directed calls.
 //
-// Models the paper's 15 frontend servers as one network node issuing an
-// aggregate Poisson request stream. Each request picks a random gateway
-// server (Orleans clients connect to gateways; the gateway forwards to the
-// target actor's silo when needed). End-to-end latency is measured at the
-// client from send to response, exactly as the paper records it.
+// ClientPool models the paper's 15 frontend servers as one network node
+// issuing an aggregate Poisson request stream. Each request picks a random
+// gateway server (Orleans clients connect to gateways; the gateway forwards
+// to the target actor's silo when needed). End-to-end latency is measured at
+// the client from send to response, exactly as the paper records it.
+// DirectClient issues single calls in CallContext::Call's argument shape.
 
 #ifndef SRC_RUNTIME_CLIENT_H_
 #define SRC_RUNTIME_CLIENT_H_
 
 #include <functional>
-#include <unordered_map>
 
 #include "src/actor/actor.h"
 #include "src/common/flat_hash_map.h"
@@ -97,9 +97,10 @@ class DirectClient {
   // The client's node lives on the cluster's driver shard.
   DirectClient(Cluster* cluster, uint64_t seed);
 
-  // Issues a call through a random gateway; `on_response` may be null.
-  void Call(ActorId target, MethodId method, uint64_t app_data, uint32_t bytes,
-            std::function<void(const Response&)> on_response);
+  // Issues a call through a random gateway, in CallContext::Call's argument
+  // shape; without a continuation the call is one-way.
+  void Call(ActorId target, MethodId method, uint32_t payload_bytes,
+            ResponseFn on_response = nullptr, uint64_t app_data = 0);
 
  private:
   void OnDeliver(EnvelopePtr env);
@@ -107,7 +108,8 @@ class DirectClient {
   Cluster* cluster_;
   Rng rng_;
   NodeId node_ = kNoNode;
-  std::unordered_map<uint64_t, std::function<void(const Response&)>> pending_;
+  // seq -> continuation; never iterated.
+  FlatHashMap<uint64_t, ResponseFn> pending_;
   uint64_t next_seq_ = 1;
 };
 

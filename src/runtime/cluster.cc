@@ -70,10 +70,11 @@ Cluster::~Cluster() {
   }
 }
 
-void Cluster::RegisterActorType(ActorType type, ActorFactory factory, CostModel costs) {
+void Cluster::RegisterActorType(ActorType type, ActorFactory factory,
+                                SimDuration handler_compute) {
   ACTOP_CHECK(factory != nullptr);
   const bool inserted =
-      actor_types_.emplace(type, ActorTypeInfo{std::move(factory), std::move(costs)}).second;
+      actor_types_.emplace(type, ActorTypeInfo{std::move(factory), handler_compute}).second;
   ACTOP_CHECK(inserted);
 }
 
@@ -148,10 +149,10 @@ bool Cluster::HasActorStateForPlacement(ActorId actor, int shard) const {
   return state_store_.Find(actor) != nullptr;
 }
 
-const CostModel& Cluster::CostsFor(ActorId actor) const {
+SimDuration Cluster::HandlerCompute(ActorId actor) const {
   auto it = actor_types_.find(ActorTypeOf(actor));
   ACTOP_CHECK(it != actor_types_.end());
-  return it->second.costs;
+  return it->second.handler_compute;
 }
 
 int64_t Cluster::total_activations() const {

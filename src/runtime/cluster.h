@@ -68,7 +68,8 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   // Registers an application actor type; must happen before traffic starts.
-  void RegisterActorType(ActorType type, ActorFactory factory, CostModel costs);
+  // `handler_compute` is the worker-stage time each turn of this type costs.
+  void RegisterActorType(ActorType type, ActorFactory factory, SimDuration handler_compute);
 
   // Starts the enabled ActOp controllers (partition agents / thread
   // controllers). Call after workload setup.
@@ -87,12 +88,8 @@ class Cluster {
 
   Network& network() { return *network_; }
 
-  // Shard 0's metrics instance. With one shard this is the only one;
-  // parallel-aware consumers use the merged views below.
-  ClusterMetrics& metrics() { return *metrics_[0]; }
-
-  // Cluster-level metric views: sum/merge across shards. With one shard they
-  // are exactly the direct calls on metrics().
+  // Cluster-level metric views: sum/merge the per-shard instances, so a
+  // reader sees every shard's traffic.
   ClusterMetrics::Window TakeMetricsWindow();
   void ResetMetricsLatencies();
   Histogram MergedActorCallLatency() const;
@@ -121,7 +118,7 @@ class Cluster {
   // on what another shard did concurrently in the same window. With one
   // shard: identical to HasActorState.
   bool HasActorStateForPlacement(ActorId actor, int shard) const;
-  const CostModel& CostsFor(ActorId actor) const;
+  SimDuration HandlerCompute(ActorId actor) const;
 
   // Total activations across all servers (placement-balance target input).
   // Parallel mode returns the last window-barrier snapshot.

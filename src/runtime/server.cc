@@ -16,70 +16,6 @@ const char* const kStageNames[Server::kNumStages] = {"receive", "worker", "serve
                                                      "client_sender"};
 }  // namespace
 
-// Concrete CallContext bound to one delivered call; owns the call's
-// envelope. Recycled through the server's free list (see Server::contexts_).
-// A context whose turn began before the server's latest crash is inert: the
-// crash dropped the activation it belonged to, so its calls and reply send
-// nothing and touch no activation counters.
-class ServerCallContext : public CallContext {
- public:
-  ServerCallContext(Server* server, EnvelopePtr call, uint64_t epoch)
-      : server_(server), call_(std::move(call)), epoch_(epoch) {}
-
-  ActorId self() const override { return call_->target; }
-  MethodId method() const override { return call_->method; }
-  uint32_t payload_bytes() const override { return call_->payload_bytes; }
-  uint64_t app_data() const override { return call_->app_data; }
-  ActorId caller() const override { return call_->source_actor; }
-  SimTime now() const override { return server_->sim_->now(); }
-
-  void Call(ActorId target, MethodId method, uint32_t payload_bytes,
-            ResponseFn on_response) override {
-    CallWithData(target, method, 0, payload_bytes, std::move(on_response));
-  }
-
-  void CallWithData(ActorId target, MethodId method, uint64_t app_data, uint32_t payload_bytes,
-                    ResponseFn on_response) override {
-    if (!stale()) {
-      server_->IssueCall(self(), target, method, app_data, payload_bytes,
-                         std::move(on_response));
-    }
-  }
-
-  void CallOneWay(ActorId target, MethodId method, uint32_t payload_bytes) override {
-    CallWithData(target, method, 0, payload_bytes, nullptr);
-  }
-
-  void Reply(uint32_t payload_bytes) override {
-    ACTOP_CHECK(!replied_);
-    replied_ = true;
-    if (stale()) {
-      return;
-    }
-    server_->CompleteReply(self(), *call_, payload_bytes);
-    if (retained_) {
-      server_->FreeContext(this);  // last use of *this
-    }
-  }
-
-  void AddCompute(SimDuration extra) override {
-    ACTOP_CHECK(extra >= 0);
-    extra_compute_ += extra;
-  }
-
- private:
-  friend class Server;
-
-  bool stale() const { return epoch_ != server_->crash_epoch_; }
-
-  Server* server_;
-  EnvelopePtr call_;
-  uint64_t epoch_;  // the server's crash epoch when the turn began
-  bool replied_ = false;
-  bool retained_ = false;
-  SimDuration extra_compute_ = 0;
-};
-
 Server::Server(Simulation* sim, Cluster* cluster, ServerId id, ServerConfig config, uint64_t seed)
     : sim_(sim),
       cluster_(cluster),
@@ -105,8 +41,8 @@ Server::Server(Simulation* sim, Cluster* cluster, ServerId id, ServerConfig conf
 
 Server::~Server() {
   // contexts_ destroys every context, parked ones included.
-  for (ServerCallContext* ctx : free_contexts_) {
-    ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(ServerCallContext));
+  for (CallContext* ctx : free_contexts_) {
+    ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(CallContext));
   }
 }
 
@@ -364,8 +300,7 @@ void Server::StartTurn(ActorId actor, EnvelopePtr env) {
   act.busy = true;
   act.open_contexts++;
 
-  const CostModel& costs = cluster_->CostsFor(actor);
-  SimDuration compute = SampleCost(costs.handler_compute);
+  SimDuration compute = SampleCost(cluster_->HandlerCompute(actor));
   if (!env->via_network) {
     // Deep copy of LPC arguments (isolation between co-located actors).
     const double copy_ns = kLpcNsPerByte * static_cast<double>(env->payload_bytes);
@@ -390,7 +325,7 @@ void Server::StartTurn(ActorId actor, EnvelopePtr env) {
     // Hoist the instance pointer: OnCall may activate other actors, which
     // can grow the activation slab and invalidate `act`.
     Actor* instance = act->instance;
-    ServerCallContext* ctx = AcquireContext(std::move(env));
+    CallContext* ctx = AcquireContext(std::move(env));
     instance->OnCall(*ctx);
     const SimDuration extra = ctx->extra_compute_;
     if (ctx->replied_) {
@@ -435,8 +370,8 @@ void Server::FinishTurn(ActorId actor) {
 // Sub-calls and replies
 // ---------------------------------------------------------------------------
 
-void Server::IssueCall(ActorId from_actor, ActorId target, MethodId method, uint64_t app_data,
-                       uint32_t bytes, ResponseFn on_response) {
+void Server::IssueCall(ActorId from_actor, ActorId target, MethodId method, uint32_t bytes,
+                       ResponseFn on_response, uint64_t app_data) {
   auto env = MakeEnvelope();
   env->kind = MessageKind::kCall;
   env->target = target;
@@ -720,22 +655,55 @@ void Server::Crash() {
   location_cache_.Clear();
 }
 
-ServerCallContext* Server::AcquireContext(EnvelopePtr call) {
+// A context is recycled through the server's free list (see
+// Server::contexts_). One whose turn began before the server's latest crash
+// is inert: the crash dropped the activation it belonged to, so its calls
+// and reply send nothing and touch no activation counters.
+CallContext* Server::AcquireContext(EnvelopePtr call) {
   if (free_contexts_.empty()) {
-    contexts_.push_back(std::make_unique<ServerCallContext>(this, std::move(call), crash_epoch_));
+    contexts_.push_back(
+        std::unique_ptr<CallContext>(new CallContext(this, std::move(call), crash_epoch_)));
     return contexts_.back().get();
   }
-  ServerCallContext* ctx = free_contexts_.back();
+  CallContext* ctx = free_contexts_.back();
   free_contexts_.pop_back();
-  ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(ServerCallContext));
-  *ctx = ServerCallContext(this, std::move(call), crash_epoch_);
+  ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(CallContext));
+  *ctx = CallContext(this, std::move(call), crash_epoch_);
   return ctx;
 }
 
-void Server::FreeContext(ServerCallContext* ctx) {
+void Server::FreeContext(CallContext* ctx) {
   ctx->call_.reset();  // the call's envelope goes back to its pool now
-  ASAN_POISON_MEMORY_REGION(ctx, sizeof(ServerCallContext));
+  ASAN_POISON_MEMORY_REGION(ctx, sizeof(CallContext));
   free_contexts_.push_back(ctx);
+}
+
+bool CallContext::stale() const { return epoch_ != server_->crash_epoch_; }
+
+SimTime CallContext::now() const { return server_->sim_->now(); }
+
+void CallContext::Call(ActorId target, MethodId method, uint32_t payload_bytes,
+                       ResponseFn on_response, uint64_t app_data) {
+  if (!stale()) {
+    server_->IssueCall(self(), target, method, payload_bytes, std::move(on_response), app_data);
+  }
+}
+
+void CallContext::Reply(uint32_t payload_bytes) {
+  ACTOP_CHECK(!replied_);
+  replied_ = true;
+  if (stale()) {
+    return;
+  }
+  server_->CompleteReply(self(), *call_, payload_bytes);
+  if (retained_) {
+    server_->FreeContext(this);  // last use of *this
+  }
+}
+
+void CallContext::AddCompute(SimDuration extra) {
+  ACTOP_CHECK(extra >= 0);
+  extra_compute_ += extra;
 }
 
 // ---------------------------------------------------------------------------

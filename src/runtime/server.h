@@ -46,7 +46,6 @@ namespace actop {
 class Cluster;
 class ClusterMetrics;
 class PartitionAgent;
-class ServerCallContext;
 
 struct ServerConfig {
   size_t stage_queue_capacity = 200000;
@@ -191,7 +190,7 @@ class Server : public ThreadHost {
   size_t num_unregister_fences() const { return pending_unregisters_.size(); }
 
  private:
-  friend class ServerCallContext;
+  friend class CallContext;
 
   static constexpr uint32_t kNilSlot = 0xFFFFFFFFu;
 
@@ -253,8 +252,8 @@ class Server : public ThreadHost {
   void ForwardCall(EnvelopePtr env, ServerId dest);
 
   // -- sub-call issue (from call contexts) --
-  void IssueCall(ActorId from_actor, ActorId target, MethodId method, uint64_t app_data,
-                 uint32_t bytes, ResponseFn on_response);
+  void IssueCall(ActorId from_actor, ActorId target, MethodId method, uint32_t bytes,
+                 ResponseFn on_response, uint64_t app_data);
   void CompleteReply(ActorId from_actor, const Envelope& original_call, uint32_t bytes);
 
   // -- call slab --
@@ -263,8 +262,8 @@ class Server : public ThreadHost {
   void FreeCallSlot(uint32_t slot);
 
   // -- call contexts --
-  ServerCallContext* AcquireContext(EnvelopePtr call);
-  void FreeContext(ServerCallContext* ctx);
+  CallContext* AcquireContext(EnvelopePtr call);
+  void FreeContext(CallContext* ctx);
 
   ServerId SuggestPlacement(ActorId actor);
   SimDuration SampleCost(SimDuration mean);
@@ -347,8 +346,8 @@ class Server : public ThreadHost {
   // before the latest Crash() is never parked again: continuations may still
   // hold it, so it stays allocated (and inert) until the server is
   // destroyed.
-  std::vector<std::unique_ptr<ServerCallContext>> contexts_;
-  std::vector<ServerCallContext*> free_contexts_;
+  std::vector<std::unique_ptr<CallContext>> contexts_;
+  std::vector<CallContext*> free_contexts_;
 
   PartitionAgent* partition_agent_ = nullptr;
   uint64_t migrations_out_ = 0;

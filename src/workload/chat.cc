@@ -57,10 +57,10 @@ class ChatUserActor : public Actor {
           }
         };
         if (old_room != kNoActor) {
-          ctx.CallWithData(old_room, kRemoveMember, my_key, 64, step);
+          ctx.Call(old_room, kRemoveMember, 64, step, my_key);
         }
         if (new_room != kNoActor) {
-          ctx.CallWithData(new_room, kAddMember, my_key, 64, step);
+          ctx.Call(new_room, kAddMember, 64, step, my_key);
         }
         return;
       }
@@ -89,7 +89,7 @@ class ChatRoomActor : public Actor {
         // poster on every member ack.
         for (const ActorId member : members_) {
           if (member != ctx.caller()) {
-            ctx.CallOneWay(member, kNotify, kMessageBytes);
+            ctx.Call(member, kNotify, kMessageBytes);
           }
         }
         ctx.AddCompute(static_cast<SimDuration>(members_.size()) * Micros(2));
@@ -142,17 +142,12 @@ ChatWorkload::ChatWorkload(Cluster* cluster, ChatWorkloadConfig config)
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(config_.num_rooms >= 1);
 
-  CostModel user_costs;
-  user_costs.handler_compute = kUserCompute;
   cluster_->RegisterActorType(
       kChatUserActorType,
-      [this](ActorId) { return std::make_unique<ChatUserActor>(state_); }, user_costs);
-
-  CostModel room_costs;
-  room_costs.handler_compute = kRoomCompute;
+      [this](ActorId) { return std::make_unique<ChatUserActor>(state_); }, kUserCompute);
   cluster_->RegisterActorType(
       kChatRoomActorType,
-      [this](ActorId) { return std::make_unique<ChatRoomActor>(state_); }, room_costs);
+      [this](ActorId) { return std::make_unique<ChatRoomActor>(state_); }, kRoomCompute);
 }
 
 bool ChatWorkload::PickTarget(Rng& rng, ActorId* target, MethodId* method) {
@@ -170,8 +165,8 @@ void ChatWorkload::Start() {
     const uint64_t room =
         rng_.NextBounded(static_cast<uint64_t>(config_.num_rooms)) + 1;
     user_room_[static_cast<size_t>(u)] = room;
-    driver_.Call(MakeActorId(kChatUserActorType, static_cast<uint64_t>(u)), kJoinRoom, room, 64,
-                 nullptr);
+    driver_.Call(MakeActorId(kChatUserActorType, static_cast<uint64_t>(u)), kJoinRoom, 64,
+                 nullptr, room);
   }
   if (!config_.external_clients) {
     clients_.Start();
@@ -192,7 +187,7 @@ void ChatWorkload::RehomeSomeUsers() {
     const uint64_t user = rng_.NextBounded(static_cast<uint64_t>(config_.num_users)) + 1;
     const uint64_t room = rng_.NextBounded(static_cast<uint64_t>(config_.num_rooms)) + 1;
     user_room_[user] = room;
-    driver_.Call(MakeActorId(kChatUserActorType, user), kJoinRoom, room, 64, nullptr);
+    driver_.Call(MakeActorId(kChatUserActorType, user), kJoinRoom, 64, nullptr, room);
   }
 }
 

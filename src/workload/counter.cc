@@ -42,10 +42,9 @@ CounterWorkload::CounterWorkload(Cluster* cluster, CounterWorkloadConfig config)
             return true;
           }) {
   ACTOP_CHECK(cluster != nullptr);
-  CostModel costs;
-  costs.handler_compute = kHandlerCompute;
   cluster_->RegisterActorType(
-      kCounterActorType, [](ActorId) { return std::make_unique<CounterActor>(); }, costs);
+      kCounterActorType, [](ActorId) { return std::make_unique<CounterActor>(); },
+      kHandlerCompute);
 }
 
 void CounterWorkload::Start() { clients_.Start(); }

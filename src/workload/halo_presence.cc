@@ -103,12 +103,14 @@ class GameActor : public Actor {
         auto remaining = MakeFanoutCounter(static_cast<int>(members_.size()));
         CallContext* call = &ctx;
         for (const ActorId member : members_) {
-          ctx.CallWithData(member, kSetGame, game_key, 64,
-                           [call, remaining](const Response&) {
-                             if (--*remaining == 0) {
-                               call->Reply(16);
-                             }
-                           });
+          ctx.Call(
+              member, kSetGame, 64,
+              [call, remaining](const Response&) {
+                if (--*remaining == 0) {
+                  call->Reply(16);
+                }
+              },
+              game_key);
         }
         return;
       }
@@ -123,7 +125,7 @@ class GameActor : public Actor {
         state_->TakeRoster(game_key, &roster_scratch_);
         CallContext* call = &ctx;
         for (const ActorId member : roster_scratch_) {
-          ctx.CallWithData(member, kSetGame, 0, 64, [call, remaining](const Response&) {
+          ctx.Call(member, kSetGame, 64, [call, remaining](const Response&) {
             if (--*remaining == 0) {
               call->Reply(16);
             }
@@ -190,19 +192,14 @@ HaloWorkload::HaloWorkload(Cluster* cluster, HaloWorkloadConfig config)
                }),
       driver_(cluster, config.seed ^ 0x5678) {
   ACTOP_CHECK(cluster != nullptr);
-  CostModel player_costs;
-  player_costs.handler_compute = kPlayerCompute;
   cluster_->RegisterActorType(
       kPlayerActorType,
       [this](ActorId id) { return std::make_unique<PlayerActor>(id, state_, &config_); },
-      player_costs);
-
-  CostModel game_costs;
-  game_costs.handler_compute = kGameCompute;
+      kPlayerCompute);
   cluster_->RegisterActorType(
       kGameActorType,
       [this](ActorId id) { return std::make_unique<GameActor>(id, state_, &config_); },
-      game_costs);
+      kGameCompute);
 }
 
 HaloWorkload::~HaloWorkload() = default;
@@ -289,7 +286,7 @@ void HaloWorkload::StartGame(const std::vector<ActorId>& members) {
   }
   active_games_++;
   games_started_++;
-  driver_.Call(game, kStartGame, game_key, 256, nullptr);
+  driver_.Call(game, kStartGame, 256, nullptr, game_key);
   SimDuration duration = ScaledUniform(kGameDurationMin, kGameDurationMax);
   if (first_generation_) {
     // The initial population joins a system already in operation: treat the
@@ -312,7 +309,7 @@ void HaloWorkload::FinishGame(uint64_t game_key) {
   // actor's EndGame turn (asynchronous, after this frame) erases the entry.
   state_->ReadRoster(game_key, &finish_scratch_);
   const ActorId game = MakeActorId(kGameActorType, game_key);
-  driver_.Call(game, kEndGame, game_key, 128, nullptr);
+  driver_.Call(game, kEndGame, 128, nullptr, game_key);
   active_games_--;
   for (const ActorId member : finish_scratch_) {
     PlayerRec* rec = players_.Find(member);

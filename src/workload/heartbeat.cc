@@ -40,10 +40,9 @@ HeartbeatWorkload::HeartbeatWorkload(Cluster* cluster, HeartbeatWorkloadConfig c
             return true;
           }) {
   ACTOP_CHECK(cluster != nullptr);
-  CostModel costs;
-  costs.handler_compute = config_.handler_compute;
   cluster_->RegisterActorType(
-      kMonitorActorType, [](ActorId) { return std::make_unique<MonitorActor>(); }, costs);
+      kMonitorActorType, [](ActorId) { return std::make_unique<MonitorActor>(); },
+      config_.handler_compute);
 }
 
 void HeartbeatWorkload::Start() {

@@ -25,7 +25,7 @@ class SocialUserActor : public Actor {
         state_->posts.fetch_add(1, std::memory_order_relaxed);
         // Write fan-out: one-way deliveries to every follower's timeline.
         for (const ActorId follower : followers_) {
-          ctx.CallOneWay(follower, kDeliver, kPostBytes);
+          ctx.Call(follower, kDeliver, kPostBytes);
         }
         ctx.AddCompute(static_cast<SimDuration>(followers_.size()) * Micros(2));
         ctx.Reply(32);
@@ -91,11 +91,9 @@ SocialWorkload::SocialWorkload(Cluster* cluster, SocialWorkloadConfig config)
       driver_(cluster, config.seed ^ 0x654) {
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(config_.num_users >= 2);
-  CostModel costs;
-  costs.handler_compute = kHandlerCompute;
   cluster_->RegisterActorType(
       kSocialUserActorType,
-      [this](ActorId) { return std::make_unique<SocialUserActor>(state_); }, costs);
+      [this](ActorId) { return std::make_unique<SocialUserActor>(state_); }, kHandlerCompute);
   followers_of_.resize(static_cast<size_t>(config_.num_users) + 1);
 }
 
@@ -154,7 +152,7 @@ void SocialWorkload::Start() {
         continue;
       }
       followers_of_[author].push_back(user);
-      driver_.Call(MakeActorId(kSocialUserActorType, author), kFollow, user, 64, nullptr);
+      driver_.Call(MakeActorId(kSocialUserActorType, author), kFollow, 64, nullptr, user);
     }
   }
   if (!config_.external_clients) {
@@ -181,7 +179,7 @@ void SocialWorkload::Churn() {
       if (it != flw.end()) {
         *it = flw.back();
         flw.pop_back();
-        driver_.Call(MakeActorId(kSocialUserActorType, author), kUnfollow, user, 64, nullptr);
+        driver_.Call(MakeActorId(kSocialUserActorType, author), kUnfollow, 64, nullptr, user);
         break;
       }
     }
@@ -190,7 +188,7 @@ void SocialWorkload::Churn() {
       continue;
     }
     followers_of_[author].push_back(user);
-    driver_.Call(MakeActorId(kSocialUserActorType, author), kFollow, user, 64, nullptr);
+    driver_.Call(MakeActorId(kSocialUserActorType, author), kFollow, 64, nullptr, user);
   }
 }
 

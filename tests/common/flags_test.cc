@@ -90,10 +90,12 @@ TEST(FlagsDeathTest, UnknownFlagExits) {
 }
 
 TEST(FlagsDeathTest, BadValueExits) {
-  // Unparsable numbers, out-of-range numbers (ERANGE) and boolean values
-  // other than true/false/1/0 all exit through the usage path.
+  // Unparsable numbers, out-of-range numbers (ERANGE), boolean values other
+  // than true/false/1/0 and any value on the negated form all exit through
+  // the usage path.
   for (const char* arg : {"--count=abc", "--count=99999999999999999999", "--rate=1e999",
-                          "--check=yes", "--check=on", "--check=", "--check=TRUE"}) {
+                          "--check=yes", "--check=on", "--check=", "--check=TRUE",
+                          "--no-check=true", "--no-check=false"}) {
     Flags flags;
     flags.DefineInt("count", 0, "");
     flags.DefineDouble("rate", 0.0, "");

@@ -303,7 +303,7 @@ uint64_t PlacementDigest(size_t edge_sample_capacity = 8192,
   DirectClient client(&cluster, 5);
   sim.SchedulePeriodic(Millis(50), [&client] {
     for (uint64_t k = 1; k <= 40; k++) {
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+      client.Call(MakeActorId(kRelayType, k), 0, 100, nullptr, MakeActorId(kEchoType, k));
     }
   });
   sim.RunUntil(Seconds(20));
@@ -365,7 +365,7 @@ TEST(ArenaPlannerTest, IncrementalPlanGraphMatchesFromScratch) {
     for (int i = 0; i < 12; i++) {
       const uint64_t raw = rng.NextBounded(200);
       const uint64_t k = 1 + raw * raw / 200;
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+      client.Call(MakeActorId(kRelayType, k), 0, 100, nullptr, MakeActorId(kEchoType, k));
     }
   });
 

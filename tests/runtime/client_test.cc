@@ -112,7 +112,7 @@ TEST(DirectClientTest, CallbackReceivesResponse) {
   RegisterTestActors(&cluster);
   DirectClient client(&cluster, 3);
   int got = 0;
-  client.Call(MakeActorId(kEchoType, 1), 1, 0, 100, [&](const Response& r) {
+  client.Call(MakeActorId(kEchoType, 1), 1, 100, [&](const Response& r) {
     EXPECT_FALSE(r.failed);
     got++;
   });

@@ -31,7 +31,7 @@ TEST(FailureTest, CrashOfDirectoryHomeStillAllowsActivation) {
   cluster.CrashServer(home);  // crash first: directory shard state is empty anyway
 
   int responses = 0;
-  client.Call(echo, 1, 0, 100, [&](const Response&) { responses++; });
+  client.Call(echo, 1, 100, [&](const Response&) { responses++; });
   sim.RunUntil(Seconds(2));
   // The home shard (instantly "replaced" server) still serves lookups.
   EXPECT_EQ(responses, 1);
@@ -48,7 +48,7 @@ TEST(FailureTest, RepeatedCrashesNeverDuplicateActivations) {
   DirectClient client(&cluster, 5);
 
   for (uint64_t k = 1; k <= 40; k++) {
-    client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
+    client.Call(MakeActorId(kEchoType, k), 1, 100);
   }
   sim.RunUntil(Seconds(2));
 
@@ -57,7 +57,7 @@ TEST(FailureTest, RepeatedCrashesNeverDuplicateActivations) {
     cluster.CrashServer(static_cast<ServerId>(rng.NextBounded(4)));
     // Fresh calls re-activate a random subset.
     for (int i = 0; i < 20; i++) {
-      client.Call(MakeActorId(kEchoType, rng.NextBounded(40) + 1), 1, 0, 100, nullptr);
+      client.Call(MakeActorId(kEchoType, rng.NextBounded(40) + 1), 1, 100);
     }
     sim.RunUntil(sim.now() + Seconds(3));
     for (uint64_t k = 1; k <= 40; k++) {
@@ -75,14 +75,14 @@ TEST(FailureTest, StateSurvivesCrash) {
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   for (int i = 0; i < 5; i++) {
-    client.Call(echo, 1, 0, 100, nullptr);
+    client.Call(echo, 1, 100);
   }
   sim.RunUntil(Seconds(2));
   for (int s = 0; s < 3; s++) {
     cluster.CrashServer(static_cast<ServerId>(s));
   }
   int responses = 0;
-  client.Call(echo, 1, 0, 100, [&](const Response&) { responses++; });
+  client.Call(echo, 1, 100, [&](const Response&) { responses++; });
   sim.RunUntil(sim.now() + Seconds(2));
   EXPECT_EQ(responses, 1);
   // Counter kept its history across the crash (state store == storage).
@@ -141,7 +141,7 @@ TEST_P(MigrationChurnTest, NoLossUnderRandomMigrations) {
     }
     const ActorId target = MakeActorId(kEchoType, rng.NextBounded(kActors) + 1);
     issued++;
-    client.Call(target, 1, 0, 100, [&](const Response& r) {
+    client.Call(target, 1, 100, [&](const Response& r) {
       if (!r.failed) {
         responses++;
       }

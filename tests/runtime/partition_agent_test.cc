@@ -44,7 +44,7 @@ TEST(PartitionAgentTest, EdgeSamplingBuildsView) {
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 1);
   for (int i = 0; i < 30; i++) {
-    client.Call(relay, 0, echo, 100, nullptr);
+    client.Call(relay, 0, 100, nullptr, echo);
   }
   sim.RunUntil(Seconds(1));
 
@@ -83,7 +83,7 @@ TEST(PartitionAgentTest, HeavyPairsGetColocated) {
   const int kPairs = 40;
   sim.SchedulePeriodic(Millis(50), [&client] {
     for (uint64_t k = 1; k <= kPairs; k++) {
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+      client.Call(MakeActorId(kRelayType, k), 0, 100, nullptr, MakeActorId(kEchoType, k));
     }
   });
   sim.RunUntil(Seconds(40));
@@ -119,7 +119,7 @@ TEST(PartitionAgentTest, BalanceMaintainedDuringOptimization) {
   const int kPairs = 60;
   sim.SchedulePeriodic(Millis(50), [&client] {
     for (uint64_t k = 1; k <= kPairs; k++) {
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+      client.Call(MakeActorId(kRelayType, k), 0, 100, nullptr, MakeActorId(kEchoType, k));
     }
   });
   sim.RunUntil(Seconds(30));
@@ -149,7 +149,7 @@ TEST(PartitionAgentTest, RateLimitingRejectsBackToBackExchanges) {
 
   sim.SchedulePeriodic(Millis(50), [&client] {
     for (uint64_t k = 1; k <= 200; k++) {
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+      client.Call(MakeActorId(kRelayType, k), 0, 100, nullptr, MakeActorId(kEchoType, k));
     }
   });
   sim.RunUntil(Seconds(30));
@@ -173,7 +173,7 @@ TEST(PartitionAgentTest, ObservationBufferStaysBoundedAfterStop) {
   DirectClient client(&cluster, 5);
   sim.SchedulePeriodic(Millis(10), [&client] {
     for (uint64_t k = 1; k <= 20; k++) {
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100, nullptr);
+      client.Call(MakeActorId(kRelayType, k), 0, 100, nullptr, MakeActorId(kEchoType, k));
     }
   });
   sim.RunUntil(Seconds(3));
@@ -223,9 +223,9 @@ TEST(PartitionAgentTest, ChatWorkloadRemoteFractionDrops) {
     cluster.StartOptimizers();
     sim.RunUntil(Seconds(30));
     // Measure the steady state only.
-    cluster.metrics().TakeWindow();
+    cluster.TakeMetricsWindow();
     sim.RunUntil(Seconds(45));
-    return cluster.metrics().TakeWindow().remote_fraction();
+    return cluster.TakeMetricsWindow().remote_fraction();
   };
   const double base = remote_fraction(false);
   const double opt = remote_fraction(true);

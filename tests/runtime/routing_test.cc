@@ -29,7 +29,7 @@ TEST(RoutingTest, StaleCacheChainStillDelivers) {
   DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
-  client.Call(echo, 1, 0, 100, nullptr);
+  client.Call(echo, 1, 100);
   sim.RunUntil(Seconds(1));
   const ServerId host = HostOf(cluster, echo);
   ASSERT_NE(host, kNoServer);
@@ -42,7 +42,7 @@ TEST(RoutingTest, StaleCacheChainStillDelivers) {
     }
   }
   int responses = 0;
-  client.Call(echo, 1, 0, 100, [&](const Response& r) {
+  client.Call(echo, 1, 100, [&](const Response& r) {
     EXPECT_FALSE(r.failed);
     responses++;
   });
@@ -65,7 +65,7 @@ TEST(RoutingTest, OneWayCallsDeliverWithoutResponses) {
 
   const ActorId echo = MakeActorId(kEchoType, 9);
   for (int i = 0; i < 10; i++) {
-    client.Call(echo, 1, 0, 100, nullptr);  // null continuation: one-way
+    client.Call(echo, 1, 100);  // null continuation: one-way
   }
   sim.RunUntil(Seconds(2));
   auto* actor = static_cast<EchoActor*>(cluster.GetOrCreateActor(echo));
@@ -98,7 +98,7 @@ TEST(RoutingTest, BoundedReceiveQueueShedsLoadButRecovers) {
   // ...but the server stays live afterwards.
   DirectClient probe(&cluster, 9);
   int ok = 0;
-  probe.Call(MakeActorId(kEchoType, 1), 1, 0, 100, [&](const Response& r) {
+  probe.Call(MakeActorId(kEchoType, 1), 1, 100, [&](const Response& r) {
     ok += r.failed ? 0 : 1;
   });
   sim.RunUntil(sim.now() + Seconds(2));
@@ -119,7 +119,7 @@ TEST(RoutingTest, ControlLossRecoversViaParkedCallRetry) {
   const ActorId echo = MakeActorId(kEchoType, 4);
   const ServerId home = DirectoryHomeOf(echo, 4);
   int responses = 0;
-  client.Call(echo, 1, 0, 100, [&](const Response& r) {
+  client.Call(echo, 1, 100, [&](const Response& r) {
     if (!r.failed) {
       responses++;
     }
@@ -209,7 +209,7 @@ TEST(RoutingTest, ActiveActorsListsEveryActivation) {
   RegisterTestActors(&cluster);
   DirectClient client(&cluster, 5);
   for (uint64_t k = 1; k <= 20; k++) {
-    client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
+    client.Call(MakeActorId(kEchoType, k), 1, 100);
   }
   sim.RunUntil(Seconds(2));
   size_t listed = 0;

@@ -31,7 +31,7 @@ TEST(RuntimeTest, ClientCallActivatesAndResponds) {
 
   const ActorId echo = MakeActorId(kEchoType, 1);
   int responses = 0;
-  client.Call(echo, 1, 0, 100, [&](const Response&) { responses++; });
+  client.Call(echo, 1, 100, [&](const Response&) { responses++; });
   sim.RunUntil(Seconds(1));
 
   EXPECT_EQ(responses, 1);
@@ -50,7 +50,7 @@ TEST(RuntimeTest, ActivationIsExactlyOnceUnderConcurrentCalls) {
   const ActorId echo = MakeActorId(kEchoType, 7);
   int responses = 0;
   for (int i = 0; i < 20; i++) {
-    client.Call(echo, 1, 0, 100, [&](const Response&) { responses++; });
+    client.Call(echo, 1, 100, [&](const Response&) { responses++; });
   }
   sim.RunUntil(Seconds(2));
   EXPECT_EQ(responses, 20);
@@ -77,7 +77,7 @@ TEST(RuntimeTest, RandomPlacementSpreadsActors) {
   DirectClient client(&cluster, 5);
 
   for (uint64_t k = 1; k <= 200; k++) {
-    client.Call(MakeActorId(kEchoType, k), 1, 0, 100, nullptr);
+    client.Call(MakeActorId(kEchoType, k), 1, 100);
   }
   sim.RunUntil(Seconds(5));
   EXPECT_EQ(cluster.total_activations(), 200);
@@ -98,12 +98,12 @@ TEST(RuntimeTest, ActorToActorCallAcrossServers) {
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
   int responses = 0;
-  client.Call(relay, 0, echo, 100, [&](const Response&) { responses++; });
+  client.Call(relay, 0, 100, [&](const Response&) { responses++; }, echo);
   sim.RunUntil(Seconds(2));
   EXPECT_EQ(responses, 1);
   auto* echo_actor = static_cast<EchoActor*>(cluster.GetOrCreateActor(echo));
   EXPECT_EQ(echo_actor->calls(), 1);
-  EXPECT_EQ(cluster.metrics().actor_call_latency().count(), 1u);
+  EXPECT_EQ(cluster.MergedActorCallLatency().count(), 1u);
 }
 
 TEST(RuntimeTest, DrainingParkedCallsMayParkFurtherCalls) {
@@ -128,14 +128,20 @@ TEST(RuntimeTest, DrainingParkedCallsMayParkFurtherCalls) {
   for (int i = 0; i < 10; i++) {
     // method 0 with app_data = partner: relay sub-calls the partner's
     // method 1 (immediate reply) before replying itself.
-    client.Call(relay_a, 0, relay_b, 100, [&](const Response& r) {
-      EXPECT_FALSE(r.failed);
-      responses++;
-    });
-    client.Call(relay_b, 0, relay_a, 100, [&](const Response& r) {
-      EXPECT_FALSE(r.failed);
-      responses++;
-    });
+    client.Call(
+        relay_a, 0, 100,
+        [&](const Response& r) {
+          EXPECT_FALSE(r.failed);
+          responses++;
+        },
+        relay_b);
+    client.Call(
+        relay_b, 0, 100,
+        [&](const Response& r) {
+          EXPECT_FALSE(r.failed);
+          responses++;
+        },
+        relay_a);
   }
   sim.RunUntil(Seconds(2));
   EXPECT_EQ(responses, 20);
@@ -148,10 +154,13 @@ TEST(RuntimeTest, DrainingParkedCallsMayParkFurtherCalls) {
   const ActorId relay_c = MakeActorId(kRelayType, 13);
   const ActorId echo = MakeActorId(kEchoType, 14);
   for (int i = 0; i < 10; i++) {
-    client.Call(relay_c, 0, echo, 100, [&](const Response& r) {
-      EXPECT_FALSE(r.failed);
-      responses++;
-    });
+    client.Call(
+        relay_c, 0, 100,
+        [&](const Response& r) {
+          EXPECT_FALSE(r.failed);
+          responses++;
+        },
+        echo);
   }
   sim.RunUntil(Seconds(4));
   EXPECT_EQ(responses, 30);
@@ -169,14 +178,14 @@ TEST(RuntimeTest, TurnBasedExecutionSerializesCalls) {
   DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 3);
-  client.Call(echo, 1, 0, 100, nullptr);  // warm up (activation)
+  client.Call(echo, 1, 100);  // warm up (activation)
   sim.RunUntil(Seconds(1));
 
   SimTime first_response = 0;
   SimTime last_response = 0;
   int responses = 0;
   for (int i = 0; i < 10; i++) {
-    client.Call(echo, 1, 0, 100, [&](const Response&) {
+    client.Call(echo, 1, 100, [&](const Response&) {
       if (responses == 0) {
         first_response = sim.now();
       }
@@ -198,7 +207,7 @@ TEST(RuntimeTest, SecondCallUsesLocationCache) {
 
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
-  client.Call(relay, 0, echo, 100, nullptr);
+  client.Call(relay, 0, 100, nullptr, echo);
   sim.RunUntil(Seconds(1));
 
   // The relay's server must now know echo's location.
@@ -230,9 +239,9 @@ TEST(RuntimeTest, MigrationMovesActivationViaCacheHint) {
   // Spread relays around so we can later call from the echo's OLD host —
   // the §4.3 opportunistic path: p or q's cache hint drives re-placement.
   const ActorId echo = MakeActorId(kEchoType, 1);
-  client.Call(echo, 1, 0, 100, nullptr);
+  client.Call(echo, 1, 100);
   for (uint64_t k = 1; k <= 40; k++) {
-    client.Call(MakeActorId(kRelayType, k), 1, 0, 100, nullptr);
+    client.Call(MakeActorId(kRelayType, k), 1, 100);
   }
   sim.RunUntil(Seconds(2));
 
@@ -254,7 +263,7 @@ TEST(RuntimeTest, MigrationMovesActivationViaCacheHint) {
 
   // A call issued from the old host follows its primed cache to `dest`.
   int responses = 0;
-  client.Call(relay_on_host, 0, echo, 100, [&](const Response&) { responses++; });
+  client.Call(relay_on_host, 0, 100, [&](const Response&) { responses++; }, echo);
   sim.RunUntil(sim.now() + Seconds(2));
   EXPECT_EQ(responses, 1);
   EXPECT_TRUE(cluster.server(dest).IsActive(echo));
@@ -274,9 +283,9 @@ TEST(RuntimeTest, MigrationThenThirdPartyCallReactivatesAtCaller) {
   DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
-  client.Call(echo, 1, 0, 100, nullptr);
+  client.Call(echo, 1, 100);
   for (uint64_t k = 1; k <= 40; k++) {
-    client.Call(MakeActorId(kRelayType, k), 1, 0, 100, nullptr);
+    client.Call(MakeActorId(kRelayType, k), 1, 100);
   }
   sim.RunUntil(Seconds(2));
 
@@ -296,7 +305,7 @@ TEST(RuntimeTest, MigrationThenThirdPartyCallReactivatesAtCaller) {
   sim.RunUntil(sim.now() + Seconds(1));
 
   int responses = 0;
-  client.Call(relay_on_third, 0, echo, 100, [&](const Response&) { responses++; });
+  client.Call(relay_on_third, 0, 100, [&](const Response&) { responses++; }, echo);
   sim.RunUntil(sim.now() + Seconds(2));
   EXPECT_EQ(responses, 1);
   // The third server had no hint (unless it had cached the old location,
@@ -317,7 +326,7 @@ TEST(RuntimeTest, MigrationRefusedWhileBusy) {
   const ActorId echo = MakeActorId(kEchoType, 2);
   // Activate the relay first so the busy-window test starts from a settled
   // state.
-  client.Call(relay, 1, 0, 100, nullptr);
+  client.Call(relay, 1, 100);
   sim.RunUntil(Seconds(1));
   ServerId host = kNoServer;
   for (int s = 0; s < cluster.num_servers(); s++) {
@@ -330,7 +339,7 @@ TEST(RuntimeTest, MigrationRefusedWhileBusy) {
 
   // Issue a relayed call; while the sub-call to echo is outstanding, the
   // relay holds an open context and must not be migratable.
-  client.Call(relay, 0, echo, 100, nullptr);
+  client.Call(relay, 0, 100, nullptr, echo);
   bool observed_busy = false;
   for (int step = 0; step < 5000; step++) {
     sim.RunUntil(sim.now() + Micros(100));
@@ -357,8 +366,9 @@ TEST(RuntimeTest, RemoteAndLocalMessageCounting) {
   // 50 relay->echo pairs; with random placement ~75% of pairs are split.
   int responses = 0;
   for (uint64_t k = 1; k <= 50; k++) {
-    client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100,
-                [&](const Response&) { responses++; });
+    client.Call(
+        MakeActorId(kRelayType, k), 0, 100, [&](const Response&) { responses++; },
+        MakeActorId(kEchoType, k));
   }
   sim.RunUntil(Seconds(5));
   EXPECT_EQ(responses, 50);
@@ -382,7 +392,7 @@ TEST(RuntimeTest, CrashReactivatesActorElsewhere) {
   DirectClient client(&cluster, 5);
 
   const ActorId echo = MakeActorId(kEchoType, 1);
-  client.Call(echo, 1, 0, 100, nullptr);
+  client.Call(echo, 1, 100);
   sim.RunUntil(Seconds(1));
   ServerId host = kNoServer;
   for (int s = 0; s < cluster.num_servers(); s++) {
@@ -396,7 +406,7 @@ TEST(RuntimeTest, CrashReactivatesActorElsewhere) {
 
   // Virtual-actor fault tolerance: the next call re-instantiates the actor.
   int responses = 0;
-  client.Call(echo, 1, 0, 100, [&](const Response&) { responses++; });
+  client.Call(echo, 1, 100, [&](const Response&) { responses++; });
   sim.RunUntil(sim.now() + Seconds(2));
   EXPECT_EQ(responses, 1);
   EXPECT_EQ(cluster.total_activations(), 1);
@@ -419,7 +429,7 @@ TEST(RuntimeTest, ExpiredUnregisterFenceIsSweptAway) {
   ServerId host = kNoServer;
   for (uint64_t k = 1; k <= 40 && echo == kNoActor; k++) {
     const ActorId candidate = MakeActorId(kEchoType, k);
-    client.Call(candidate, 1, 0, 100, nullptr);
+    client.Call(candidate, 1, 100);
     sim.RunUntil(sim.now() + Millis(100));
     const ServerId where = HostOf(cluster, candidate);
     if (where != kNoServer && where != DirectoryHomeOf(candidate, cluster.num_servers())) {
@@ -451,8 +461,8 @@ TEST(RuntimeTest, SubcallToCrashedServerFailsViaTimeout) {
   const ActorId relay = MakeActorId(kRelayType, 1);
   const ActorId echo = MakeActorId(kEchoType, 2);
   // Activate both.
-  client.Call(relay, 1, 0, 100, nullptr);
-  client.Call(echo, 1, 0, 100, nullptr);
+  client.Call(relay, 1, 100);
+  client.Call(echo, 1, 100);
   sim.RunUntil(Seconds(1));
 
   ServerId relay_host = kNoServer;
@@ -471,7 +481,7 @@ TEST(RuntimeTest, SubcallToCrashedServerFailsViaTimeout) {
   }
 
   // Crash echo's server the instant the relay's sub-call is in flight.
-  client.Call(relay, 0, echo, 100, nullptr);
+  client.Call(relay, 0, 100, nullptr, echo);
   sim.RunUntil(sim.now() + Micros(400));
   cluster.CrashServer(echo_host);
   sim.RunUntil(sim.now() + Seconds(5));
@@ -502,8 +512,10 @@ TEST(RuntimeTest, DeterministicEndToEnd) {
     DirectClient client(&cluster, 5);
     uint64_t checksum = 0;
     for (uint64_t k = 1; k <= 30; k++) {
-      client.Call(MakeActorId(kRelayType, k), 0, MakeActorId(kEchoType, k), 100,
-                  [&, k](const Response&) { checksum = checksum * 31 + k + sim.now() % 1000003; });
+      client.Call(
+          MakeActorId(kRelayType, k), 0, 100,
+          [&, k](const Response&) { checksum = checksum * 31 + k + sim.now() % 1000003; },
+          MakeActorId(kEchoType, k));
     }
     sim.RunUntil(Seconds(5));
     return checksum;
@@ -565,15 +577,13 @@ class CallTableTest : public ::testing::Test {
   static constexpr ActorId kRelay = MakeActorId(kRelayType, 1);
 
   CallTableTest() {
-    CostModel costs;
-    costs.handler_compute = Micros(20);
     cluster_.RegisterActorType(
-        kHoldType, [](ActorId) { return std::make_unique<HoldActor>(); }, costs);
+        kHoldType, [](ActorId) { return std::make_unique<HoldActor>(); }, Micros(20));
     cluster_.RegisterActorType(
         kIssuerType,
-        [this](ActorId) { return std::make_unique<IssuerActor>(&sim_, &log_); }, costs);
+        [this](ActorId) { return std::make_unique<IssuerActor>(&sim_, &log_); }, Micros(20));
     cluster_.RegisterActorType(
-        kRelayType, [](ActorId) { return std::make_unique<RelayActor>(); }, costs);
+        kRelayType, [](ActorId) { return std::make_unique<RelayActor>(); }, Micros(20));
   }
 
   static ClusterConfig Config() {
@@ -585,7 +595,7 @@ class CallTableTest : public ::testing::Test {
   // Has the issuer send one sub-call tagged `tag` to the hold actor, then
   // runs 100 ms so calls issued back to back stay in order.
   void Issue(int tag) {
-    client_.Call(kIssuer, static_cast<MethodId>(tag), kHold, 100, nullptr);
+    client_.Call(kIssuer, static_cast<MethodId>(tag), 100, nullptr, kHold);
     sim_.RunUntil(sim_.now() + Millis(100));
   }
 
@@ -685,7 +695,7 @@ TEST_F(CallTableTest, ContinuationQueuedBeforeCrashRepliesOnAnInertContext) {
   // The relay calls the hold actor and, not having replied in its turn, will
   // reply from the sub-call's continuation.
   int first_responses = 0;
-  client_.Call(kRelay, 0, kHold, 100, [&](const Response&) { first_responses++; });
+  client_.Call(kRelay, 0, 100, [&](const Response&) { first_responses++; }, kHold);
   sim_.RunUntil(sim_.now() + Millis(100));
   ASSERT_EQ(hold().num_held(), 1u);
 
@@ -701,7 +711,7 @@ TEST_F(CallTableTest, ContinuationQueuedBeforeCrashRepliesOnAnInertContext) {
     cluster_.CrashServer(0);
     server.ForceActivateForTest(kRelay);
     sent_before = cluster_.network().total_messages();
-    client_.Call(kRelay, 1, 0, 100, [&](const Response&) { second_responses++; });
+    client_.Call(kRelay, 1, 100, [&](const Response&) { second_responses++; });
   });
   sim_.RunUntil(Seconds(10));
 
@@ -715,7 +725,7 @@ TEST_F(CallTableTest, ContinuationQueuedBeforeCrashRepliesOnAnInertContext) {
 
 TEST_F(CallTableTest, InertContextStillRejectsASecondReply) {
   int responses = 0;
-  client_.Call(kHold, 0, 0, 100, [&](const Response&) { responses++; });
+  client_.Call(kHold, 0, 100, [&](const Response&) { responses++; });
   sim_.RunUntil(sim_.now() + Millis(100));
   ASSERT_EQ(hold().num_held(), 1u);
   cluster_.CrashServer(0);

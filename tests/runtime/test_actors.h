@@ -72,12 +72,10 @@ inline int CountHosts(Cluster& cluster, ActorId actor) {
 }
 
 inline void RegisterTestActors(Cluster* cluster) {
-  CostModel costs;
-  costs.handler_compute = Micros(20);
   cluster->RegisterActorType(
-      kEchoType, [](ActorId) { return std::make_unique<EchoActor>(); }, costs);
+      kEchoType, [](ActorId) { return std::make_unique<EchoActor>(); }, Micros(20));
   cluster->RegisterActorType(
-      kRelayType, [](ActorId) { return std::make_unique<RelayActor>(); }, costs);
+      kRelayType, [](ActorId) { return std::make_unique<RelayActor>(); }, Micros(20));
 }
 
 }  // namespace actop

@@ -95,12 +95,12 @@ TEST(HaloWorkloadTest, BroadcastPatternGeneratesEighteenMessages) {
   workload.Start();
   sim.RunUntil(Seconds(10));  // warm-up: joins, activations
 
-  const auto before = cluster.metrics().TakeWindow();
+  const auto before = cluster.TakeMetricsWindow();
   (void)before;
   const uint64_t broadcasts_before = workload.state().broadcasts;
   const uint64_t completed_before = workload.clients().completed();
   sim.RunUntil(Seconds(40));
-  const auto window = cluster.metrics().TakeWindow();
+  const auto window = cluster.TakeMetricsWindow();
   const uint64_t broadcasts = workload.state().broadcasts - broadcasts_before;
   const uint64_t requests = workload.clients().completed() - completed_before;
 
@@ -234,9 +234,9 @@ TEST(SocialWorkloadTest, PartitioningReducesRemoteTrafficDespiteCelebrities) {
     social.Start();
     cluster.StartOptimizers();
     sim.RunUntil(Seconds(25));
-    cluster.metrics().TakeWindow();
+    cluster.TakeMetricsWindow();
     sim.RunUntil(Seconds(40));
-    return cluster.metrics().TakeWindow().remote_fraction();
+    return cluster.TakeMetricsWindow().remote_fraction();
   };
   const double base = remote_fraction(false);
   const double opt = remote_fraction(true);
