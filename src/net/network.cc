@@ -19,7 +19,16 @@ Network::Network(ShardedEngine* engine, NetworkConfig config)
   const int shards = engine->shards();
   lanes_.resize(static_cast<size_t>(shards));
   for (int i = 0; i < shards; i++) {
-    lanes_[static_cast<size_t>(i)].sim = &engine->shard(i);
+    Lane& lane = lanes_[static_cast<size_t>(i)];
+    lane.sim = &engine->shard(i);
+    lane.net = this;
+    lane.shard = i;
+    lane.cursor = lane.sim->AddTimer(
+        [](void* ctx) {
+          const Lane* l = static_cast<const Lane*>(ctx);
+          l->net->CursorDeliver(l->shard);
+        },
+        &lane);
   }
   outboxes_.resize(static_cast<size_t>(shards) * static_cast<size_t>(shards));
   pending_ = std::make_unique<PendingInbox[]>(static_cast<size_t>(shards));
@@ -27,7 +36,12 @@ Network::Network(ShardedEngine* engine, NetworkConfig config)
   engine_->set_exchange_hook([this](int dst) { DrainInbound(dst); });
 }
 
-Network::~Network() { engine_->set_exchange_hook(nullptr); }
+Network::~Network() {
+  engine_->set_exchange_hook(nullptr);
+  for (Lane& lane : lanes_) {
+    lane.sim->RemoveTimer(lane.cursor);
+  }
+}
 
 NodeId Network::AddNode(DeliverFn deliver, int shard) {
   ACTOP_CHECK(deliver != nullptr);
@@ -166,27 +180,22 @@ void Network::DrainInbound(int dst) {
   scratch.clear();
   std::inplace_merge(lane.staged.begin(), lane.staged.begin() + mid, lane.staged.end(),
                      [](const OutMsg& a, const OutMsg& b) { return a.when < b.when; });
-  // Pin the cursor at the head: one pending heap event per lane covers the
-  // whole staged run.
+  // Pin the cursor at the head: one armed timer per lane covers the whole
+  // staged run.
   const SimTime head = lane.staged.front().when;
-  if (lane.cursor_event == 0) {
+  if (!lane.sim->timer_armed(lane.cursor) || head < lane.cursor_when) {
     lane.cursor_when = head;
-    lane.cursor_event = lane.sim->ScheduleAt(head, [this, dst] { CursorDeliver(dst); });
-  } else if (head < lane.cursor_when) {
-    const bool moved = lane.sim->Reschedule(lane.cursor_event, head);
-    ACTOP_CHECK(moved);
-    lane.cursor_when = head;
+    lane.sim->ArmTimer(lane.cursor, head);
   }
 }
 
 void Network::CursorDeliver(int dst) {
   Lane& lane = lanes_[static_cast<size_t>(dst)];
-  lane.cursor_event = 0;
   const SimTime now = lane.sim->now();
-  // Deliver every staged message due at this instant back to back: one heap
-  // event per distinct arrival time instead of one per message. Handlers may
-  // Send (touching outboxes and the in-flight slab) but never mutate the
-  // staged run — drains only happen at window barriers.
+  // Deliver every staged message due at this instant back to back: one
+  // timer firing per distinct arrival time instead of one event per message.
+  // Handlers may Send (touching outboxes and the in-flight slab) but never
+  // mutate the staged run — drains only happen at window barriers.
   while (lane.staged_head < lane.staged.size() && lane.staged[lane.staged_head].when == now) {
     OutMsg& m = lane.staged[lane.staged_head++];
     EnvelopePtr msg = std::move(m.msg);
@@ -197,7 +206,7 @@ void Network::CursorDeliver(int dst) {
   }
   if (lane.staged_head < lane.staged.size()) {
     lane.cursor_when = lane.staged[lane.staged_head].when;
-    lane.cursor_event = lane.sim->ScheduleAt(lane.cursor_when, [this, dst] { CursorDeliver(dst); });
+    lane.sim->ArmTimer(lane.cursor, lane.cursor_when);
   } else {
     lane.staged.clear();
     lane.staged_head = 0;

@@ -32,10 +32,11 @@
 // gathers the outboxes, and merges the batch into a per-lane `staged` run
 // ordered by (when, drain epoch, src_shard, seq) — deterministic for a fixed
 // shard count, independent of thread scheduling. Instead of one heap event
-// per message, a single cursor event per lane delivers every staged message
-// due at its instant and reschedules itself to the next distinct arrival
-// time, so a drain of B messages costs one schedule (or one Reschedule when
-// a new head arrives earlier), not B. The fixed one-way latency is the
+// per message, each lane's cursor — a persistent engine timer (the timer
+// track in src/sim/simulation.h) — delivers every staged message due at its
+// instant and re-arms itself at the next distinct arrival time, so a drain
+// of B messages costs at most one timer re-key (when the run was empty or a
+// new head arrives earlier), not B schedules. The fixed one-way latency is the
 // engine's lookahead: every cross-shard arrival time is at least one latency
 // after its send, hence at or beyond the window end, so draining at barriers
 // can never deliver into a window already running. That argument needs the
@@ -152,12 +153,15 @@ class Network {
     // Inbound messages merged but not yet delivered, ordered by `when`
     // (ties: drain epoch, then src, then seq). staged[staged_head..) are
     // live; the consumed prefix is compacted away at the next drain. One
-    // cursor event per lane walks this run: whenever staged is non-empty,
-    // cursor_event is pending at staged[staged_head].when (== cursor_when).
+    // cursor timer per lane walks this run: whenever staged is non-empty,
+    // the cursor is armed at staged[staged_head].when (== cursor_when).
     std::vector<OutMsg> staged;
     size_t staged_head = 0;
-    EventId cursor_event = 0;
+    Simulation::TimerId cursor = 0;
     SimTime cursor_when = 0;
+    // Cursor timer context.
+    Network* net = nullptr;
+    int shard = 0;
   };
 
   // Destination-side worklist of sources with a non-empty outbox this
@@ -171,10 +175,10 @@ class Network {
   void Deliver(int shard, uint32_t slot);
   // Engine exchange hook: runs on shard `dst`'s worker at the window
   // barrier; merges the registered inbound outboxes into dst's staged run
-  // and pins the cursor event at its head.
+  // and pins the cursor timer at its head.
   void DrainInbound(int dst);
-  // Cursor event body: delivers every staged message due at the current
-  // instant, then reschedules for the next distinct arrival time.
+  // Cursor timer body: delivers every staged message due at the current
+  // instant, then re-arms for the next distinct arrival time.
   void CursorDeliver(int dst);
 
   uint64_t SumLanes(uint64_t Lane::* field) const {

@@ -73,9 +73,20 @@ Cluster::~Cluster() {
 void Cluster::RegisterActorType(ActorType type, ActorFactory factory,
                                 SimDuration handler_compute) {
   ACTOP_CHECK(factory != nullptr);
-  const bool inserted =
-      actor_types_.emplace(type, ActorTypeInfo{std::move(factory), handler_compute}).second;
-  ACTOP_CHECK(inserted);
+  // An ActorId carries its type in 16 bits, so no id names a wider type.
+  ACTOP_CHECK(type <= 0xFFFF);
+  if (type >= actor_types_.size()) {
+    actor_types_.resize(type + 1);
+  }
+  ActorTypeInfo& info = actor_types_[type];
+  ACTOP_CHECK(info.factory == nullptr);  // registered once
+  info = ActorTypeInfo{std::move(factory), handler_compute};
+}
+
+const ActorTypeInfo& Cluster::TypeInfo(ActorId actor) const {
+  const ActorType type = ActorTypeOf(actor);
+  ACTOP_CHECK(type < actor_types_.size() && actor_types_[type].factory != nullptr);
+  return actor_types_[type];
 }
 
 void Cluster::StartOptimizers() {
@@ -121,10 +132,7 @@ Actor* Cluster::GetOrCreateActor(ActorId actor, int shard) {
   if (auto* slot = state_store_.Find(actor)) {
     return slot->get();
   }
-  const ActorType type = ActorTypeOf(actor);
-  auto type_it = actor_types_.find(type);
-  ACTOP_CHECK(type_it != actor_types_.end());
-  auto instance = type_it->second.factory(actor);
+  auto instance = TypeInfo(actor).factory(actor);
   ACTOP_CHECK(instance != nullptr);
   Actor* raw = instance.get();
   state_store_.Insert(actor, std::move(instance));
@@ -150,9 +158,7 @@ bool Cluster::HasActorStateForPlacement(ActorId actor, int shard) const {
 }
 
 SimDuration Cluster::HandlerCompute(ActorId actor) const {
-  auto it = actor_types_.find(ActorTypeOf(actor));
-  ACTOP_CHECK(it != actor_types_.end());
-  return it->second.handler_compute;
+  return TypeInfo(actor).handler_compute;
 }
 
 int64_t Cluster::total_activations() const {

@@ -25,7 +25,6 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -151,6 +150,8 @@ class Cluster {
  private:
   // Window-barrier hook (parallel mode): refreshes cross-shard snapshots.
   void SnapshotGlobals();
+  // The registered type of `actor`; checks that its type was registered.
+  const ActorTypeInfo& TypeInfo(ActorId actor) const;
 
   ShardedEngine* engine_;
   ClusterConfig config_;
@@ -159,7 +160,8 @@ class Cluster {
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<PartitionAgent>> agents_;
   std::vector<std::unique_ptr<ModelThreadController>> thread_controllers_;
-  std::unordered_map<ActorType, ActorTypeInfo> actor_types_;
+  // Indexed by ActorType; a null factory marks a type never registered.
+  std::vector<ActorTypeInfo> actor_types_;
 
   // Guards state_store_ in parallel mode (activation creation can race
   // across shards); not taken with one shard. FlatHashMap: one flat slot

@@ -28,6 +28,14 @@ CpuModel::CpuModel(Simulation* sim, int cores, double kappa, SimDuration quantum
   ACTOP_CHECK(kappa >= 0.0);
   ACTOP_CHECK(quantum >= 0);
   last_update_ = sim_->now();
+  completion_timer_ = sim_->AddTimer(
+      [](void* self) { static_cast<CpuModel*>(self)->OnCompletion(); }, this);
+  wake_timer_ = sim_->AddTimer([](void* self) { static_cast<CpuModel*>(self)->OnWake(); }, this);
+}
+
+CpuModel::~CpuModel() {
+  sim_->RemoveTimer(completion_timer_);
+  sim_->RemoveTimer(wake_timer_);
 }
 
 double CpuModel::Efficiency() const {
@@ -70,9 +78,10 @@ void CpuModel::AdvanceTo(SimTime t) {
 
 void CpuModel::Reschedule() {
   if (heap_.empty() || paused_) {
-    if (pending_completion_ != 0) {
-      sim_->Cancel(pending_completion_);
-      pending_completion_ = 0;
+    if (completing_) {
+      completion_due_ = false;
+    } else {
+      sim_->DisarmTimer(completion_timer_);
     }
     return;
   }
@@ -82,14 +91,19 @@ void CpuModel::Reschedule() {
   // min-remaining rescan reduced to a peek.
   const double wait = std::max(0.0, heap_.top().finish_v - vtime_) / rate;
   const SimTime when = sim_->now() + static_cast<SimDuration>(std::ceil(wait));
-  if (pending_completion_ != 0 && sim_->Reschedule(pending_completion_, when)) {
+  if (completing_) {
+    // The seq is drawn now, where a re-key outside OnCompletion would draw
+    // it, so the key OnCompletion arms at its end is the one this call sets.
+    completion_due_ = true;
+    completion_when_ = when;
+    completion_seq_ = sim_->ReserveSeq();
     return;
   }
-  pending_completion_ = sim_->ScheduleAt(when, [this] { OnCompletion(); });
+  sim_->ArmTimer(completion_timer_, when);
 }
 
 void CpuModel::OnCompletion() {
-  pending_completion_ = 0;
+  completing_ = true;
   AdvanceTo(sim_->now());
   batch_scratch_.clear();
   done_scratch_.clear();
@@ -117,6 +131,20 @@ void CpuModel::OnCompletion() {
     fn();
   }
   done_scratch_.clear();
+  completing_ = false;
+  if (completion_due_) {
+    completion_due_ = false;
+    sim_->ArmTimer(completion_timer_, completion_when_, completion_seq_);
+  }
+}
+
+void CpuModel::OnWake() {
+  const uint32_t slot = parked_.top().slot();
+  parked_.PopRoot();
+  if (!parked_.empty()) {
+    sim_->ArmTimer(wake_timer_, parked_.top().wake, parked_.top().seq());
+  }
+  StartParkedJob(slot);
 }
 
 void CpuModel::BeginCompute(SimDuration demand, InlineTask done) {
@@ -131,11 +159,11 @@ void CpuModel::BeginCompute(SimDuration demand, InlineTask done) {
     const double mean = static_cast<double>(quantum_) * static_cast<double>(over) /
                         static_cast<double>(cores_);
     const auto delay = static_cast<SimDuration>(rng_.NextExp(mean) + 0.5);
-    ready_jobs_++;
-    sim_->ScheduleAfter(delay, [this, slot] {
-      ready_jobs_--;
-      StartParkedJob(slot);
-    });
+    const ParkedEntry entry{sim_->now() + delay, (sim_->ReserveSeq() << kSlotBits) | slot};
+    parked_.Push(entry);
+    if (parked_.top().key == entry.key) {  // a new head: the wake timer moves up
+      sim_->ArmTimer(wake_timer_, entry.wake, entry.seq());
+    }
     return;
   }
   StartParkedJob(slot);
@@ -163,6 +191,9 @@ void CpuModel::StartParkedJob(uint32_t slot) {
 void CpuModel::set_total_threads(int total_threads) {
   ACTOP_CHECK(total_threads >= 1);
   total_threads_ = total_threads;
+  // A parked job is a thread waiting for a quantum, so the stages' threads
+  // bound the parked heap: sizing it here keeps its growth out of the run.
+  parked_.Reserve(static_cast<size_t>(total_threads));
 }
 
 void CpuModel::EnablePauses(SimDuration mean_interval, SimDuration base_duration,
@@ -189,7 +220,7 @@ void CpuModel::SchedulePause() {
 void CpuModel::BeginPause() {
   AdvanceTo(sim_->now());
   paused_ = true;
-  Reschedule();  // cancels the pending completion while paused
+  Reschedule();  // disarms the completion timer while paused
   const int excess = std::max(0, total_threads_ - cores_);
   const double growth =
       std::pow(1.0 + pause_per_thread_factor_ * static_cast<double>(excess), pause_exponent_);

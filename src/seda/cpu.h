@@ -37,14 +37,25 @@
 // segment (O(1), replacing the seed's per-job remaining-demand decrement
 // loop), keeps each job's immutable finish tag V_start + demand in a 4-ary
 // min-heap (src/common/quad_heap.h) ordered by (finish tag, link seq) (peek
-// replaces the seed's full min-remaining rescan), parks jobs in a Slab
-// (src/common/slab.h), and re-arms one standing completion event via
-// Simulation::Reschedule (no Cancel + ScheduleAfter slot churn on every
-// arrival). Arrival and completion are O(log n) in the number of running
-// jobs; nothing on the steady-state path allocates. The retained seed
-// implementation lives in oracles/cpu_reference.h (namespace sedaref,
-// test/bench-only) and the two
-// are held equivalent by tests/seda/cpu_differential_test.cc.
+// replaces the seed's full min-remaining rescan), and parks jobs in a Slab
+// (src/common/slab.h). Arrival and completion are O(log n) in the number of
+// running jobs; nothing on the steady-state path allocates. The retained
+// seed implementation lives in oracles/cpu_reference.h (namespace sedaref,
+// test/bench-only) and the two are held equivalent by
+// tests/seda/cpu_differential_test.cc.
+//
+// Engine events: the model owns two persistent engine timers (the timer
+// track in src/sim/simulation.h) and schedules no one-shot event per job.
+//   * The completion timer stands at the next completion instant. Every
+//     change of the running set re-keys it with a fresh seq, exactly where a
+//     Cancel + ScheduleAt would have drawn one. Inside OnCompletion it is
+//     re-keyed once, after the done callbacks, with the seq reserved at the
+//     last re-key point; nothing but those points changes the CPU's state
+//     inside the callback, so its instant is the same.
+//   * The wake timer stands at the head of a heap of jobs parked in their
+//     dispatch-latency wait, keyed by (wake time, seq) with the seq reserved
+//     in BeginCompute, so jobs wake in the engine order that one-shot
+//     wake-up events scheduled in BeginCompute would have.
 
 #ifndef SRC_SEDA_CPU_H_
 #define SRC_SEDA_CPU_H_
@@ -68,6 +79,9 @@ class CpuModel {
   // sampler (see file comment).
   CpuModel(Simulation* sim, int cores, double kappa, SimDuration quantum = 0, uint64_t seed = 1);
 
+  // Removes both engine timers, dropping any parked or running job.
+  ~CpuModel();
+
   CpuModel(const CpuModel&) = delete;
   CpuModel& operator=(const CpuModel&) = delete;
 
@@ -87,7 +101,7 @@ class CpuModel {
   // Jobs currently computing (on-CPU, sharing cores).
   int active_jobs() const { return static_cast<int>(heap_.size()); }
   // Jobs runnable: waiting for a scheduling quantum plus computing.
-  int runnable_jobs() const { return ready_jobs_ + active_jobs(); }
+  int runnable_jobs() const { return static_cast<int>(parked_.size()) + active_jobs(); }
 
   // Busy core-nanoseconds accumulated since construction. `utilization` over
   // a window is (busy_core_nanos delta) / (cores * window).
@@ -144,6 +158,23 @@ class CpuModel {
     }
   };
 
+  // A job parked in its dispatch-latency wait: `key` packs the engine seq
+  // reserved in BeginCompute over the job's slot, so (wake, key) order is
+  // the (when, seq) order of one-shot wake-ups scheduled in BeginCompute.
+  struct ParkedEntry {
+    SimTime wake;
+    uint64_t key;
+
+    uint32_t slot() const { return static_cast<uint32_t>(key & kSlotMask); }
+    uint64_t seq() const { return key >> kSlotBits; }
+  };
+
+  struct WakesBefore {
+    bool operator()(const ParkedEntry& a, const ParkedEntry& b) const {
+      return a.wake != b.wake ? a.wake < b.wake : a.key < b.key;
+    }
+  };
+
   double Efficiency() const;
   double Rate() const;  // per-job progress per wallclock ns
   // Cores actively burning cycles right now (shared by the busy accounting
@@ -152,6 +183,7 @@ class CpuModel {
   void AdvanceTo(SimTime t);
   void Reschedule();
   void OnCompletion();
+  void OnWake();
   uint32_t AllocJob(SimDuration demand, InlineTask done);
   void StartParkedJob(uint32_t slot);
   void SchedulePause();
@@ -164,9 +196,17 @@ class CpuModel {
   const SimDuration quantum_;
   Rng rng_;
   int total_threads_;
-  int ready_jobs_ = 0;
   Slab<Job> jobs_;
   QuadHeap<HeapEntry, Before> heap_;  // running jobs, min (finish_v, seq)
+  QuadHeap<ParkedEntry, WakesBefore> parked_;  // waiting for a quantum
+  Simulation::TimerId completion_timer_;
+  Simulation::TimerId wake_timer_;
+  // Inside OnCompletion: Reschedule records the completion timer's next key
+  // here instead of re-keying it, and OnCompletion arms it once at the end.
+  bool completing_ = false;
+  bool completion_due_ = false;
+  SimTime completion_when_ = 0;
+  uint64_t completion_seq_ = 0;
   // Cumulative virtual service V(t); rebased to 0 whenever the CPU idles so
   // the accumulator never outgrows double precision within a busy period.
   double vtime_ = 0.0;
@@ -175,7 +215,6 @@ class CpuModel {
   std::vector<uint64_t> batch_scratch_;     // popped keys, sorted to seq order
   std::vector<InlineTask> done_scratch_;
   SimTime last_update_ = 0;
-  EventId pending_completion_ = 0;
   double busy_core_nanos_ = 0.0;
 
   // GC-pause modeling.

@@ -26,13 +26,13 @@ bool Simulation::LiveSlot(EventId id, uint32_t* slot) const {
 EventId Simulation::ScheduleAt(SimTime when, InlineTask fn) {
   ACTOP_CHECK(when >= now_);
   ACTOP_CHECK(static_cast<bool>(fn));
-  ACTOP_CHECK(next_seq_ <= kMaxSeq);
+  const uint64_t seq = ReserveSeq();
   const uint32_t slot = slots_.Alloc();
   // Slot indices must fit the low kSlotBits of a HeapEntry key: at most
   // 2^24 simultaneously pending events (the largest soaks peak ~1e6).
   ACTOP_CHECK(slot <= kSlotMask);
   slots_[slot].fn = std::move(fn);
-  heap_.Push(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
+  heap_.Push(HeapEntry{when, (seq << kSlotBits) | slot});
   return PackId(slots_[slot].gen, slot, 0);
 }
 
@@ -45,17 +45,51 @@ bool Simulation::Cancel(EventId id) {
   return true;
 }
 
-bool Simulation::Reschedule(EventId id, SimTime when) {
-  uint32_t slot;
-  if ((id & kPeriodicTag) != 0 || !LiveSlot(id, &slot)) return false;
+// --- persistent timers ------------------------------------------------------
+
+Simulation::TimerId Simulation::AddTimer(TimerFn fn, void* ctx) {
+  ACTOP_CHECK(fn != nullptr);
+  TimerId id = free_timer_;
+  if (id != kNoTimer) {
+    free_timer_ = timer_slots_[id].heap_pos;
+  } else {
+    ACTOP_CHECK(timer_slots_.size() <= kSlotMask);
+    id = static_cast<TimerId>(timer_slots_.size());
+    timer_slots_.emplace_back();
+  }
+  timer_slots_[id] = TimerSlot{fn, ctx, 0, false};
+  return id;
+}
+
+void Simulation::RemoveTimer(TimerId id) {
+  DisarmTimer(id);
+  timer_slots_[id].fn = nullptr;
+  timer_slots_[id].heap_pos = free_timer_;
+  free_timer_ = id;
+}
+
+void Simulation::ArmTimer(TimerId id, SimTime when, uint64_t seq) {
+  ACTOP_CHECK(id < timer_slots_.size() && timer_slots_[id].fn != nullptr);
   ACTOP_CHECK(when >= now_);
-  ACTOP_CHECK(next_seq_ <= kMaxSeq);
-  const size_t pos = slots_[slot].heap_pos;
-  heap_.mutable_at(pos) = HeapEntry{when, (next_seq_++ << kSlotBits) | slot};
-  // The fresh seq is the largest in the heap, so among equal timestamps the
-  // entry only sinks; across timestamps it can move either way.
-  heap_.Fix(pos);
-  return true;
+  ACTOP_CHECK(seq > 0 && seq < next_seq_);
+  TimerSlot& t = timer_slots_[id];
+  const HeapEntry entry{when, (seq << kSlotBits) | id};
+  if (t.armed) {
+    timers_.mutable_at(t.heap_pos) = entry;
+    timers_.Fix(t.heap_pos);
+  } else {
+    t.armed = true;
+    timers_.Push(entry);
+  }
+}
+
+void Simulation::DisarmTimer(TimerId id) {
+  ACTOP_CHECK(id < timer_slots_.size() && timer_slots_[id].fn != nullptr);
+  TimerSlot& t = timer_slots_[id];
+  if (t.armed) {
+    t.armed = false;
+    timers_.RemoveAt(t.heap_pos);
+  }
 }
 
 // --- periodic tasks ---------------------------------------------------------
@@ -125,38 +159,59 @@ void Simulation::DispatchTop() {
   if (after_event_hook_) after_event_hook_();
 }
 
-uint64_t Simulation::Run() {
+void Simulation::DispatchTimer() {
+  const HeapEntry top = timers_.top();
+  timers_.PopRoot();
+  // Disarmed before the callback runs, so the callback may re-arm it (or
+  // remove it) freely.
+  TimerSlot& t = timer_slots_[top.slot()];
+  t.armed = false;
+  const TimerFn fn = t.fn;
+  void* const ctx = t.ctx;
+  now_ = top.when;
+  events_executed_++;
+  fn(ctx);
+  if (after_event_hook_) after_event_hook_();
+}
+
+template <typename Due>
+uint64_t Simulation::RunWhile(Due due) {
   uint64_t n = 0;
-  while (!heap_.empty()) {
-    DispatchTop();
+  for (;;) {
+    if (TimerFirst()) {
+      if (!due(timers_.top().when)) break;
+      DispatchTimer();
+    } else {
+      if (heap_.empty() || !due(heap_.top().when)) break;
+      DispatchTop();
+    }
     n++;
   }
   return n;
 }
 
+uint64_t Simulation::Run() {
+  return RunWhile([](SimTime) { return true; });
+}
+
 uint64_t Simulation::RunUntil(SimTime deadline) {
   ACTOP_CHECK(deadline >= now_);
-  uint64_t n = 0;
-  while (!heap_.empty() && heap_.top().when <= deadline) {
-    DispatchTop();
-    n++;
-  }
+  const uint64_t n = RunWhile([deadline](SimTime when) { return when <= deadline; });
   now_ = deadline;
   return n;
 }
 
 uint64_t Simulation::RunWindow(SimTime end) {
-  uint64_t n = 0;
-  while (!heap_.empty() && heap_.top().when < end) {
-    DispatchTop();
-    n++;
-  }
-  return n;
+  return RunWhile([end](SimTime when) { return when < end; });
 }
 
 bool Simulation::RunOne() {
-  if (heap_.empty()) return false;
-  DispatchTop();
+  if (heap_.empty() && timers_.empty()) return false;
+  if (TimerFirst()) {
+    DispatchTimer();
+  } else {
+    DispatchTop();
+  }
   return true;
 }
 

@@ -24,6 +24,22 @@
 //     (when, seq) dispatch order is identical to scheduling the next tick by
 //     hand. Cancelling a periodic removes its in-flight tick directly.
 //
+// Timer track. A persistent timer is a function pointer and a context,
+// registered once (AddTimer) and then armed, re-armed and disarmed in place:
+// it has at most one entry in a second, small QuadHeap (a few entries per
+// server), keyed like the event heap by (when, seq | timer). Arming draws a
+// fresh seq from the same counter ScheduleAt uses, or takes one the owner
+// reserved earlier with ReserveSeq(), so a timer can stand in for a one-shot
+// event scheduled at the moment the seq was reserved. Dispatch takes
+// whichever heap's top comes first in the one global (when, seq) order, and
+// seqs are unique across both heaps, so a timer runs exactly where the
+// one-shot event it replaces would have run. The CPU model's completion and
+// dispatch wake-ups and each network lane's delivery cursor are timers: a
+// firing claims no event slot, builds no InlineTask and never sifts the big
+// event heap. Run, RunUntil, RunWindow, RunOne, next_event_time,
+// AdvanceClockTo, pending_events and the after-event hook all see both heaps,
+// and a timer firing counts as one executed event.
+//
 // Everything in the repository — the network, SEDA servers, the actor
 // runtime, the ActOp partitioning protocol and thread controllers — executes
 // as callbacks on this single engine.
@@ -33,6 +49,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/inline_task.h"
@@ -75,16 +92,6 @@ class alignas(64) Simulation {
   // equivalent to CancelPeriodic.
   bool Cancel(EventId id);
 
-  // Moves a pending event to absolute time `when` (must be >= now()) in one
-  // sift instead of Cancel + ScheduleAt: the id stays valid and the callback
-  // is untouched, so periodic re-arming (CpuModel's completion event on every
-  // arrival/departure) does not churn slots or rebuild closures. The event is
-  // re-sequenced exactly as a fresh schedule would be — it runs after events
-  // already pending at the same instant — so dispatch order is identical to
-  // the Cancel + ScheduleAt it replaces. Returns false (and does nothing) for
-  // fired/cancelled/periodic ids.
-  bool Reschedule(EventId id, SimTime when);
-
   // Schedules `fn` to run every `period` starting at now() + `period`.
   // Returns a control id accepted by CancelPeriodic (or Cancel). The
   // callback may cancel its own id from inside its invocation.
@@ -93,6 +100,41 @@ class alignas(64) Simulation {
   // Stops a periodic task, removing its pending tick from the event queue.
   // Returns true if the task was live; false for stale/foreign ids.
   bool CancelPeriodic(EventId id);
+
+  // --- persistent timers (see the file comment) ---
+
+  // A timer callback; `ctx` is the pointer given to AddTimer.
+  using TimerFn = void (*)(void* ctx);
+  using TimerId = uint32_t;
+
+  // Registers a disarmed timer. The owner removes it before `ctx` dies.
+  TimerId AddTimer(TimerFn fn, void* ctx);
+
+  // Disarms the timer and frees its id for reuse.
+  void RemoveTimer(TimerId id);
+
+  // Draws the next sequence number, exactly as a ScheduleAt at this moment
+  // would, without scheduling anything. An owner arms a timer with it later
+  // to give the timer the key a one-shot event scheduled now would have had.
+  uint64_t ReserveSeq() {
+    ACTOP_CHECK(next_seq_ <= kMaxSeq);
+    return next_seq_++;
+  }
+
+  // Arms (or re-keys, if already armed) the timer to fire at `when` (must be
+  // >= now()) with a fresh seq: it runs after every entry already pending at
+  // `when`, like a ScheduleAt made now. Safe from inside the timer's own
+  // callback, which runs disarmed.
+  void ArmTimer(TimerId id, SimTime when) { ArmTimer(id, when, ReserveSeq()); }
+
+  // Arms (or re-keys) the timer with `seq`, a value ReserveSeq() returned.
+  // The caller guarantees that no other pending entry holds `seq`.
+  void ArmTimer(TimerId id, SimTime when, uint64_t seq);
+
+  // Removes the timer's pending expiry, if any.
+  void DisarmTimer(TimerId id);
+
+  bool timer_armed(TimerId id) const { return timer_slots_[id].armed; }
 
   // Runs events until the queue is empty. Returns the number of events run.
   uint64_t Run();
@@ -104,10 +146,13 @@ class alignas(64) Simulation {
   // Runs the single next event if any; returns false when the queue is empty.
   bool RunOne();
 
-  // Timestamp of the earliest pending event, or kSimTimeMax when the queue
-  // is empty. The sharded engine uses this to compute conservative window
-  // bounds across shards.
-  SimTime next_event_time() const { return heap_.empty() ? kSimTimeMax : heap_.top().when; }
+  // Timestamp of the earliest pending event or armed timer, or kSimTimeMax
+  // when both are empty. The sharded engine uses this to compute conservative
+  // window bounds across shards.
+  SimTime next_event_time() const {
+    const SimTime e = heap_.empty() ? kSimTimeMax : heap_.top().when;
+    return timers_.empty() || e < timers_.top().when ? e : timers_.top().when;
+  }
 
   // Runs events with timestamp strictly < `end` and leaves the clock at the
   // last dispatched event (it does NOT advance to `end`): the window owner
@@ -120,7 +165,7 @@ class alignas(64) Simulation {
   // been fully executed.
   void AdvanceClockTo(SimTime t) {
     ACTOP_CHECK(t >= now_);
-    ACTOP_CHECK(heap_.empty() || heap_.top().when >= t);
+    ACTOP_CHECK(next_event_time() >= t);
     now_ = t;
   }
 
@@ -130,9 +175,10 @@ class alignas(64) Simulation {
   void set_after_event_hook(std::function<void()> hook) { after_event_hook_ = std::move(hook); }
 
   // Number of events currently pending (exact: cancelled events are removed
-  // from the heap immediately). Each live periodic contributes its one
-  // in-flight tick.
-  size_t pending_events() const { return heap_.size(); }
+  // from the heap immediately) plus armed timers. Each live periodic
+  // contributes its one in-flight tick; a timer whose callback is running is
+  // disarmed, so it counts only once its callback re-arms it.
+  size_t pending_events() const { return heap_.size() + timers_.size(); }
 
   // Total events executed since construction.
   uint64_t events_executed() const { return events_executed_; }
@@ -144,8 +190,9 @@ class alignas(64) Simulation {
   // Heap entries carry the full sort key so sift operations compare within
   // the contiguous heap array instead of chasing slot indices. 16 bytes:
   // `key` packs the monotone sequence tie-breaker (high 40 bits — seq order
-  // IS key order because slots never tie on seq) over the slot index (low 24
-  // bits), so a sibling group of four spans a single cache line.
+  // IS key order because no two entries of either heap share a seq) over the
+  // event slot or timer id (low 24 bits), so a sibling group of four spans a
+  // single cache line.
   struct HeapEntry {
     SimTime when;
     uint64_t key;
@@ -155,8 +202,8 @@ class alignas(64) Simulation {
 
   static constexpr uint32_t kSlotBits = 24;
   static constexpr uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
-  // 2^40 ScheduleAt calls per Simulation (~1.1e12; the longest soaks run
-  // ~1e9) before the packed seq would wrap — checked, not assumed.
+  // 2^40 ScheduleAt/ReserveSeq calls per Simulation (~1.1e12; the longest
+  // soaks run ~1e9) before the packed seq would wrap — checked, not assumed.
   static constexpr uint64_t kMaxSeq = (1ULL << (64 - kSlotBits)) - 1;
 
   // A slot keeps its generation across reuse (the Slab hands it back as
@@ -166,6 +213,16 @@ class alignas(64) Simulation {
     uint32_t gen = 1;
     uint32_t heap_pos = 0;  // position in heap_ while pending
   };
+
+  struct TimerSlot {
+    TimerFn fn = nullptr;  // null while the id is free
+    void* ctx = nullptr;
+    // Position in timers_ while armed; the next free id while the id is free
+    // (an intrusive free list: removing a timer never allocates).
+    uint32_t heap_pos = 0;
+    bool armed = false;
+  };
+  static constexpr TimerId kNoTimer = 0xFFFFFFFFu;
 
   struct PeriodicSlot {
     InlineTask fn;
@@ -182,9 +239,11 @@ class alignas(64) Simulation {
       return a.when != b.when ? a.when < b.when : a.key < b.key;
     }
   };
-  // Keeps each pending slot's heap_pos in step with its entry.
+  // Keeps each pending slot's (or armed timer's) heap_pos in step with its
+  // entry.
+  template <typename Slots>
   struct TrackPosition {
-    Slab<EventSlot>* slots;
+    Slots* slots;
     void operator()(const HeapEntry& e, size_t pos) const {
       (*slots)[e.slot()].heap_pos = static_cast<uint32_t>(pos);
     }
@@ -200,11 +259,28 @@ class alignas(64) Simulation {
   // Resolves an event id to its live slot, or returns false.
   bool LiveSlot(EventId id, uint32_t* slot) const;
   void FreeSlot(uint32_t slot);
+  // True when the earliest pending entry is an armed timer (requires at
+  // least one pending entry). Seqs are unique across both heaps, so this is
+  // one strict (when, seq) order.
+  bool TimerFirst() const {
+    return !timers_.empty() && (heap_.empty() || Before{}(timers_.top(), heap_.top()));
+  }
   void DispatchTop();
+  void DispatchTimer();
+  // Dispatches entries of both heaps in (when, seq) order while `due(when)`
+  // holds for the earliest one. Returns the number dispatched.
+  template <typename Due>
+  uint64_t RunWhile(Due due);
   void PeriodicTick(uint32_t slot, uint32_t gen);
 
   Slab<EventSlot> slots_;
-  QuadHeap<HeapEntry, Before, TrackPosition> heap_{Before{}, TrackPosition{&slots_}};
+  QuadHeap<HeapEntry, Before, TrackPosition<Slab<EventSlot>>> heap_{
+      Before{}, TrackPosition<Slab<EventSlot>>{&slots_}};
+
+  std::vector<TimerSlot> timer_slots_;
+  TimerId free_timer_ = kNoTimer;
+  QuadHeap<HeapEntry, Before, TrackPosition<std::vector<TimerSlot>>> timers_{
+      Before{}, TrackPosition<std::vector<TimerSlot>>{&timer_slots_}};
 
   Slab<PeriodicSlot> periodic_slots_;
 

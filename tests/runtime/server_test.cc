@@ -40,6 +40,27 @@ TEST(RuntimeTest, ClientCallActivatesAndResponds) {
   EXPECT_EQ(actor->calls(), 1);
 }
 
+TEST(RuntimeTest, ActorTypeTableReadsEachRegisteredType) {
+  ShardedEngine engine{{}};
+  Cluster cluster(&engine, SmallCluster());
+  RegisterTestActors(&cluster);
+  cluster.RegisterActorType(
+      0xFFFF, [](ActorId) { return std::make_unique<EchoActor>(); }, Micros(7));
+  EXPECT_EQ(cluster.HandlerCompute(MakeActorId(kEchoType, 1)), Micros(20));
+  EXPECT_EQ(cluster.HandlerCompute(MakeActorId(0xFFFF, 3)), Micros(7));
+  EXPECT_NE(cluster.GetOrCreateActor(MakeActorId(0xFFFF, 3)), nullptr);
+  // Registering a type twice, a type no ActorId can carry, or reading a type
+  // never registered all fail their checks.
+  EXPECT_DEATH(cluster.RegisterActorType(
+                   kEchoType, [](ActorId) { return std::make_unique<EchoActor>(); }, 0),
+               "");
+  EXPECT_DEATH(cluster.RegisterActorType(
+                   0x10000, [](ActorId) { return std::make_unique<EchoActor>(); }, 0),
+               "");
+  EXPECT_DEATH(cluster.HandlerCompute(MakeActorId(kEchoType + 50, 1)), "");
+  EXPECT_DEATH(cluster.GetOrCreateActor(MakeActorId(0xFFFE, 1)), "");
+}
+
 TEST(RuntimeTest, ActivationIsExactlyOnceUnderConcurrentCalls) {
   ShardedEngine engine{{}};
   Simulation& sim = engine.sim();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -358,6 +360,100 @@ TEST(CpuModelTest, NearTiedJobsFireInLinkOrder) {
   EXPECT_EQ(order, (std::vector<char>{'x', 'y'}));
   ASSERT_EQ(at.size(), 2u);
   EXPECT_EQ(at[0], at[1]);
+}
+
+TEST(CpuModelTest, SameInstantWakeUpsRunInParkOrderAroundEvents) {
+  // B and C park behind a running job A and wake at the same instant; E is
+  // scheduled for that instant between their BeginCompute calls and F after
+  // both. A parked job must wake at the (when, seq) of a one-shot event
+  // scheduled in its BeginCompute, so the order is B, E, C, F. A wake-up that
+  // drew its seq only when the wake timer was armed for it (after B's
+  // wake-up) would run C after F.
+  const SimDuration kQuantum = 1;
+  uint64_t seed = 0;
+  SimDuration wake = 0;
+  for (uint64_t s = 1; s <= 1000 && seed == 0; s++) {
+    // B parks with one job computing on the single core (over = 1), C with
+    // two runnable (over = 2): see the probe-Rng note above.
+    Rng probe(s);
+    const auto b = static_cast<SimDuration>(probe.NextExp(kQuantum) + 0.5);
+    const auto c = static_cast<SimDuration>(probe.NextExp(2 * kQuantum) + 0.5);
+    if (b == c && b > 0) {
+      seed = s;
+      wake = b;
+    }
+  }
+  ASSERT_NE(seed, 0u);
+
+  Simulation sim;
+  CpuModel cpu(&sim, /*cores=*/1, /*kappa=*/0.0, kQuantum, seed);
+  std::vector<std::string> order;
+  cpu.BeginCompute(Seconds(1), [] {});  // A: starts at once, holds the core
+  cpu.BeginCompute(Millis(1), [&] { order.push_back("B done"); });
+  sim.ScheduleAt(wake, [&] { order.push_back("E sees " + std::to_string(cpu.active_jobs())); });
+  cpu.BeginCompute(Millis(1), [&] { order.push_back("C done"); });
+  sim.ScheduleAt(wake, [&] { order.push_back("F sees " + std::to_string(cpu.active_jobs())); });
+  EXPECT_EQ(cpu.runnable_jobs(), 3);
+  EXPECT_EQ(cpu.active_jobs(), 1);
+  sim.RunUntil(wake);
+  // E runs between the wake-ups: only B has joined A.
+  EXPECT_EQ(order, (std::vector<std::string>{"E sees 2", "F sees 3"}));
+  sim.RunUntil(Seconds(2));
+  // B and C link at one instant with equal demand, so they complete in one
+  // batch in link order: B woke first.
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"E sees 2", "F sees 3", "B done", "C done"}));
+}
+
+TEST(CpuModelTest, CompletionRekeyedInsideCallbacksKeepsItsSeq) {
+  // Inside a completion, the completion timer's next key is drawn where the
+  // running set changes (before the done callbacks, and in a callback's
+  // BeginCompute), not when the timer is armed after the callbacks. An
+  // event a done callback schedules for the next completion instant after
+  // that point therefore runs after the completion, as a one-shot
+  // completion event scheduled at that point would have.
+  Simulation sim;
+  CpuModel cpu(&sim, /*cores=*/2, /*kappa=*/0.0);
+  std::vector<std::string> order;
+  cpu.BeginCompute(Millis(1), [&] {
+    order.push_back("X");
+    // Z's completion at t=3 was keyed before this callback ran.
+    sim.ScheduleAt(Millis(3), [&] { order.push_back("E"); });
+  });
+  cpu.BeginCompute(Millis(3), [&] {
+    order.push_back("Z");
+    cpu.BeginCompute(Millis(2), [&] { order.push_back("W"); });
+    // W's completion at t=5 was keyed by the BeginCompute above.
+    sim.ScheduleAt(Millis(5), [&] { order.push_back("F"); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"X", "Z", "E", "W", "F"}));
+  EXPECT_EQ(sim.now(), Millis(5));
+}
+
+TEST(CpuModelTest, DestroyingWithBothTimersArmedLeavesNothingPending) {
+  Simulation sim;
+  auto held = std::make_shared<int>(0);
+  {
+    CpuModel cpu(&sim, /*cores=*/1, /*kappa=*/0.0, /*quantum=*/Millis(1), /*seed=*/1);
+    cpu.BeginCompute(Millis(5), [held] {});  // running: completion timer armed
+    cpu.BeginCompute(Millis(5), [held] {});  // parked: wake timer armed
+    ASSERT_EQ(cpu.active_jobs(), 1);
+    ASSERT_EQ(cpu.runnable_jobs(), 2);
+    EXPECT_EQ(sim.pending_events(), 2u);
+    EXPECT_EQ(held.use_count(), 3);
+  }
+  // Both timers are gone with the model, and so are the jobs' callbacks.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.next_event_time(), kSimTimeMax);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(sim.Run(), 0u);
+  // The freed timer ids are reused by the next model on this engine.
+  CpuModel next(&sim, 1, 0.0);
+  SimTime done_at = -1;
+  next.BeginCompute(Millis(2), [&] { done_at = sim.now(); });
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(done_at, Millis(2));
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/sim_time.h"
 
 namespace actop {
@@ -315,91 +321,401 @@ TEST(SimulationTest, SameTimestampTieBreakIsScheduleOrderAcrossOperations) {
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 6, 7, 8, 10, 11}));
 }
 
-TEST(SimulationTest, RescheduleMovesEventEitherDirection) {
+// --- persistent timers -------------------------------------------------------
+
+// A timer whose callback appends `label` and then runs `then` (if set).
+struct LabelTimer {
+  std::vector<int>* order = nullptr;
+  int label = 0;
+  std::function<void()> then;
+
+  static void Fire(void* ctx) {
+    auto* t = static_cast<LabelTimer*>(ctx);
+    t->order->push_back(t->label);
+    if (t->then) t->then();
+  }
+};
+
+TEST(SimulationTest, TimerRearmMovesEitherDirection) {
   Simulation sim;
   std::vector<int> order;
-  const EventId id = sim.ScheduleAt(Millis(20), [&] { order.push_back(1); });
+  LabelTimer lt{&order, 1, nullptr};
+  const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
+  sim.ArmTimer(t, Millis(20));
   sim.ScheduleAt(Millis(10), [&] { order.push_back(0); });
-  EXPECT_TRUE(sim.Reschedule(id, Millis(5)));  // earlier
+  sim.ArmTimer(t, Millis(5));  // earlier
   sim.ScheduleAt(Millis(7), [&] {
-    EXPECT_TRUE(sim.Reschedule(id, Millis(30)));  // later, from inside an event
+    sim.ArmTimer(t, Millis(30));  // later, from inside an event
   });
-  // Re-arm: the same id stays valid across reschedules until it fires.
-  EXPECT_TRUE(sim.Reschedule(id, Millis(15)));
+  sim.ArmTimer(t, Millis(15));
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
   EXPECT_EQ(sim.now(), Millis(30));
+  EXPECT_FALSE(sim.timer_armed(t));
+  sim.RemoveTimer(t);
 }
 
-TEST(SimulationTest, RescheduleKeepsIdValidAndCallbackIntact) {
+TEST(SimulationTest, TimerRearmKeepsOneEntry) {
   Simulation sim;
-  int fired = 0;
-  const EventId id = sim.ScheduleAt(Millis(1), [&] { fired++; });
-  for (int i = 2; i <= 50; i++) {
-    EXPECT_TRUE(sim.Reschedule(id, Millis(i)));
+  std::vector<int> order;
+  LabelTimer lt{&order, 7, nullptr};
+  const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
+  for (int i = 1; i <= 50; i++) {
+    sim.ArmTimer(t, Millis(i));
   }
   EXPECT_EQ(sim.pending_events(), 1u);
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(sim.Cancel(id));  // fired: the id is stale now
+  EXPECT_EQ(sim.next_event_time(), Millis(50));
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{7}));
+  EXPECT_EQ(sim.events_executed(), 1u);
+  sim.RemoveTimer(t);
 }
 
-TEST(SimulationTest, RescheduleReturnsFalseForStaleAndPeriodicIds) {
-  Simulation sim;
-  const EventId fired = sim.ScheduleAfter(Millis(1), [] {});
-  const EventId cancelled = sim.ScheduleAfter(Millis(2), [] {});
-  sim.Cancel(cancelled);
-  const EventId periodic = sim.SchedulePeriodic(Millis(3), [] {});
-  sim.RunUntil(Millis(1));
-  EXPECT_FALSE(sim.Reschedule(fired, Millis(9)));
-  EXPECT_FALSE(sim.Reschedule(cancelled, Millis(9)));
-  EXPECT_FALSE(sim.Reschedule(periodic, Millis(9)));
-  EXPECT_FALSE(sim.Reschedule(0, Millis(9)));
-  sim.CancelPeriodic(periodic);
-}
-
-TEST(SimulationTest, RescheduleOrdersLikeCancelPlusScheduleAt) {
-  // A rescheduled event must run after events already pending at its new
-  // timestamp — the exact behavior of Cancel + ScheduleAt, which it
-  // replaces on the CpuModel hot path. Both orderings are verified against
-  // one another across a mixed schedule.
-  auto run = [](bool use_reschedule) {
+TEST(SimulationTest, TimerArmOrdersLikeCancelPlusScheduleAt) {
+  // Re-arming a timer must run it after entries already pending at its new
+  // timestamp, exactly as the Cancel + ScheduleAt of a one-shot event would.
+  auto run = [](bool use_timer) {
     Simulation sim;
     std::vector<int> order;
+    LabelTimer lt{&order, 99, nullptr};
+    const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
     for (int i = 0; i < 4; i++) {
       sim.ScheduleAt(Millis(10), [&order, i] { order.push_back(i); });
     }
-    EventId id = sim.ScheduleAt(Millis(4), [&order] { order.push_back(99); });
-    if (use_reschedule) {
-      EXPECT_TRUE(sim.Reschedule(id, Millis(10)));
+    if (use_timer) {
+      sim.ArmTimer(t, Millis(4));
+      sim.ArmTimer(t, Millis(10));
     } else {
+      const EventId id = sim.ScheduleAt(Millis(4), [&order] { order.push_back(99); });
       EXPECT_TRUE(sim.Cancel(id));
       sim.ScheduleAt(Millis(10), [&order] { order.push_back(99); });
     }
     sim.ScheduleAt(Millis(10), [&order] { order.push_back(4); });
     sim.Run();
+    sim.RemoveTimer(t);
     return order;
   };
-  const std::vector<int> with_reschedule = run(true);
+  const std::vector<int> with_timer = run(true);
   const std::vector<int> with_cancel = run(false);
-  EXPECT_EQ(with_reschedule, (std::vector<int>{0, 1, 2, 3, 99, 4}));
-  EXPECT_EQ(with_reschedule, with_cancel);
+  EXPECT_EQ(with_timer, (std::vector<int>{0, 1, 2, 3, 99, 4}));
+  EXPECT_EQ(with_timer, with_cancel);
 }
 
-TEST(SimulationTest, RescheduleToCurrentInstantRunsAfterPendingTies) {
+TEST(SimulationTest, TimerArmedAtCurrentInstantRunsAfterPendingTies) {
   Simulation sim;
   std::vector<int> order;
-  EventId id = 0;
-  sim.ScheduleAt(Millis(5), [&] {
-    // From inside an event at t=5: move `id` to t=5. It must still run
-    // after the event below that was already pending at t=5.
-    EXPECT_TRUE(sim.Reschedule(id, Millis(5)));
-  });
+  LabelTimer lt{&order, 2, nullptr};
+  const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
+  sim.ArmTimer(t, Millis(20));
+  // From inside an event at t=5: move the timer to t=5. It must still run
+  // after the event below that was already pending at t=5.
+  sim.ScheduleAt(Millis(5), [&] { sim.ArmTimer(t, Millis(5)); });
   sim.ScheduleAt(Millis(5), [&order] { order.push_back(1); });
-  id = sim.ScheduleAt(Millis(20), [&order] { order.push_back(2); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(sim.now(), Millis(5));
+  sim.RemoveTimer(t);
+}
+
+TEST(SimulationTest, TimerAndEventAtOneInstantRunInSeqOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  LabelTimer a{&order, 100, nullptr};
+  LabelTimer b{&order, 200, nullptr};
+  const Simulation::TimerId ta = sim.AddTimer(&LabelTimer::Fire, &a);
+  const Simulation::TimerId tb = sim.AddTimer(&LabelTimer::Fire, &b);
+  sim.ScheduleAt(Millis(5), [&] { order.push_back(1); });
+  sim.ArmTimer(ta, Millis(5));  // fresh seq: after event 1
+  // A reserved seq places tb where a ScheduleAt made at this point would
+  // run: before event 2, although it is armed after it.
+  const uint64_t reserved = sim.ReserveSeq();
+  sim.ScheduleAt(Millis(5), [&] { order.push_back(2); });
+  sim.ArmTimer(tb, Millis(5), reserved);
+  sim.ScheduleAt(Millis(5), [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 100, 200, 2, 3}));
+  sim.RemoveTimer(ta);
+  sim.RemoveTimer(tb);
+}
+
+TEST(SimulationTest, RunWindowStopsBeforeTimerDueAtEnd) {
+  Simulation sim;
+  std::vector<int> order;
+  LabelTimer lt{&order, 1, nullptr};
+  const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
+  sim.ArmTimer(t, Millis(10));
+  EXPECT_EQ(sim.RunWindow(Millis(10)), 0u);
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(sim.next_event_time(), Millis(10));
+  sim.AdvanceClockTo(Millis(10));  // up to, not past, the armed timer
+  EXPECT_EQ(sim.RunWindow(Millis(10) + 1), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.next_event_time(), kSimTimeMax);
+  sim.RemoveTimer(t);
+}
+
+TEST(SimulationDeathTest, AdvanceClockToRefusesToPassAnArmedTimer) {
+  Simulation sim;
+  std::vector<int> order;
+  LabelTimer lt{&order, 1, nullptr};
+  const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
+  sim.ArmTimer(t, Millis(10));
+  EXPECT_DEATH(sim.AdvanceClockTo(Millis(10) + 1), "");
+  sim.RemoveTimer(t);
+}
+
+TEST(SimulationTest, PendingEventsCountsArmedTimersButNotAFiringOne) {
+  Simulation sim;
+  std::vector<int> order;
+  std::vector<size_t> seen;
+  LabelTimer lt{&order, 1, nullptr};
+  const Simulation::TimerId t = sim.AddTimer(&LabelTimer::Fire, &lt);
+  lt.then = [&] {
+    seen.push_back(sim.pending_events());  // firing: not counted
+    if (order.size() < 2) {
+      sim.ArmTimer(t, sim.now() + Millis(1));
+      seen.push_back(sim.pending_events());
+    }
+  };
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.ArmTimer(t, Millis(1));
+  sim.ScheduleAt(Millis(5), [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.Run();
+  EXPECT_EQ(seen, (std::vector<size_t>{1, 2, 1}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.ArmTimer(t, Millis(9));
+  sim.DisarmTimer(t);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.RemoveTimer(t);
+}
+
+// Randomized differential check of the two-heap dispatch against a
+// reference model: one std::set of (when, seq, label) holding every pending
+// one-shot event and armed timer, with seqs drawn from a counter that mirrors
+// the engine's. Every dispatch must be the set's first element, and
+// pending_events() must equal the set's size. The script mixes one-shot
+// schedules and cancels with timer arms (fresh and reserved seqs) and
+// disarms, issued both from outside and from inside callbacks, including a
+// timer re-arming and disarming itself from inside its own callback.
+class TimerDifferential {
+ public:
+  explicit TimerDifferential(uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < kTimers; i++) {
+      timers_[i].owner = this;
+      timers_[i].index = i;
+      timers_[i].id = sim_.AddTimer(&TimerDifferential::FireTimer, &timers_[i]);
+    }
+  }
+  ~TimerDifferential() {
+    for (int i = 0; i < kTimers; i++) {
+      sim_.RemoveTimer(timers_[i].id);
+    }
+  }
+
+  void Run() {
+    for (int i = 0; i < 40; i++) {
+      Act();
+    }
+    // Drive the engine through each of its run entry points.
+    while (!ref_.empty()) {
+      ASSERT_EQ(sim_.next_event_time(), std::get<0>(*ref_.begin()));
+      const SimTime step = sim_.now() + static_cast<SimDuration>(rng_.NextInt(0, 30));
+      switch (rng_.NextInt(0, 3)) {
+        case 0:
+          sim_.RunUntil(step);
+          break;
+        case 1:
+          sim_.RunWindow(step);
+          if (sim_.next_event_time() >= step) sim_.AdvanceClockTo(step);
+          break;
+        case 2:
+          sim_.RunOne();
+          break;
+        default:
+          sim_.Run();
+          break;
+      }
+      ASSERT_EQ(sim_.pending_events(), ref_.size());
+    }
+    EXPECT_EQ(sim_.Run(), 0u);
+    EXPECT_EQ(sim_.events_executed(), dispatched_);
+    EXPECT_GT(dispatched_, 1000u);
+    EXPECT_GT(timer_fires_, 200u);
+  }
+
+ private:
+  static constexpr int kTimers = 4;
+  using Key = std::tuple<SimTime, uint64_t, int>;  // (when, seq, label)
+
+  struct Timer {
+    TimerDifferential* owner = nullptr;
+    int index = 0;
+    Simulation::TimerId id = 0;
+    bool armed = false;
+    Key key{};
+  };
+
+  static void FireTimer(void* ctx) {
+    auto* t = static_cast<Timer*>(ctx);
+    TimerDifferential* self = t->owner;
+    ASSERT_TRUE(t->armed);
+    t->armed = false;
+    self->timer_fires_++;
+    self->Fired(t->key);
+    // Inside its own callback the timer is disarmed: re-arm it, or arm and
+    // then disarm it, before any other action.
+    switch (self->rng_.NextInt(0, 3)) {
+      case 0:
+        self->ArmTimer(t->index, self->Delay());
+        break;
+      case 1:
+        self->ArmTimer(t->index, self->Delay());
+        self->DisarmTimer(t->index);
+        break;
+      default:
+        break;
+    }
+    self->ActFromCallback();
+  }
+
+  void Fired(const Key& key) {
+    ASSERT_FALSE(ref_.empty());
+    ASSERT_EQ(*ref_.begin(), key);
+    ASSERT_EQ(sim_.now(), std::get<0>(key));
+    ref_.erase(ref_.begin());
+    dispatched_++;
+    ASSERT_EQ(sim_.pending_events(), ref_.size());
+  }
+
+  uint64_t DrawSeq() { return ++seq_; }
+
+  SimDuration Delay() {
+    // Many zero and small delays, so same-instant ties are common.
+    return static_cast<SimDuration>(rng_.NextInt(0, 3) == 0 ? 0 : rng_.NextInt(0, 20));
+  }
+
+  void Schedule(SimDuration delay) {
+    const int label = next_label_++;
+    const SimTime when = sim_.now() + delay;
+    const uint64_t seq = DrawSeq();
+    const Key key{when, seq, label};
+    const EventId id = sim_.ScheduleAt(when, [this, key, label] {
+      live_.erase(label);
+      Fired(key);
+      ActFromCallback();
+    });
+    ref_.insert(key);
+    live_[label] = Pending{id, key};
+  }
+
+  void CancelSome() {
+    if (live_.empty()) return;
+    auto it = live_.begin();
+    std::advance(it, static_cast<long>(rng_.NextBounded(live_.size())));
+    ASSERT_TRUE(sim_.Cancel(it->second.id));
+    ASSERT_FALSE(sim_.Cancel(it->second.id));
+    ref_.erase(it->second.key);
+    live_.erase(it);
+  }
+
+  void ArmTimer(int i, SimDuration delay) {
+    Timer& t = timers_[i];
+    if (t.armed) ref_.erase(t.key);
+    const SimTime when = sim_.now() + delay;
+    t.key = Key{when, DrawSeq(), kTimerLabel + i};
+    sim_.ArmTimer(t.id, when);
+    t.armed = true;
+    ref_.insert(t.key);
+  }
+
+  void ArmTimerReserved(int i) {
+    if (reserved_.empty()) return;
+    Timer& t = timers_[i];
+    if (t.armed) ref_.erase(t.key);
+    const uint64_t seq = reserved_.front();
+    reserved_.erase(reserved_.begin());
+    const SimTime when = sim_.now() + Delay();
+    t.key = Key{when, seq, kTimerLabel + i};
+    sim_.ArmTimer(t.id, when, seq);
+    t.armed = true;
+    ref_.insert(t.key);
+  }
+
+  void DisarmTimer(int i) {
+    Timer& t = timers_[i];
+    if (t.armed) ref_.erase(t.key);
+    t.armed = false;
+    sim_.DisarmTimer(t.id);
+    ASSERT_FALSE(sim_.timer_armed(t.id));
+  }
+
+  void Act() {
+    const int timer = static_cast<int>(rng_.NextBounded(kTimers));
+    switch (rng_.NextInt(0, 9)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        Schedule(Delay());
+        break;
+      case 4:
+        CancelSome();
+        break;
+      case 5:
+      case 6:
+        ArmTimer(timer, Delay());
+        break;
+      case 7: {
+        // Reserved now, used by a later action (possibly from a callback).
+        const uint64_t seq = sim_.ReserveSeq();
+        ASSERT_EQ(seq, DrawSeq());
+        reserved_.push_back(seq);
+        break;
+      }
+      case 8:
+        ArmTimerReserved(timer);
+        break;
+      default:
+        DisarmTimer(timer);
+        break;
+    }
+  }
+
+  void ActFromCallback() {
+    if (dispatched_ > kBudget) return;
+    // Grow towards ~30 pending entries, then hover there.
+    const int n = static_cast<int>(ref_.size() < 30 ? rng_.NextInt(2, 8) : rng_.NextInt(0, 3));
+    for (int i = 0; i < n; i++) {
+      Act();
+    }
+  }
+
+  struct Pending {
+    EventId id;
+    Key key;
+  };
+
+  static constexpr int kTimerLabel = 1 << 30;
+  static constexpr uint64_t kBudget = 3000;
+
+  Simulation sim_;
+  Rng rng_;
+  Timer timers_[kTimers];
+  std::set<Key> ref_;
+  std::map<int, Pending> live_;
+  std::vector<uint64_t> reserved_;
+  uint64_t seq_ = 0;
+  int next_label_ = 0;
+  uint64_t dispatched_ = 0;
+  uint64_t timer_fires_ = 0;
+};
+
+TEST(SimulationTest, TimerTrackMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 20; seed++) {
+    SCOPED_TRACE(seed);
+    TimerDifferential(seed).Run();
+  }
 }
 
 }  // namespace
